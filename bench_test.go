@@ -190,7 +190,19 @@ func BenchmarkFigs4_GlyphRendering(b *testing.B) {
 
 // --- engine performance benches (P1) ---
 
-// BenchmarkMineFPGrowth measures the FP-Growth closed-itemset path.
+// benchClosed mines the benchmark quarter's closed itemsets the way
+// the pipeline does (LCM under the pipeline's length cap).
+func benchClosed(b *testing.B, db *txdb.DB) []fpgrowth.FrequentSet {
+	b.Helper()
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: benchMinSup, MaxLen: 10})
+	if len(closed) == 0 {
+		b.Fatal("nothing mined")
+	}
+	return closed
+}
+
+// BenchmarkMineFPGrowth measures the FP-Growth closed-itemset path
+// (mine every frequent itemset, then filter), the P1 baseline.
 func BenchmarkMineFPGrowth(b *testing.B) {
 	db := benchDB(b)
 	b.ResetTimer()
@@ -202,14 +214,13 @@ func BenchmarkMineFPGrowth(b *testing.B) {
 	}
 }
 
-// BenchmarkMineLCM measures the LCM closed-itemset engine on the
-// same workload (unbounded length — LCM enumerates only closed sets,
-// so it needs no safety cap).
+// BenchmarkMineLCM measures the LCM closed-itemset engine, the
+// pipeline's miner, on the same workload and length cap.
 func BenchmarkMineLCM(b *testing.B) {
 	db := benchDB(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sets := lcm.MineClosed(db, lcm.Options{MinSupport: benchMinSup})
+		sets := lcm.MineClosed(db, lcm.Options{MinSupport: benchMinSup, MaxLen: 10})
 		if len(sets) == 0 {
 			b.Fatal("nothing mined")
 		}
@@ -217,7 +228,7 @@ func BenchmarkMineLCM(b *testing.B) {
 }
 
 // BenchmarkMineFPGrowthUnbounded is the FP-Growth closed path without
-// the length cap, the apples-to-apples comparison for BenchmarkMineLCM.
+// the length cap.
 func BenchmarkMineFPGrowthUnbounded(b *testing.B) {
 	db := benchDB(b)
 	b.ResetTimer()
@@ -246,10 +257,7 @@ func BenchmarkMineApriori(b *testing.B) {
 // the primitive behind contextual-rule evaluation.
 func BenchmarkSupportQueries(b *testing.B) {
 	db := benchDB(b)
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: benchMinSup, MaxLen: 10})
-	if len(closed) == 0 {
-		b.Fatal("nothing mined")
-	}
+	closed := benchClosed(b, db)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs := closed[i%len(closed)]
@@ -260,17 +268,17 @@ func BenchmarkSupportQueries(b *testing.B) {
 }
 
 // BenchmarkMCACConstruction measures cluster building over the full
-// target rule set.
+// target rule set, starting from an empty support memo each time as a
+// pipeline run does.
 func BenchmarkMCACConstruction(b *testing.B) {
 	db := benchDB(b)
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: benchMinSup, MaxLen: 10})
-	targets := assoc.FromItemsets(db, closed, assoc.GenOptions{MinDrugs: 2, MaxDrugs: 5})
+	targets := assoc.FromItemsets(assoc.NewEvaluator(db), benchClosed(b, db), assoc.GenOptions{MinDrugs: 2, MaxDrugs: 5})
 	if len(targets) == 0 {
 		b.Fatal("no targets")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clusters := mcac.BuildAll(db, targets)
+		clusters := mcac.BuildAll(assoc.NewEvaluator(db), targets)
 		if len(clusters) == 0 {
 			b.Fatal("no clusters")
 		}
@@ -280,9 +288,9 @@ func BenchmarkMCACConstruction(b *testing.B) {
 // BenchmarkExclusivenessScoring measures ranking over built clusters.
 func BenchmarkExclusivenessScoring(b *testing.B) {
 	db := benchDB(b)
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: benchMinSup, MaxLen: 10})
-	targets := assoc.FromItemsets(db, closed, assoc.GenOptions{MinDrugs: 2, MaxDrugs: 5})
-	clusters := mcac.BuildAll(db, targets)
+	ev := assoc.NewEvaluator(db)
+	targets := assoc.FromItemsets(ev, benchClosed(b, db), assoc.GenOptions{MinDrugs: 2, MaxDrugs: 5})
+	clusters := mcac.BuildAll(ev, targets)
 	if len(clusters) == 0 {
 		b.Fatal("no clusters")
 	}
@@ -344,8 +352,7 @@ func BenchmarkTrendQuarters(b *testing.B) {
 // candidate rule set.
 func BenchmarkEBGMFit(b *testing.B) {
 	db := benchDB(b)
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: benchMinSup, MaxLen: 10})
-	targets := assoc.FromItemsets(db, closed, assoc.GenOptions{MinDrugs: 2, MaxDrugs: 5})
+	targets := assoc.FromItemsets(assoc.NewEvaluator(db), benchClosed(b, db), assoc.GenOptions{MinDrugs: 2, MaxDrugs: 5})
 	n := float64(db.Len())
 	obs := make([]ebgm.Observation, len(targets))
 	for i := range targets {

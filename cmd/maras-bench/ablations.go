@@ -15,6 +15,7 @@ import (
 	"maras/internal/fpgrowth"
 	"maras/internal/glyph"
 	"maras/internal/knowledge"
+	"maras/internal/lcm"
 	"maras/internal/mcac"
 	"maras/internal/rank"
 	"maras/internal/report"
@@ -92,13 +93,13 @@ func runAblateClosed(cfg benchConfig) error {
 	if err != nil {
 		return err
 	}
-	mopts := fpgrowth.Options{MinSupport: cfg.minsup, MaxLen: 10}
-	frequent := fpgrowth.Mine(db, mopts)
-	closed := fpgrowth.FilterClosed(frequent)
+	frequent := fpgrowth.Mine(db, fpgrowth.Options{MinSupport: cfg.minsup, MaxLen: 10})
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: cfg.minsup, MaxLen: 10})
 
+	ev := assoc.NewEvaluator(db)
 	gen := assoc.GenOptions{MinDrugs: 2, MaxDrugs: 5}
-	allRules := assoc.FromItemsets(db, frequent, gen)
-	closedRules := assoc.FromItemsets(db, closed, gen)
+	allRules := assoc.FromItemsets(ev, frequent, gen)
+	closedRules := assoc.FromItemsets(ev, closed, gen)
 
 	sampleShare := func(rules []assoc.Rule) float64 {
 		if len(rules) == 0 {
@@ -118,7 +119,7 @@ func runAblateClosed(cfg benchConfig) error {
 	}
 
 	score := func(rules []assoc.Rule) eval.Result {
-		clusters := mcac.BuildAll(db, rules)
+		clusters := mcac.BuildAll(ev, rules)
 		ranked := rank.Rank(clusters, rank.ByExclusivenessConf, rank.Options{Theta: 0.5})
 		keys := make([]string, len(ranked))
 		for i, r := range ranked {
@@ -182,10 +183,10 @@ func runBaselines(cfg benchConfig) error {
 	if err != nil {
 		return err
 	}
-	mopts := fpgrowth.Options{MinSupport: cfg.minsup, MaxLen: 10}
-	closed := fpgrowth.MineClosed(db, mopts)
-	targets := assoc.FromItemsets(db, closed, assoc.GenOptions{MinDrugs: 2, MaxDrugs: 5})
-	clusters := mcac.BuildAll(db, targets)
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: cfg.minsup, MaxLen: 10})
+	ev := assoc.NewEvaluator(db)
+	targets := assoc.FromItemsets(ev, closed, assoc.GenOptions{MinDrugs: 2, MaxDrugs: 5})
+	clusters := mcac.BuildAll(ev, targets)
 
 	t := report.NewTable("Baselines A4 — ranking methods vs planted ground truth",
 		"Method", "MRR", "Recall@10", "Recall@20", "First hit")

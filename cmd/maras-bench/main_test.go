@@ -84,7 +84,7 @@ func TestTracedRunCollectsAndWrites(t *testing.T) {
 	if run.Experiment != "test-exp" || run.Quarter != "2014Q1" {
 		t.Errorf("trace run labels = %+v", run)
 	}
-	if want := core.StageOrder(); len(run.Stages) != len(want) {
+	if want := opts.Stages(); len(run.Stages) != len(want) {
 		t.Errorf("trace has %d stages, want %d", len(run.Stages), len(want))
 	}
 

@@ -1,0 +1,166 @@
+package assoc
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"maras/internal/fpgrowth"
+	"maras/internal/txdb"
+	"maras/internal/types"
+)
+
+// randomDB builds a database over nDrugs drugs and nReacs reactions,
+// each present in a transaction with probability density.
+func randomDB(rng *rand.Rand, nDrugs, nReacs, nTx int, density float64) (*txdb.DB, types.Itemset, types.Itemset) {
+	dict := types.NewDictionary()
+	var drugs, reacs types.Itemset
+	for i := 0; i < nDrugs; i++ {
+		drugs = append(drugs, dict.Intern(fmt.Sprintf("D%d", i), types.DomainDrug))
+	}
+	for i := 0; i < nReacs; i++ {
+		reacs = append(reacs, dict.Intern(fmt.Sprintf("r%d", i), types.DomainReaction))
+	}
+	db := txdb.New(dict)
+	for t := 0; t < nTx; t++ {
+		var items types.Itemset
+		for _, it := range append(drugs.Clone(), reacs...) {
+			if rng.Float64() < density {
+				items = append(items, it)
+			}
+		}
+		db.Add(fmt.Sprintf("t%d", t), items)
+	}
+	db.Freeze()
+	return db, drugs, reacs
+}
+
+// randomSubset draws a non-empty subset of s.
+func randomSubset(rng *rand.Rand, s types.Itemset) types.Itemset {
+	for {
+		var out types.Itemset
+		for _, it := range s {
+			if rng.Intn(2) == 0 {
+				out = append(out, it)
+			}
+		}
+		if len(out) > 0 {
+			return out
+		}
+	}
+}
+
+func sameMeasures(a, b Rule) bool {
+	return a.Antecedent.Equal(b.Antecedent) && a.Consequent.Equal(b.Consequent) &&
+		a.Support == b.Support && a.AntSupport == b.AntSupport && a.ConSupport == b.ConSupport &&
+		math.Float64bits(a.Confidence) == math.Float64bits(b.Confidence) &&
+		math.Float64bits(a.Lift) == math.Float64bits(b.Lift)
+}
+
+// Memoized evaluation must be indistinguishable from counting afresh,
+// on the first evaluation of a rule and on every repeat.
+func TestEvaluatorMatchesEvaluateRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 20; trial++ {
+		db, drugs, reacs := randomDB(rng, 3+rng.Intn(6), 1+rng.Intn(4), 10+rng.Intn(60), 0.2+0.5*rng.Float64())
+		ev := NewEvaluator(db)
+		for i := 0; i < 200; i++ {
+			a, b := randomSubset(rng, drugs), randomSubset(rng, reacs)
+			want := Evaluate(db, a, b)
+			if got := ev.Evaluate(a, b); !sameMeasures(got, want) {
+				t.Fatalf("trial %d: %s memoized %+v, counted %+v", trial, want.Key(), got, want)
+			}
+		}
+	}
+}
+
+// FromItemsets takes each rule's support from its mined itemset; the
+// rules must equal ones evaluated from scratch.
+func TestFromItemsetsMatchesEvaluate(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 10; trial++ {
+		db, _, _ := randomDB(rng, 5, 3, 40, 0.4)
+		closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 2})
+		rules := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 1})
+		if len(rules) == 0 {
+			t.Fatalf("trial %d: no rules", trial)
+		}
+		for _, r := range rules {
+			if want := Evaluate(db, r.Antecedent, r.Consequent); !sameMeasures(r, want) {
+				t.Fatalf("trial %d: %s generated %+v, counted %+v", trial, r.Key(), r, want)
+			}
+		}
+	}
+}
+
+func TestEvaluatorMemo(t *testing.T) {
+	db, m := fixture(t)
+	A, W, Z := m["ASPIRIN"], m["WARFARIN"], m["ZOMETA"]
+	bl, na := m["Haemorrhage"], m["Nausea"]
+
+	ev := NewEvaluator(db)
+	if len(ev.memo) != 0 {
+		t.Fatalf("new evaluator holds %d supports", len(ev.memo))
+	}
+	// Singletons are answered from posting lengths, not memoized.
+	if got := ev.Support(types.NewItemset(A)); got != db.Support(types.NewItemset(A)) {
+		t.Errorf("singleton support = %d", got)
+	}
+	if len(ev.memo) != 0 {
+		t.Errorf("singleton support was memoized")
+	}
+
+	// A,W => bleed,nausea memoizes the antecedent and the union; the
+	// two-reaction consequent too.
+	ev.Evaluate(types.NewItemset(A, W), types.NewItemset(bl, na))
+	if len(ev.memo) != 3 {
+		t.Fatalf("memo holds %d supports after one rule, want 3", len(ev.memo))
+	}
+	// Repeats, and rules sharing the antecedent or consequent, count
+	// nothing new for the shared parts.
+	ev.Evaluate(types.NewItemset(A, W), types.NewItemset(bl, na))
+	if len(ev.memo) != 3 {
+		t.Errorf("repeated rule grew the memo to %d", len(ev.memo))
+	}
+	ev.Evaluate(types.NewItemset(A, W), types.NewItemset(bl))
+	if len(ev.memo) != 4 { // only {A,W,bl} is new
+		t.Errorf("shared antecedent: memo %d, want 4", len(ev.memo))
+	}
+	ev.Evaluate(types.NewItemset(A, Z), types.NewItemset(bl, na))
+	if len(ev.memo) != 6 { // {A,Z} and {A,Z,bl,na} are new
+		t.Errorf("shared consequent: memo %d, want 6", len(ev.memo))
+	}
+
+	// A planted memo entry is what lookups return: the shared parts
+	// really are served from the memo, not recounted.
+	key := string(itemKey(nil, types.NewItemset(A, W)))
+	ev.memo[key] = 99
+	if got := ev.Evaluate(types.NewItemset(A, W), types.NewItemset(na)); got.AntSupport != 99 {
+		t.Errorf("antecedent support %d not served from the memo", got.AntSupport)
+	}
+
+	// A new evaluator starts empty and counts exactly.
+	fresh := NewEvaluator(db)
+	if len(fresh.memo) != 0 {
+		t.Errorf("new evaluator holds %d supports", len(fresh.memo))
+	}
+	if got := fresh.Evaluate(types.NewItemset(A, W), types.NewItemset(na)); got.AntSupport != 3 {
+		t.Errorf("fresh evaluator antecedent support = %d, want 3", got.AntSupport)
+	}
+}
+
+// FromItemsets remembers each generated rule's complete-itemset
+// support, so a contextual rule asking for it later is a memo hit.
+func TestFromItemsetsSeedsMemo(t *testing.T) {
+	db, _ := fixture(t)
+	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
+	ev := NewEvaluator(db)
+	rules := FromItemsets(ev, closed, GenOptions{MinDrugs: 2})
+	for _, r := range rules {
+		key := string(itemKey(nil, r.Complete()))
+		if sup, ok := ev.memo[key]; !ok || sup != r.Support {
+			t.Errorf("%s: memo has %d (present %v), want %d", r.Key(), sup, ok, r.Support)
+		}
+	}
+}

@@ -27,13 +27,14 @@ type GenOptions struct {
 // Lemma 3.4.2 guarantees the rule is a supported (non-spurious)
 // association. Itemsets without both domains are skipped.
 //
-// Measures are evaluated exactly against db. Results are sorted by
-// descending support, then key, for determinism.
-func FromItemsets(db *txdb.DB, sets []fpgrowth.FrequentSet, opts GenOptions) []Rule {
+// Measures are exact: a rule's support is its itemset's mined count,
+// and the antecedent and consequent supports come from ev. Results are
+// sorted by descending support, then key, for determinism.
+func FromItemsets(ev *Evaluator, sets []fpgrowth.FrequentSet, opts GenOptions) []Rule {
 	if opts.MinDrugs < 1 {
 		opts.MinDrugs = 1
 	}
-	dict := db.Dict()
+	dict := ev.DB().Dict()
 	rules := make([]Rule, 0, len(sets))
 	for _, fs := range sets {
 		drugs, reacs := dict.SplitDomains(fs.Items)
@@ -43,18 +44,13 @@ func FromItemsets(db *txdb.DB, sets []fpgrowth.FrequentSet, opts GenOptions) []R
 		if opts.MaxDrugs > 0 && len(drugs) > opts.MaxDrugs {
 			continue
 		}
-		r := Evaluate(db, drugs, reacs)
+		r := ev.evaluateComplete(drugs, reacs, fs.Items, fs.Support)
 		if r.Confidence < opts.MinConfidence {
 			continue
 		}
 		rules = append(rules, r)
 	}
-	sort.Slice(rules, func(i, j int) bool {
-		if rules[i].Support != rules[j].Support {
-			return rules[i].Support > rules[j].Support
-		}
-		return rules[i].Key() < rules[j].Key()
-	})
+	sortRules(rules)
 	return rules
 }
 
@@ -94,13 +90,38 @@ func AllPartitions(db *txdb.DB, sets []fpgrowth.FrequentSet, maxAnt int) []Rule 
 			})
 		})
 	}
-	sort.Slice(rules, func(i, j int) bool {
-		if rules[i].Support != rules[j].Support {
-			return rules[i].Support > rules[j].Support
-		}
-		return rules[i].Key() < rules[j].Key()
-	})
+	sortRules(rules)
 	return rules
+}
+
+// sortRules orders rules by descending support, then key. Keys are
+// built once per rule rather than once per comparison.
+func sortRules(rules []Rule) {
+	keys := make([]string, len(rules))
+	for i := range rules {
+		keys[i] = rules[i].Key()
+	}
+	sort.Sort(bySupportKey{rules, keys})
+}
+
+// bySupportKey sorts rules and their precomputed keys together.
+type bySupportKey struct {
+	rules []Rule
+	keys  []string
+}
+
+func (b bySupportKey) Len() int { return len(b.rules) }
+
+func (b bySupportKey) Less(i, j int) bool {
+	if b.rules[i].Support != b.rules[j].Support {
+		return b.rules[i].Support > b.rules[j].Support
+	}
+	return b.keys[i] < b.keys[j]
+}
+
+func (b bySupportKey) Swap(i, j int) {
+	b.rules[i], b.rules[j] = b.rules[j], b.rules[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
 // subsetsIncludingFull visits every non-empty subset of s, including

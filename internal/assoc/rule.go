@@ -81,14 +81,20 @@ func Evaluate(db *txdb.DB, antecedent, consequent types.Itemset) Rule {
 	r.Support = db.Support(antecedent.Union(consequent))
 	r.AntSupport = db.Support(antecedent)
 	r.ConSupport = db.Support(consequent)
+	r.setRatios(db.Len())
+	return r
+}
+
+// setRatios derives confidence and lift from the rule's supports over
+// a database of n transactions.
+func (r *Rule) setRatios(n int) {
 	if r.AntSupport > 0 {
 		r.Confidence = float64(r.Support) / float64(r.AntSupport)
 	}
-	if r.AntSupport > 0 && r.ConSupport > 0 && db.Len() > 0 {
-		r.Lift = float64(r.Support) * float64(db.Len()) /
+	if r.AntSupport > 0 && r.ConSupport > 0 && n > 0 {
+		r.Lift = float64(r.Support) * float64(n) /
 			(float64(r.AntSupport) * float64(r.ConSupport))
 	}
-	return r
 }
 
 // SupportType classifies how a drug-ADR association is supported by

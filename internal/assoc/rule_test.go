@@ -178,7 +178,7 @@ func TestClosedItemsetsAreSupported(t *testing.T) {
 func TestFromItemsetsFiltersDomains(t *testing.T) {
 	db, m := fixture(t)
 	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
-	rules := FromItemsets(db, closed, GenOptions{MinDrugs: 2})
+	rules := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 2})
 	if len(rules) == 0 {
 		t.Fatal("no rules generated")
 	}
@@ -229,8 +229,8 @@ func TestFromItemsetsMinConfidence(t *testing.T) {
 	db.Add("r4", types.NewItemset(d2, a2))
 	db.Freeze()
 	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
-	all := FromItemsets(db, closed, GenOptions{MinDrugs: 1})
-	high := FromItemsets(db, closed, GenOptions{MinDrugs: 1, MinConfidence: 0.9})
+	all := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 1})
+	high := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 1, MinConfidence: 0.9})
 	if len(high) >= len(all) {
 		t.Errorf("MinConfidence did not filter: %d vs %d", len(high), len(all))
 	}
@@ -244,7 +244,7 @@ func TestFromItemsetsMinConfidence(t *testing.T) {
 func TestFromItemsetsMaxDrugs(t *testing.T) {
 	db, _ := fixture(t)
 	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
-	rules := FromItemsets(db, closed, GenOptions{MinDrugs: 1, MaxDrugs: 2})
+	rules := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 1, MaxDrugs: 2})
 	for _, r := range rules {
 		if len(r.Antecedent) > 2 {
 			t.Errorf("rule %s exceeds MaxDrugs", r.Key())
@@ -258,7 +258,7 @@ func TestAllPartitionsBlowup(t *testing.T) {
 	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
 
 	total := AllPartitions(db, all, 0)
-	filtered := FromItemsets(db, closed, GenOptions{MinDrugs: 2})
+	filtered := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 2})
 	if len(total) <= len(filtered) {
 		t.Errorf("partition rules (%d) should outnumber closed multi-drug rules (%d)",
 			len(total), len(filtered))

@@ -1,9 +1,12 @@
 // Package core wires the MARAS pipeline end to end (Fig 1.1 and
-// Section 5.2): report cleaning, transaction encoding, closed-itemset
-// mining with FP-Growth, drug→ADR rule generation, multi-level
-// contextual cluster construction, exclusiveness ranking, knowledge-
-// base validation, and linking every signal back to the raw reports
-// that support it.
+// Section 5.2): report cleaning, transaction encoding, direct
+// closed-itemset mining with LCM, drug→ADR rule generation,
+// multi-level contextual cluster construction, exclusiveness ranking,
+// knowledge-base validation, and linking every signal back to the raw
+// reports that support it. Rule generation and cluster construction
+// share one run-scoped memo of exact supports (assoc.Evaluator).
+// FP-Growth runs only when Options.CountRules asks for the full
+// frequent-itemset space of Fig 5.1.
 package core
 
 import (
@@ -17,6 +20,7 @@ import (
 	"maras/internal/faers"
 	"maras/internal/fpgrowth"
 	"maras/internal/knowledge"
+	"maras/internal/lcm"
 	"maras/internal/mcac"
 	"maras/internal/meddra"
 	"maras/internal/obs"
@@ -32,22 +36,39 @@ import (
 // trace. Every stage also records domain counters (see the obs
 // package and DESIGN.md "Observability").
 const (
-	StageClean   = "clean"          // expedited/suspect filters + cleaning
-	StageEncode  = "encode"         // dictionary interning + transaction DB
-	StageMine    = "mine"           // FP-Growth frequent itemsets
-	StageClosure = "closure_filter" // closed-itemset filter (Lemma 3.4.2)
-	StageRules   = "rule_gen"       // drug→ADR target rule generation
-	StageCluster = "mcac_build"     // multi-level contextual clusters
-	StageRank    = "rank"           // exclusiveness (or baseline) ranking
-	StageLink    = "validate_link"  // knowledge validation + report linking
+	StageClean  = "clean"  // expedited/suspect filters + cleaning
+	StageEncode = "encode" // dictionary interning + transaction DB
+	StageMine   = "mine"   // LCM closed itemsets (Lemma 3.4.2)
+	// StageClosure runs only under Options.CountRules: FP-Growth mines
+	// the full frequent set the closed sets were taken from, to size
+	// Fig 5.1's rule spaces and the frequent→closed reduction.
+	StageClosure = "closure_filter"
+	StageRules   = "rule_gen"      // drug→ADR target rule generation
+	StageCluster = "mcac_build"    // multi-level contextual clusters
+	StageRank    = "rank"          // exclusiveness (or baseline) ranking
+	StageLink    = "validate_link" // knowledge validation + report linking
 )
 
-// StageOrder lists the trace stage names in pipeline order.
+// StageOrder lists every trace stage name in pipeline order. A run
+// records StageClosure only under Options.CountRules; Options.Stages
+// gives the stages a particular run records.
 func StageOrder() []string {
 	return []string{
 		StageClean, StageEncode, StageMine, StageClosure,
 		StageRules, StageCluster, StageRank, StageLink,
 	}
+}
+
+// Stages lists the trace stage names a run with these options
+// records, in pipeline order.
+func (o Options) Stages() []string {
+	var out []string
+	for _, st := range StageOrder() {
+		if st != StageClosure || o.CountRules {
+			out = append(out, st)
+		}
+	}
+	return out
 }
 
 // Options configures a pipeline run. NewOptions supplies the paper's
@@ -300,36 +321,39 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 	}
 	dict := db.Dict()
 
-	// Mine: closed itemsets for the rule base; the full frequent set
-	// only to size the unfiltered rule space (Fig 5.1 counts).
+	// Mine the closed itemsets the rule base is built from (Lemma
+	// 3.4.2) directly, without materializing the frequent set.
 	st := opts.Tracer.StartStage(StageMine)
-	mopts := fpgrowth.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems}
-	var frequent []fpgrowth.FrequentSet
-	prof.DoStage(ctx, StageMine, func() {
-		frequent = fpgrowth.Mine(db, mopts)
-	})
-	st.Count("frequent_itemsets", int64(len(frequent)))
-	st.End()
-
-	st = opts.Tracer.StartStage(StageClosure)
 	var closed []fpgrowth.FrequentSet
-	prof.DoStage(ctx, StageClosure, func() {
-		closed = fpgrowth.FilterClosed(frequent)
+	prof.DoStage(ctx, StageMine, func() {
+		closed = lcm.MineClosed(db, lcm.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
 	})
 	st.Count("closed_itemsets", int64(len(closed)))
-	st.Count("itemsets_dropped", int64(len(frequent)-len(closed)))
 	st.End()
 
+	// Fig 5.1 sizes the rule spaces over every frequent itemset, the
+	// only use of the full frequent set.
 	var counts Counts
 	if opts.CountRules {
-		counts.TotalRules = assoc.CountTraditionalRules(frequent)
-		counts.FilteredRules = assoc.CountDrugADRRules(dict, frequent)
+		st = opts.Tracer.StartStage(StageClosure)
+		var frequent []fpgrowth.FrequentSet
+		prof.DoStage(ctx, StageClosure, func() {
+			frequent = fpgrowth.Mine(db, fpgrowth.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
+			counts.TotalRules = assoc.CountTraditionalRules(frequent)
+			counts.FilteredRules = assoc.CountDrugADRRules(dict, frequent)
+		})
+		st.Count("frequent_itemsets", int64(len(frequent)))
+		st.Count("itemsets_dropped", int64(len(frequent)-len(closed)))
+		st.End()
 	}
 
+	// One memo of exact supports serves rule generation and every
+	// cluster; it lives only as long as this run.
+	ev := assoc.NewEvaluator(db)
 	st = opts.Tracer.StartStage(StageRules)
 	var targets []assoc.Rule
 	prof.DoStage(ctx, StageRules, func() {
-		targets = assoc.FromItemsets(db, closed, assoc.GenOptions{
+		targets = assoc.FromItemsets(ev, closed, assoc.GenOptions{
 			MinDrugs: opts.MinDrugs,
 			MaxDrugs: opts.MaxDrugs,
 		})
@@ -340,7 +364,7 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 	st = opts.Tracer.StartStage(StageCluster)
 	var clusters []mcac.Cluster
 	prof.DoStage(ctx, StageCluster, func() {
-		clusters = mcac.BuildAll(db, targets)
+		clusters = mcac.BuildAll(ev, targets)
 	})
 	counts.MCACs = len(clusters)
 	st.Count("clusters_built", int64(len(clusters)))

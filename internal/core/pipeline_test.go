@@ -355,7 +355,7 @@ func TestRunContextBridgesStageSpans(t *testing.T) {
 		got[s.Name] = s
 	}
 	rootID := got["startup mine"].ID
-	for _, stage := range StageOrder() {
+	for _, stage := range opts.Stages() {
 		s, ok := got["stage:"+stage]
 		if !ok {
 			t.Errorf("stage span stage:%s missing", stage)
@@ -401,7 +401,7 @@ func TestRunContextReusedTracerNoDoubleBridge(t *testing.T) {
 			stageSpans++
 		}
 	}
-	if want := len(StageOrder()); stageSpans != want {
+	if want := len(opts.Stages()); stageSpans != want {
 		t.Errorf("bridged %d stage spans, want %d (one run only)", stageSpans, want)
 	}
 }

@@ -10,7 +10,9 @@ import (
 // TestRunQuarterTraceStages runs the full pipeline on a small
 // synthetic quarter with a tracer attached and checks the trace: the
 // stage names appear in pipeline order and the stage counters agree
-// with the analysis outputs.
+// with the analysis outputs. The closure_filter stage, and with it the
+// frequent-itemset count, appears only when CountRules mines the full
+// frequent set.
 func TestRunQuarterTraceStages(t *testing.T) {
 	sc := synth.DefaultConfig("2014Q1", 7)
 	sc.Reports = 600
@@ -18,23 +20,30 @@ func TestRunQuarterTraceStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTracer(nil)
-	opts := NewOptions()
-	opts.MinSupport = 3
-	opts.Tracer = tr
-	a, err := RunQuarter(q, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, countRules := range []bool{false, true} {
+		tr := obs.NewTracer(nil)
+		opts := NewOptions()
+		opts.MinSupport = 3
+		opts.CountRules = countRules
+		opts.Tracer = tr
+		a, err := RunQuarter(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTraceStages(t, a, opts, tr.Records())
 	}
+}
 
-	recs := tr.Records()
-	want := StageOrder()
+func checkTraceStages(t *testing.T, a *Analysis, opts Options, recs []obs.StageRecord) {
+	t.Helper()
+	want := opts.Stages()
 	if len(recs) != len(want) {
 		names := make([]string, len(recs))
 		for i, r := range recs {
 			names[i] = r.Name
 		}
-		t.Fatalf("got %d stages %v, want %d %v", len(recs), names, len(want), want)
+		t.Fatalf("CountRules=%v: got %d stages %v, want %d %v",
+			opts.CountRules, len(recs), names, len(want), want)
 	}
 	byName := map[string]obs.StageRecord{}
 	for i, r := range recs {
@@ -57,14 +66,28 @@ func TestRunQuarterTraceStages(t *testing.T) {
 		t.Errorf("encode.transactions = %d, want Stats.Reports = %d", got, a.Stats.Reports)
 	}
 	mine := byName[StageMine]
-	closure := byName[StageClosure]
-	if mine.Counters["frequent_itemsets"] < closure.Counters["closed_itemsets"] {
-		t.Errorf("frequent (%d) < closed (%d)",
-			mine.Counters["frequent_itemsets"], closure.Counters["closed_itemsets"])
+	closed := mine.Counters["closed_itemsets"]
+	if closed == 0 {
+		t.Error("mine.closed_itemsets = 0")
 	}
-	if got, want := closure.Counters["itemsets_dropped"],
-		mine.Counters["frequent_itemsets"]-closure.Counters["closed_itemsets"]; got != want {
-		t.Errorf("closure.itemsets_dropped = %d, want %d", got, want)
+	if _, ok := mine.Counters["frequent_itemsets"]; ok {
+		t.Error("mine stage counts frequent itemsets it never mines")
+	}
+	rules := byName[StageRules]
+	if got := rules.Counters["rules_kept"]; got > closed {
+		t.Errorf("rule_gen.rules_kept = %d exceeds closed itemsets %d", got, closed)
+	}
+	if closure, ok := byName[StageClosure]; ok {
+		frequent := closure.Counters["frequent_itemsets"]
+		if frequent < closed {
+			t.Errorf("frequent (%d) < closed (%d)", frequent, closed)
+		}
+		if got := closure.Counters["itemsets_dropped"]; got != frequent-closed {
+			t.Errorf("closure.itemsets_dropped = %d, want %d", got, frequent-closed)
+		}
+		if a.Counts.FilteredRules == 0 || a.Counts.TotalRules < a.Counts.FilteredRules {
+			t.Errorf("rule-space counts %+v not sized", a.Counts)
+		}
 	}
 	cluster := byName[StageCluster]
 	if got := cluster.Counters["clusters_built"]; got != int64(a.Counts.MCACs) {
@@ -118,7 +141,7 @@ func BenchmarkNilTracerPipelineHooks(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		st := opts.Tracer.StartStage(StageMine)
-		st.Count("frequent_itemsets", int64(i))
+		st.Count("closed_itemsets", int64(i))
 		st.End()
 	}
 }
@@ -127,7 +150,7 @@ func TestNilTracerHooksZeroAlloc(t *testing.T) {
 	var opts Options
 	allocs := testing.AllocsPerRun(200, func() {
 		st := opts.Tracer.StartStage(StageMine)
-		st.Count("frequent_itemsets", 1)
+		st.Count("closed_itemsets", 1)
 		st.End()
 	})
 	if allocs != 0 {

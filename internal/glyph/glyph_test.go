@@ -31,7 +31,7 @@ func testCluster(t testing.TB) (*mcac.Cluster, *types.Dictionary) {
 	}
 	db.Freeze()
 	target := assoc.Evaluate(db, types.NewItemset(x, y, z), types.NewItemset(a))
-	c := mcac.Build(db, target)
+	c := mcac.Build(assoc.NewEvaluator(db), target)
 	return &c, dict
 }
 

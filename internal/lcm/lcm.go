@@ -4,11 +4,10 @@
 // extension enumerates each closed itemset exactly once, with no
 // candidate storage and no subsumption index.
 //
-// It is the second closed-itemset engine next to package fpgrowth's
-// mine-then-filter approach; the test suites enforce exact agreement
-// between the two, and the benchmark harness compares their cost
-// profiles (LCM wins on dense data where the frequent-itemset space
-// dwarfs the closed space).
+// It is the production miner: the pipeline (package core) takes its
+// closed sets from MineClosed. Package fpgrowth's mine-then-filter
+// MineClosed is the reference the test suites hold LCM to, and its
+// full frequent-set Mine serves only the rule-space counts of Fig 5.1.
 package lcm
 
 import (
@@ -23,9 +22,12 @@ import (
 type Options struct {
 	// MinSupport is the absolute minimum support (≥ 1).
 	MinSupport int
-	// MaxLen bounds itemset length; 0 = unbounded. Closedness is
-	// relative to the bounded universe, matching fpgrowth.MineClosed
-	// semantics.
+	// MaxLen bounds itemset length; 0 (or less) = unbounded.
+	// Closedness is relative to the bounded universe, matching
+	// fpgrowth.MineClosed: every closed set of at most MaxLen items,
+	// plus, for each longer closed set C, the MaxLen-item subsets of C
+	// with C's support (they have no equal-support superset within
+	// the bound).
 	MaxLen int
 }
 
@@ -36,21 +38,16 @@ func MineClosed(db *txdb.DB, opts Options) []fpgrowth.FrequentSet {
 	if opts.MinSupport < 1 {
 		opts.MinSupport = 1
 	}
-	m := &miner{db: db, opts: opts}
-	var out []fpgrowth.FrequentSet
-
-	if opts.MaxLen != 0 {
-		// Bounded-length closedness deviates from true closure; fall
-		// back to the reference engine for exact semantic agreement.
-		return fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxLen})
+	if opts.MaxLen < 0 {
+		opts.MaxLen = 0
 	}
-
+	m := newMiner(db, opts)
 	// Root: process the full database; the closure of the empty set
 	// (items present in every transaction) is emitted by process when
 	// non-empty.
-	m.counts = make([]int, db.Dict().Len())
-	m.process(m.allTids(), nil, types.NoItem, true, &out)
+	m.process(m.allTids(), nil, types.NoItem, true)
 
+	out := m.out
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Support != b.Support {
@@ -72,10 +69,27 @@ func MineClosed(db *txdb.DB, opts Options) []fpgrowth.FrequentSet {
 type miner struct {
 	db   *txdb.DB
 	opts Options
-	// counts is the occurrence-deliver scratch array, indexed by
-	// item ID; process resets the entries it touched before
-	// recursing, so a single array serves the whole traversal.
-	counts []int
+	// counts and slot are occurrence-deliver scratch arrays indexed by
+	// item ID. process restores both (counts to 0, slot to -1) before
+	// recursing, so one pair serves the whole traversal; touched is
+	// likewise consumed before recursion.
+	counts  []int
+	slot    []int32
+	touched []types.Item
+	out     []fpgrowth.FrequentSet
+}
+
+func newMiner(db *txdb.DB, opts Options) *miner {
+	m := &miner{
+		db:     db,
+		opts:   opts,
+		counts: make([]int, db.Dict().Len()),
+		slot:   make([]int32, db.Dict().Len()),
+	}
+	for i := range m.slot {
+		m.slot[i] = -1
+	}
+	return m
 }
 
 func (m *miner) allTids() []txdb.TID {
@@ -86,93 +100,143 @@ func (m *miner) allTids() []txdb.TID {
 	return tids
 }
 
+// candidate is an extension item of a node with its conditional
+// tidset.
+type candidate struct {
+	item types.Item
+	tids []txdb.TID
+}
+
 // process handles one node of the LCM traversal: tids is the
 // conditional tidset (the transactions containing the node's
 // generator), prevClosed the parent's closed set, coreIt the item
 // whose addition produced this node (types.NoItem at the root), and
-// isRoot marks the database root. It performs occurrence deliver —
-// one scan of the conditional transactions — to derive both the
-// node's closure and its extension candidates, enforces the
-// prefix-preservation condition, emits the closed set, and recurses.
-func (m *miner) process(tids []txdb.TID, prevClosed types.Itemset, coreIt types.Item, isRoot bool, out *[]fpgrowth.FrequentSet) {
-	if len(tids) == 0 {
+// isRoot marks the database root. Occurrence deliver — two scans of
+// the conditional transactions — derives the node's closure, its
+// extension candidates and every candidate's tidset; the node then
+// enforces the prefix-preservation condition, emits the closed set,
+// and recurses.
+func (m *miner) process(tids []txdb.TID, prevClosed types.Itemset, coreIt types.Item, isRoot bool) {
+	if len(tids) < m.opts.MinSupport { // MinSupport ≥ 1
 		return
 	}
-	// Occurrence deliver.
-	var touched []types.Item
+	// First scan: item counts within the conditional database.
+	m.touched = m.touched[:0]
 	for _, tid := range tids {
 		for _, it := range m.db.Tx(tid).Items {
 			if m.counts[it] == 0 {
-				touched = append(touched, it)
+				m.touched = append(m.touched, it)
 			}
 			m.counts[it]++
 		}
 	}
 	n := len(tids)
 	var closure types.Itemset
-	var candidates []types.Item
-	for _, it := range touched {
-		c := m.counts[it]
-		m.counts[it] = 0 // reset before recursion reuses the array
-		switch {
+	var cands []candidate
+	total := 0
+	for _, it := range m.touched {
+		switch c := m.counts[it]; {
 		case c == n:
 			closure = append(closure, it)
 		case c >= m.opts.MinSupport && it > coreIt:
-			candidates = append(candidates, it)
+			cands = append(cands, candidate{item: it})
+			total += c
 		}
 	}
 	closure = closure.Normalize()
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
 
-	if !isRoot {
-		// ppc check: items of the closure below the core item must
-		// already belong to the parent's closed set, otherwise this
-		// closed set is generated from a smaller core elsewhere.
-		if !prefixPreserved(prevClosed, closure, coreIt) {
-			return
-		}
-		*out = append(*out, fpgrowth.FrequentSet{Items: closure, Support: n})
-	} else if len(closure) > 0 {
-		// Non-empty root closure: items present in every transaction.
-		*out = append(*out, fpgrowth.FrequentSet{Items: closure, Support: n})
+	// ppc check: items of the closure below the core item must already
+	// belong to the parent's closed set, otherwise this closed set is
+	// generated from a smaller core elsewhere. The root has no core;
+	// its closure (items present in every transaction) may be empty.
+	if !isRoot && !prefixPreserved(prevClosed, closure, coreIt) {
+		m.resetCounts()
+		return
+	}
+	if len(closure) > 0 {
+		m.emit(closure, n)
+	}
+	if len(cands) == 0 {
+		m.resetCounts()
+		return
 	}
 
-	for _, j := range candidates {
-		if closure.Contains(j) {
-			continue
+	// Second scan: deliver each transaction to the tidsets of the
+	// candidates it contains, carved out of one block.
+	sort.Slice(cands, func(i, j int) bool { return cands[i].item < cands[j].item })
+	block := make([]txdb.TID, total)
+	off := 0
+	for i := range cands {
+		c := m.counts[cands[i].item]
+		cands[i].tids = block[off : off : off+c]
+		m.slot[cands[i].item] = int32(i)
+		off += c
+	}
+	m.resetCounts()
+	for _, tid := range tids {
+		for _, it := range m.db.Tx(tid).Items {
+			if k := m.slot[it]; k >= 0 {
+				cands[k].tids = append(cands[k].tids, tid)
+			}
 		}
-		newTids := intersectTids(tids, m.db.Postings(j))
-		if len(newTids) < m.opts.MinSupport {
-			continue
-		}
-		m.process(newTids, closure, j, false, out)
+	}
+	for _, c := range cands {
+		m.slot[c.item] = -1
+	}
+
+	// Recurse even past the length bound: the children of a long
+	// closed set are longer still, but each can contribute its own
+	// bounded subsets.
+	for _, c := range cands {
+		m.process(c.tids, closure, c.item, false)
 	}
 }
 
-// containsAllTids reports whether the sorted posting list holds every
-// tid of sub (also sorted).
-func containsAllTids(postings []txdb.TID, sub []txdb.TID) bool {
-	if len(sub) > len(postings) {
-		return false
+// resetCounts zeroes the counts of the items the last scan touched.
+func (m *miner) resetCounts() {
+	for _, it := range m.touched {
+		m.counts[it] = 0
 	}
-	i := 0
-	for _, want := range sub {
-		// Galloping scan.
-		lo, hi := i, len(postings)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if postings[mid] < want {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo >= len(postings) || postings[lo] != want {
-			return false
-		}
-		i = lo + 1
+}
+
+// emit records the closed set c of support n. Under a length
+// bound L a longer c stands for its L-subsets of equal support:
+// those have no equal-support proper superset of at most L items, so
+// they are closed within the bounded universe. Each such subset has c
+// as its closure, so no subset is emitted twice.
+func (m *miner) emit(c types.Itemset, n int) {
+	if m.opts.MaxLen == 0 || len(c) <= m.opts.MaxLen {
+		m.out = append(m.out, fpgrowth.FrequentSet{Items: c, Support: n})
+		return
 	}
-	return true
+	m.boundedSubsets(c, n, make(types.Itemset, 0, m.opts.MaxLen), 0, nil)
+}
+
+// boundedSubsets extends prefix (a subset of c drawn from c[from:]
+// onwards, with tidset prefixTids; nil means every transaction) to
+// MaxLen items and emits every completion whose support equals n,
+// the support of c. The prefix's tidset only shrinks as items of c
+// are added and never below c's, so once it holds n transactions it
+// is c's tidset and needs no further intersection.
+func (m *miner) boundedSubsets(c types.Itemset, n int, prefix types.Itemset, from int, prefixTids []txdb.TID) {
+	if len(prefix) == m.opts.MaxLen {
+		if len(prefixTids) == n {
+			m.out = append(m.out, fpgrowth.FrequentSet{Items: prefix.Clone(), Support: n})
+		}
+		return
+	}
+	// Leave room for the items the bound still needs.
+	last := len(c) - (m.opts.MaxLen - len(prefix))
+	for i := from; i <= last; i++ {
+		tids := prefixTids
+		switch {
+		case tids == nil:
+			tids = m.db.Postings(c[i])
+		case len(tids) > n:
+			tids = intersectTids(tids, m.db.Postings(c[i]))
+		}
+		m.boundedSubsets(c, n, append(prefix, c[i]), i+1, tids)
+	}
 }
 
 // prefixPreserved reports whether closure's items below j all belong

@@ -134,12 +134,53 @@ func TestMineClosedEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-func TestMineClosedMaxLenFallsBack(t *testing.T) {
-	db := buildDB(t, [][]int{{1, 2, 3}, {1, 2, 3}, {1, 2}})
-	got := asMap(MineClosed(db, Options{MinSupport: 1, MaxLen: 2}))
-	want := asMap(fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1, MaxLen: 2}))
-	if len(got) != len(want) {
-		t.Fatalf("MaxLen fallback disagrees: %v vs %v", got, want)
+// Under a length bound LCM must reproduce fpgrowth.MineClosed's
+// bounded closedness exactly, including the MaxLen-subsets it keeps
+// for closed sets longer than the bound. Transactions here are long
+// (up to all 14 items) so most closed sets exceed MaxLen.
+func TestMineClosedBoundedMatchesFPGrowthRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		nItems := 6 + rng.Intn(9)
+		nTx := 6 + rng.Intn(40)
+		density := 0.5 + 0.4*rng.Float64()
+		txs := make([][]int, nTx)
+		for i := range txs {
+			for id := 0; id < nItems; id++ {
+				if rng.Float64() < density {
+					txs[i] = append(txs[i], id)
+				}
+			}
+			if len(txs[i]) == 0 {
+				txs[i] = []int{rng.Intn(nItems)}
+			}
+		}
+		db := buildDB(t, txs)
+		minsup := 1 + rng.Intn(3)
+		for maxLen := 1; maxLen <= 4; maxLen++ {
+			got := MineClosed(db, Options{MinSupport: minsup, MaxLen: maxLen})
+			want := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: minsup, MaxLen: maxLen})
+			if len(got) != len(want) {
+				t.Fatalf("trial %d (minsup=%d maxLen=%d): lcm %d sets, fpgrowth %d",
+					trial, minsup, maxLen, len(got), len(want))
+			}
+			// Both engines sort the same way, so agreement is positional.
+			for i := range want {
+				if !got[i].Items.Equal(want[i].Items) || got[i].Support != want[i].Support {
+					t.Fatalf("trial %d (minsup=%d maxLen=%d): set %d lcm=%v/%d fpgrowth=%v/%d",
+						trial, minsup, maxLen, i, got[i].Items, got[i].Support, want[i].Items, want[i].Support)
+				}
+			}
+		}
+	}
+}
+
+// A database with fewer transactions than the minimum support has no
+// frequent itemset, not even the root closure.
+func TestMineClosedRootBelowMinSupport(t *testing.T) {
+	db := buildDB(t, [][]int{{1, 2}, {1, 2}})
+	if got := MineClosed(db, Options{MinSupport: 3}); len(got) != 0 {
+		t.Errorf("mined %v below minimum support", got)
 	}
 }
 
@@ -157,28 +198,6 @@ func TestMineClosedOrderingDeterministic(t *testing.T) {
 	for i := 1; i < len(a); i++ {
 		if a[i].Support > a[i-1].Support {
 			t.Fatal("not sorted by support desc")
-		}
-	}
-}
-
-func TestContainsAllTids(t *testing.T) {
-	post := []txdb.TID{1, 3, 5, 7, 9}
-	cases := []struct {
-		sub  []txdb.TID
-		want bool
-	}{
-		{nil, true},
-		{[]txdb.TID{1}, true},
-		{[]txdb.TID{9}, true},
-		{[]txdb.TID{3, 7}, true},
-		{[]txdb.TID{1, 3, 5, 7, 9}, true},
-		{[]txdb.TID{2}, false},
-		{[]txdb.TID{1, 2}, false},
-		{[]txdb.TID{1, 3, 5, 7, 9, 11}, false},
-	}
-	for _, c := range cases {
-		if got := containsAllTids(post, c.sub); got != c.want {
-			t.Errorf("containsAllTids(%v) = %v, want %v", c.sub, got, c.want)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func TestContextSupportAntiMonotone(t *testing.T) {
 				if target.Support == 0 {
 					return true
 				}
-				c := Build(db, target)
+				c := Build(assoc.NewEvaluator(db), target)
 				for _, cr := range c.ContextRules() {
 					if cr.Support < target.Support {
 						t.Fatalf("anti-monotonicity violated: sup(%v∪B)=%d < sup(%v∪B)=%d",
@@ -101,7 +101,7 @@ func TestContextMeasureBounds(t *testing.T) {
 		}
 		drugs.SubsetsOfSize(3, func(ant types.Itemset) bool {
 			target := assoc.Evaluate(db, ant.Clone(), types.NewItemset(reacs[0], reacs[1]))
-			c := Build(db, target)
+			c := Build(assoc.NewEvaluator(db), target)
 			for _, cr := range append(c.ContextRules(), c.Target) {
 				if cr.Confidence < 0 || cr.Confidence > 1 {
 					t.Fatalf("confidence %v out of range for %s", cr.Confidence, cr.Key())

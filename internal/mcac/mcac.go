@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"maras/internal/assoc"
-	"maras/internal/txdb"
 	"maras/internal/types"
 )
 
@@ -68,12 +67,12 @@ func (c *Cluster) ContextRules() []assoc.Rule {
 	return out
 }
 
-// Build constructs the cluster for the target rule against db. Every
-// proper non-empty subset X of the antecedent contributes exactly one
-// contextual rule X ⇒ B with measures evaluated exactly (Definition
-// 3.5.2: the context covers the whole power set minus the full
-// antecedent and the empty set).
-func Build(db *txdb.DB, target assoc.Rule) Cluster {
+// Build constructs the cluster for the target rule. Every proper
+// non-empty subset X of the antecedent contributes exactly one
+// contextual rule X ⇒ B with measures evaluated exactly by ev
+// (Definition 3.5.2: the context covers the whole power set minus the
+// full antecedent and the empty set).
+func Build(ev *assoc.Evaluator, target assoc.Rule) Cluster {
 	n := len(target.Antecedent)
 	c := Cluster{Target: target}
 	if n < 2 {
@@ -81,7 +80,7 @@ func Build(db *txdb.DB, target assoc.Rule) Cluster {
 	}
 	byCard := make(map[int][]assoc.Rule, n-1)
 	target.Antecedent.ProperSubsets(func(sub types.Itemset) bool {
-		r := assoc.Evaluate(db, sub.Clone(), target.Consequent)
+		r := ev.Evaluate(sub.Clone(), target.Consequent)
 		byCard[len(sub)] = append(byCard[len(sub)], r)
 		return true
 	})
@@ -99,14 +98,16 @@ func Build(db *txdb.DB, target assoc.Rule) Cluster {
 }
 
 // BuildAll constructs a cluster per target rule. Single-drug rules are
-// skipped (they have no context and signal no interaction).
-func BuildAll(db *txdb.DB, targets []assoc.Rule) []Cluster {
+// skipped (they have no context and signal no interaction). Targets
+// sharing antecedent subsets and consequents share ev's memoized
+// supports.
+func BuildAll(ev *assoc.Evaluator, targets []assoc.Rule) []Cluster {
 	out := make([]Cluster, 0, len(targets))
 	for _, r := range targets {
 		if len(r.Antecedent) < 2 {
 			continue
 		}
-		out = append(out, Build(db, r))
+		out = append(out, Build(ev, r))
 	}
 	return out
 }

@@ -44,7 +44,7 @@ func xolairFixture(t testing.TB) (*txdb.DB, assoc.Rule) {
 
 func TestBuildClusterShape(t *testing.T) {
 	db, target := xolairFixture(t)
-	c := Build(db, target)
+	c := Build(assoc.NewEvaluator(db), target)
 
 	if c.DrugCount() != 3 {
 		t.Fatalf("DrugCount = %d, want 3", c.DrugCount())
@@ -65,7 +65,7 @@ func TestBuildClusterShape(t *testing.T) {
 
 func TestContextRulesShareConsequent(t *testing.T) {
 	db, target := xolairFixture(t)
-	c := Build(db, target)
+	c := Build(assoc.NewEvaluator(db), target)
 	for _, r := range c.ContextRules() {
 		if !r.Consequent.Equal(target.Consequent) {
 			t.Errorf("context rule %s has different consequent", r.Key())
@@ -78,7 +78,7 @@ func TestContextRulesShareConsequent(t *testing.T) {
 
 func TestContextCoversPowerSet(t *testing.T) {
 	db, target := xolairFixture(t)
-	c := Build(db, target)
+	c := Build(assoc.NewEvaluator(db), target)
 	seen := map[string]bool{}
 	for _, r := range c.ContextRules() {
 		if seen[r.Antecedent.Key()] {
@@ -102,7 +102,7 @@ func TestContextCoversPowerSet(t *testing.T) {
 
 func TestLevelOrderingByConfidence(t *testing.T) {
 	db, target := xolairFixture(t)
-	c := Build(db, target)
+	c := Build(assoc.NewEvaluator(db), target)
 	for _, l := range c.Levels {
 		for i := 1; i < len(l.Rules); i++ {
 			if l.Rules[i].Confidence > l.Rules[i-1].Confidence {
@@ -114,7 +114,7 @@ func TestLevelOrderingByConfidence(t *testing.T) {
 
 func TestLevelFor(t *testing.T) {
 	db, target := xolairFixture(t)
-	c := Build(db, target)
+	c := Build(assoc.NewEvaluator(db), target)
 	if l := c.LevelFor(2); l == nil || l.Cardinality != 2 {
 		t.Error("LevelFor(2) wrong")
 	}
@@ -126,7 +126,7 @@ func TestLevelFor(t *testing.T) {
 func TestSingleDrugTargetHasNoContext(t *testing.T) {
 	db, target := xolairFixture(t)
 	single := assoc.Evaluate(db, target.Antecedent[:1], target.Consequent)
-	c := Build(db, single)
+	c := Build(assoc.NewEvaluator(db), single)
 	if c.ContextSize() != 0 || len(c.Levels) != 0 {
 		t.Errorf("single-drug cluster has context: %+v", c)
 	}
@@ -135,7 +135,7 @@ func TestSingleDrugTargetHasNoContext(t *testing.T) {
 func TestBuildAllSkipsSingles(t *testing.T) {
 	db, target := xolairFixture(t)
 	single := assoc.Evaluate(db, target.Antecedent[:1], target.Consequent)
-	out := BuildAll(db, []assoc.Rule{target, single})
+	out := BuildAll(assoc.NewEvaluator(db), []assoc.Rule{target, single})
 	if len(out) != 1 {
 		t.Fatalf("BuildAll kept %d clusters, want 1", len(out))
 	}
@@ -146,7 +146,7 @@ func TestBuildAllSkipsSingles(t *testing.T) {
 
 func TestConfidencesByLevel(t *testing.T) {
 	db, target := xolairFixture(t)
-	c := Build(db, target)
+	c := Build(assoc.NewEvaluator(db), target)
 	vals := c.ConfidencesByLevel()
 	if len(vals) != 2 {
 		t.Fatalf("levels = %d", len(vals))
@@ -189,7 +189,7 @@ func TestContextSizeProperty(t *testing.T) {
 		db.Freeze()
 
 		target := assoc.Evaluate(db, types.NewItemset(drugs...), types.NewItemset(adr))
-		c := Build(db, target)
+		c := Build(assoc.NewEvaluator(db), target)
 		if got, want := c.ContextSize(), (1<<uint(n))-2; got != want {
 			t.Fatalf("n=%d: context size %d, want %d", n, got, want)
 		}

@@ -304,8 +304,8 @@ func TestExclusivenessEndToEnd(t *testing.T) {
 
 	tXY := assoc.Evaluate(db, types.NewItemset(x, y), types.NewItemset(bad))
 	tUV := assoc.Evaluate(db, types.NewItemset(u, v), types.NewItemset(bad))
-	cXY := mcac.Build(db, tXY)
-	cUV := mcac.Build(db, tUV)
+	cXY := mcac.Build(assoc.NewEvaluator(db), tXY)
+	cUV := mcac.Build(assoc.NewEvaluator(db), tUV)
 
 	sXY := Exclusiveness(&cXY, Options{})
 	sUV := Exclusiveness(&cUV, Options{})

@@ -180,7 +180,7 @@ type KnownInteraction struct {
 // StageTrace is one pipeline stage of an analysis run, recorded when
 // Options.CollectTrace is set: the stage name (see StageNames for
 // the order), its wall time and allocation volume, and its domain
-// counters (reports_in, frequent_itemsets, rules_kept, ...).
+// counters (reports_in, closed_itemsets, rules_kept, ...).
 type StageTrace struct {
 	Stage      string
 	Duration   time.Duration
@@ -190,7 +190,7 @@ type StageTrace struct {
 
 // StageNames returns the pipeline stage names in execution order, as
 // they appear in Analysis.Trace.
-func StageNames() []string { return core.StageOrder() }
+func StageNames() []string { return core.Options{}.Stages() }
 
 // Analysis is a completed run.
 type Analysis struct {
