@@ -32,7 +32,7 @@ func (ss *storeServer) handleQuality(w http.ResponseWriter, r *http.Request) {
 	}
 	q, err := ss.reg.QualityContext(r.Context(), label)
 	if err != nil {
-		ss.log().Error("quality", "quarter", label, "err", err)
+		ss.logger.Error("quality", "quarter", label, "err", err)
 		http.Error(w, "quality report unavailable", http.StatusInternalServerError)
 		return
 	}
@@ -60,7 +60,7 @@ func (ss *storeServer) handleDrift(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := ss.reg.DriftContext(r.Context(), from, to)
 	if err != nil {
-		ss.log().Error("drift", "from", from, "to", to, "err", err)
+		ss.logger.Error("drift", "from", from, "to", to, "err", err)
 		http.Error(w, "drift report unavailable", http.StatusInternalServerError)
 		return
 	}
@@ -72,13 +72,13 @@ func (ss *storeServer) handleDrift(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, ss *storeServer, what string, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		ss.log().Error(what+" encode", "err", err)
+		ss.logger.Error(what+" encode", "err", err)
 		http.Error(w, "internal encode error", http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := w.Write(body); err != nil {
-		ss.log().Warn(what+" write", "err", err)
+		ss.logger.Warn(what+" write", "err", err)
 	}
 }
 
@@ -128,7 +128,7 @@ func (r quarterRow) ShiftPct() float64 { return 100 * r.Drift.RankShift }
 // failing the page.
 func (ss *storeServer) handleQuartersPage(w http.ResponseWriter, r *http.Request) {
 	if err := ss.reg.RefreshContext(r.Context()); err != nil {
-		ss.log().Warn("store rescan", "err", err)
+		ss.logger.Warn("store rescan", "err", err)
 	}
 	labels := ss.reg.Quarters()
 	rows := make([]quarterRow, 0, len(labels))
@@ -137,13 +137,13 @@ func (ss *storeServer) handleQuartersPage(w http.ResponseWriter, r *http.Request
 		if q, err := ss.reg.QualityContext(r.Context(), label); err == nil {
 			row.Quality = q
 		} else {
-			ss.log().Warn("quarters page quality", "quarter", label, "err", err)
+			ss.logger.Warn("quarters page quality", "quarter", label, "err", err)
 		}
 		if i > 0 {
 			if d, err := ss.reg.DriftContext(r.Context(), labels[i-1], label); err == nil {
 				row.Drift = d
 			} else {
-				ss.log().Warn("quarters page drift", "from", labels[i-1], "to", label, "err", err)
+				ss.logger.Warn("quarters page drift", "from", labels[i-1], "to", label, "err", err)
 			}
 		}
 		rows = append(rows, row)
@@ -155,13 +155,13 @@ func (ss *storeServer) handleQuartersPage(w http.ResponseWriter, r *http.Request
 	}{Default: ss.reg.Latest(), Rows: rows, SLOs: ss.slos.summarize()}
 	var sb strings.Builder
 	if err := quartersTmpl.Execute(&sb, data); err != nil {
-		ss.log().Error("quarters page render", "err", err)
+		ss.logger.Error("quarters page render", "err", err)
 		http.Error(w, "internal render error", http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if _, err := w.Write([]byte(sb.String())); err != nil {
-		ss.log().Warn("quarters page write", "err", err)
+		ss.logger.Warn("quarters page write", "err", err)
 	}
 }
 
@@ -179,20 +179,18 @@ func (ss *storeServer) auditSweep(ctx context.Context) int {
 			return audited
 		}
 		if _, err := ss.reg.QualityContext(ctx, label); err != nil {
-			ss.log().Warn("audit sweep quality", "quarter", label, "err", err)
+			ss.logger.Warn("audit sweep quality", "quarter", label, "err", err)
 			continue
 		}
 		audited++
 		if i > 0 {
 			if _, err := ss.reg.DriftContext(ctx, labels[i-1], label); err != nil {
-				ss.log().Warn("audit sweep drift", "from", labels[i-1], "to", label, "err", err)
+				ss.logger.Warn("audit sweep drift", "from", labels[i-1], "to", label, "err", err)
 			}
 		}
 	}
-	if ss.auditor != nil && ss.auditor.Log != nil {
-		st := ss.auditor.Log.Stats()
-		ss.log().Info("audit sweep complete", "quarters", audited,
-			"events", st.Total, "warn", st.Warn, "fail", st.Fail)
-	}
+	st := ss.auditor.Log.Stats()
+	ss.logger.Info("audit sweep complete", "quarters", audited,
+		"events", st.Total, "warn", st.Warn, "fail", st.Fail)
 	return audited
 }

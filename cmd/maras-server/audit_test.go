@@ -16,7 +16,7 @@ import (
 )
 
 func TestStoreModeQualityEndpoint(t *testing.T) {
-	h, _, _, _ := storeHandler(t, tempStoreDir(t, 3))
+	h, _ := storeHandler(t, tempStoreDir(t, 3))
 	rec := getMux(t, h, "/api/quality/2014Q2")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
@@ -41,7 +41,7 @@ func TestStoreModeQualityEndpoint(t *testing.T) {
 }
 
 func TestStoreModeDriftEndpoint(t *testing.T) {
-	h, _, _, _ := storeHandler(t, tempStoreDir(t, 3))
+	h, _ := storeHandler(t, tempStoreDir(t, 3))
 	rec := getMux(t, h, "/api/drift/2014Q1/2014Q3")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
@@ -73,7 +73,7 @@ func TestStoreModeDriftEndpoint(t *testing.T) {
 }
 
 func TestStoreModeQuartersPage(t *testing.T) {
-	h, _, _, _ := storeHandler(t, tempStoreDir(t, 3))
+	h, _ := storeHandler(t, tempStoreDir(t, 3))
 	rec := getMux(t, h, "/quarters")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
@@ -134,7 +134,7 @@ func tempStoreDirWithSpike(t *testing.T) string {
 // warn event visible on /debug/audit and counted on
 // maras_audit_events_total in /metrics.
 func TestDropRateSpikeReachesDebugAuditAndMetrics(t *testing.T) {
-	h, _, _, _ := storeHandler(t, tempStoreDirWithSpike(t))
+	h, _ := storeHandler(t, tempStoreDirWithSpike(t))
 
 	if rec := getMux(t, h, "/api/quality/2014Q3"); rec.Code != http.StatusOK {
 		t.Fatalf("quality status = %d", rec.Code)
@@ -173,14 +173,14 @@ func TestDropRateSpikeReachesDebugAuditAndMetrics(t *testing.T) {
 }
 
 func TestStoreModeDebugAuditJSONAndSweep(t *testing.T) {
-	h, ss, _, _ := storeHandler(t, tempStoreDirWithSpike(t))
+	h, d := storeHandler(t, tempStoreDirWithSpike(t))
 
 	// The sweep is what main runs in the background after readiness:
 	// it must populate the event log without any API traffic.
-	if n := ss.auditSweep(context.Background()); n != 3 {
+	if n := d.ss.auditSweep(context.Background()); n != 3 {
 		t.Fatalf("sweep audited %d quarters, want 3", n)
 	}
-	if ss.auditor.Log.Stats().Total == 0 {
+	if d.auditor.Log.Stats().Total == 0 {
 		t.Fatal("sweep recorded no events over the spiked store")
 	}
 
@@ -200,12 +200,19 @@ func TestStoreModeDebugAuditJSONAndSweep(t *testing.T) {
 	}
 }
 
-// TestMiningModeDebugAudit: the single-quarter server mounts
-// /debug/audit too; without a configured log it answers 404 rather
-// than panicking.
+// TestMiningModeDebugAudit: the mining server audits its quarter
+// through the same registry sweep as store mode, and serves the
+// timeline at /debug/audit and the report at /api/quality/{label}.
 func TestMiningModeDebugAudit(t *testing.T) {
-	h, _ := testHandler(t)
-	if rec := getMux(t, h, "/debug/audit"); rec.Code != http.StatusNotFound {
-		t.Errorf("nil audit log: status = %d, want 404", rec.Code)
+	h, d := testHandler(t)
+	if n := d.ss.auditSweep(context.Background()); n != 1 {
+		t.Fatalf("sweep audited %d quarters, want 1", n)
+	}
+	if rec := getMux(t, h, "/debug/audit"); rec.Code != http.StatusOK {
+		t.Errorf("/debug/audit = %d, want 200", rec.Code)
+	}
+	rec := getMux(t, h, "/api/quality/2014Q1")
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"label":"2014Q1"`) {
+		t.Errorf("/api/quality/2014Q1 = %d %s", rec.Code, rec.Body.String())
 	}
 }

@@ -3,25 +3,29 @@
 // signals, per-signal zoom views with the MCAC bar-chart alternative,
 // drug/reaction search, and drill-down to the raw supporting reports.
 //
+// There is one serving path, over a snapshot registry (see store.go):
+// the latest quarter at /, every quarter under /q/{label}/..., the
+// inventory at /api/quarters, cross-quarter signal trajectories at
+// /api/timeline/{drugkey}, and the quality/drift audit surfaces. The
+// two modes differ only in where the registry's snapshots come from:
+//
+//	maras-server -data data -quarter 2014Q1 [-minsup 8] [-top 60] ...
+//	maras-server -store snapshots/ ...
+//
+// Without -store the server mines -data/-quarter once at startup,
+// writes the result into a fresh temporary registry directory (removed
+// on shutdown) and serves that one-quarter registry. With -store it
+// mines nothing and serves the pre-mined snapshots (written by
+// maras-mine -snapshot-out) in the given directory.
+//
 // The server is fully instrumented (see README "Observability"):
 // every route carries request logging, latency histograms, status
 // counters, and panic recovery; /metrics serves Prometheus text (or
-// the expvar JSON dump with ?format=json), /healthz reports
-// liveness, /debug/vars is the standard expvar endpoint, and
-// /debug/pprof/* exposes the runtime profiler. Shutdown on
-// SIGINT/SIGTERM drains in-flight requests.
-//
-// Usage:
-//
-//	maras-server -data data -quarter 2014Q1 [-addr :8080] [-minsup 8]
-//	             [-log-format text|json] [-log-level debug|info|warn|error]
-//	maras-server -store snapshots/ [-addr :8080] ...
-//
-// With -store the server mines nothing: it serves pre-mined quarter
-// snapshots (written by maras-mine -snapshot-out) from the given
-// directory — the latest quarter at /, every quarter under
-// /q/{label}/..., the inventory at /api/quarters, and cross-quarter
-// signal trajectories at /api/timeline/{drugkey}. See store.go.
+// the expvar JSON dump with ?format=json), /healthz reports liveness
+// and /readyz readiness, both with the registry detail, /debug/vars
+// is the standard expvar endpoint, and /debug/pprof/* exposes the
+// runtime profiler. Shutdown on SIGINT/SIGTERM drains in-flight
+// requests, then stops every subsystem (deps.Close).
 package main
 
 import (
@@ -37,26 +41,19 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"maras/internal/audit"
 	"maras/internal/core"
-	"maras/internal/faers"
 	"maras/internal/glyph"
-	"maras/internal/knowledge"
 	"maras/internal/network"
 	"maras/internal/obs"
-	"maras/internal/obs/history"
 	"maras/internal/obs/prof"
 	"maras/internal/obs/wide"
 	"maras/internal/replica"
 	"maras/internal/resilience"
-	"maras/internal/slo"
-	"maras/internal/store"
 	"maras/internal/strata"
 	"maras/internal/watch"
 )
@@ -70,12 +67,13 @@ const svgCacheControl = "public, max-age=86400, immutable"
 // requests to drain.
 const shutdownGrace = 15 * time.Second
 
+// server is one quarter's view of the application: the handlers below
+// render its analysis. serveQuarter builds one per request around the
+// registry's resident analysis.
 type server struct {
 	analysis *core.Analysis
 	quarter  string
 	logger   *slog.Logger
-	alog     *audit.Log // event timeline behind /debug/audit; may be nil
-	started  time.Time
 }
 
 // log returns the configured logger, or a discard logger so handler
@@ -87,522 +85,201 @@ func (s *server) log() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// routes assembles the full instrumented mux: every UI/API handler
-// wrapped in the observability middleware, plus the operational
-// endpoints. journal may be nil (tracing disabled, /debug/traces
-// 404s); ready gates /readyz; shed may be nil (no load shedding);
-// slos may be nil (history/SLO endpoints 404). The bulkhead covers
-// only the application routes, so health probes and metric scrapes
-// stay answerable under saturation. The text-heavy operational
-// endpoints negotiate gzip — exposition text and trace dumps
-// compress an order of magnitude.
-func (s *server) routes(reg *obs.Registry, mw *obs.HTTPMetrics, journal *obs.Journal, ready *obs.Readiness, shed *resilience.Bulkhead, slos *sloStack, ws *watchStack, captor *prof.Captor, events *wide.Ring) http.Handler {
-	// Mining mode serves the one in-memory analysis, so every
-	// application response carries the "local" serving origin — the
-	// same header the store mode's degradation ladder populates.
-	app := func(h http.HandlerFunc) http.Handler {
-		return shed.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(store.OriginHeader, string(store.OriginLocal))
-			h(w, r)
-		}))
-	}
-	mux := http.NewServeMux()
-	mw.Handle(mux, "/", app(s.handleIndex))
-	mw.Handle(mux, "/signal/", app(s.handleSignal))
-	mw.Handle(mux, "/glyph/", app(s.handleGlyph))
-	mw.Handle(mux, "/barchart/", app(s.handleBarChart))
-	mw.Handle(mux, "/report/", app(s.handleReport))
-	mw.Handle(mux, "/api/signals", app(s.handleAPISignals))
-	mw.Handle(mux, "/network.dot", app(s.handleNetworkDOT))
-	mw.Handle(mux, "/network.json", app(s.handleNetworkJSON))
-	ws.register(mux, mw, app)
-	mountOperational(mux, reg, journal, ready, slos, s.healthDetail, s.alog, captor, events)
-	return mux
+// config carries the command-line flag values, nothing more.
+type config struct {
+	data, quarter, store, addr string
+	minsup, topK               int
+	logFormat, logLevel        string
+
+	traceCap  int
+	traceSlow time.Duration
+
+	wideCap, wideSample int
+
+	runtimeSample time.Duration
+	wdGoroutines  int64
+	wdGCPause     time.Duration
+
+	auditTopK                     int
+	auditChurnWarn, auditDropWarn float64
+
+	slo   sloOptions
+	watch watchConfig
+
+	profDir                     string
+	profCPUWindow, profInterval time.Duration
+	profRetain, profRetainMB    int
+	profCooldown                time.Duration
+	mutexFraction               int
+	blockRate                   time.Duration
+
+	peers          string
+	syncInterval   time.Duration
+	replicaListen  string
+	rescanInterval time.Duration
+
+	failpoints             string
+	maxInflight, shedQueue int
+	shedWait               time.Duration
 }
 
-// mountOperational registers the operational endpoints shared by the
-// mining and store serving modes: metrics, health/readiness, trace
-// and audit timelines, the metrics history, the SLO report, and the
-// continuous-profiling surface. Build identity is registered here —
-// once per process, whichever serving mode runs — and echoed on
-// /healthz and /readyz next to the caller's detail.
-func mountOperational(mux *http.ServeMux, reg *obs.Registry, journal *obs.Journal, ready *obs.Readiness, slos *sloStack, detail func() map[string]any, alog *audit.Log, captor *prof.Captor, events *wide.Ring) {
-	bi := obs.RegisterBuildInfo(reg)
-	withBuild := func() map[string]any {
-		m := bi.Detail()
-		if detail != nil {
-			for k, v := range detail() {
-				m[k] = v
-			}
-		}
-		return m
-	}
-	mux.Handle("/metrics", obs.GzipHandler(obs.MetricsHandler(reg)))
-	mux.Handle("/healthz", obs.HealthzHandler(withBuild))
-	mux.Handle("/readyz", obs.ReadyzHandler(ready, withBuild))
-	mux.Handle("/debug/traces", obs.GzipHandler(obs.TracesHandler(journal)))
-	mux.Handle("/debug/audit", obs.GzipHandler(audit.Handler(alog)))
-	mux.Handle("/debug/history", obs.GzipHandler(history.Handler(slos.history())))
-	mux.Handle("/api/history/", obs.GzipHandler(history.APIHandler(slos.history(), "/api/history/")))
-	mux.Handle("/api/slo", obs.GzipHandler(slo.Handler(slos.engine())))
-	mux.Handle("/debug/vars", obs.ExpvarHandler())
-	// The profile index and JSON listing negotiate gzip like the other
-	// text surfaces; artifact downloads (application/octet-stream) pass
-	// through uncompressed so clients keep a trustworthy Content-Length.
-	profH := obs.GzipHandler(prof.Handler(captor, "/debug/profiles"))
-	mux.Handle("/debug/profiles", profH)
-	mux.Handle("/debug/profiles/", profH)
-	mux.Handle("/debug/events", obs.GzipHandler(wide.Handler(events)))
-	mux.Handle("/debug/diag/", obs.GzipHandler(wide.DiagHandler(
-		newDiag(events, journal, alog, slos, ready, captor), "/debug/diag/")))
-	obs.RegisterPprof(mux)
-}
+// parseConfig defines the server's flags on fs, parses args, and
+// rejects combinations that cannot run.
+func parseConfig(fs *flag.FlagSet, args []string) (config, error) {
+	var c config
+	fs.StringVar(&c.data, "data", "data", "directory with FAERS quarter files")
+	fs.StringVar(&c.quarter, "quarter", "2014Q1", "quarter label")
+	fs.StringVar(&c.store, "store", "", "serve pre-mined quarter snapshots from this directory instead of mining")
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.minsup, "minsup", 8, "absolute minimum support")
+	fs.IntVar(&c.topK, "top", 60, "signals to keep")
+	fs.StringVar(&c.logFormat, "log-format", "text", "log output format: text or json")
+	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug, info, warn, error")
 
-// quarterMux assembles just the per-quarter application routes —
-// the unit store mode mounts once per quarter, under its own outer
-// instrumentation, without duplicating the operational endpoints.
-func (s *server) quarterMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/signal/", s.handleSignal)
-	mux.HandleFunc("/glyph/", s.handleGlyph)
-	mux.HandleFunc("/barchart/", s.handleBarChart)
-	mux.HandleFunc("/report/", s.handleReport)
-	mux.HandleFunc("/api/signals", s.handleAPISignals)
-	mux.HandleFunc("/network.dot", s.handleNetworkDOT)
-	mux.HandleFunc("/network.json", s.handleNetworkJSON)
-	return mux
-}
+	fs.IntVar(&c.traceCap, "trace-journal", obs.DefaultJournalCapacity, "completed request traces kept in the in-memory journal (0 disables span tracing)")
+	fs.DurationVar(&c.traceSlow, "trace-slow", obs.DefaultSlowThreshold, "requests at or above this duration are flagged slow in the trace journal")
 
-func (s *server) healthDetail() map[string]any {
-	return map[string]any{
-		"quarter":        s.quarter,
-		"signals":        len(s.analysis.Signals),
-		"reports":        s.analysis.Stats.Reports,
-		"uptime_seconds": int64(time.Since(s.started).Seconds()),
+	fs.IntVar(&c.wideCap, "wide-events", wide.DefaultCapacity, "wide events kept in the in-memory ring behind /debug/events and /debug/diag (0 disables wide-event telemetry)")
+	fs.IntVar(&c.wideSample, "wide-sample", 1, "keep every Nth wide event (1 keeps all)")
+
+	fs.DurationVar(&c.runtimeSample, "runtime-sample", obs.DefaultSampleInterval, "runtime health sampling interval (0 disables the sampler)")
+	fs.Int64Var(&c.wdGoroutines, "watchdog-max-goroutines", 10000, "watchdog: warn and count when goroutines exceed this (0 disables)")
+	fs.DurationVar(&c.wdGCPause, "watchdog-max-gc-pause", 250*time.Millisecond, "watchdog: warn and count when a GC pause exceeds this (0 disables)")
+
+	fs.IntVar(&c.auditTopK, "audit-topk", 25, "audit: rank cutoff for drift comparison (negative = all signals)")
+	fs.Float64Var(&c.auditChurnWarn, "audit-churn-warn", 0.5, "audit: warn when the top-K churn rate between quarters reaches this")
+	fs.Float64Var(&c.auditDropWarn, "audit-drop-warn", 0.6, "audit: warn when a quarter's cleaning drop rate reaches this")
+
+	fs.DurationVar(&c.slo.scrape, "history-scrape", 10*time.Second, "metrics history scrape interval (0 disables history and the SLO engine)")
+	fs.DurationVar(&c.slo.retention, "history-retention", 6*time.Hour, "how far back metrics history windows can reach")
+	fs.Float64Var(&c.slo.availability, "slo-availability", 0.995, "SLO: target fraction of requests answered without a 5xx (0 disables)")
+	fs.DurationVar(&c.slo.p99, "slo-p99", 500*time.Millisecond, "SLO: p99 request latency target (0 disables)")
+	fs.Float64Var(&c.slo.staleCeiling, "slo-stale-ceiling", 0.05, "SLO: max fraction of requests served from the stale cache (0 disables)")
+	fs.Float64Var(&c.slo.shedCeiling, "slo-shed-ceiling", 0.10, "SLO: max fraction of requests shed by the bulkhead (0 disables)")
+	fs.Float64Var(&c.slo.windowScale, "slo-window-scale", 1, "SLO: multiply the burn-rate rule windows (sub-1 values shrink 5m/1h to test burn dynamics quickly)")
+	fs.DurationVar(&c.slo.cooldown, "slo-cooldown", 0, "SLO: clean time before an active breach clears (0 = each rule's short window)")
+
+	fs.StringVar(&c.watch.file, "watch-file", "", "persist watchlists to this snapshot file (default <registry dir>/watchlists.mrwl; the mining server's registry dir is temporary)")
+	fs.IntVar(&c.watch.userCap, "watch-user-cap", 100, "max watchlists per user")
+	fs.IntVar(&c.watch.feedCap, "watch-feed-cap", watch.DefaultFeedCapacity, "alerts retained per user feed")
+	fs.DurationVar(&c.watch.budget, "watch-eval-budget", watch.DefaultEvalBudget, "watch evaluation latency budget; slower passes raise a warn audit event")
+
+	fs.StringVar(&c.profDir, "prof-dir", "", "continuous profiling: record capture artifacts into this directory (empty disables)")
+	fs.DurationVar(&c.profCPUWindow, "prof-cpu-window", prof.DefaultCPUWindow, "continuous profiling: CPU sampling window per scheduled capture")
+	fs.DurationVar(&c.profInterval, "prof-interval", prof.DefaultInterval, "continuous profiling: scheduled capture period (0 keeps only anomaly-triggered captures)")
+	fs.IntVar(&c.profRetain, "prof-retain", prof.DefaultMaxArtifacts, "continuous profiling: capture artifacts retained on disk")
+	fs.IntVar(&c.profRetainMB, "prof-retain-mb", 64, "continuous profiling: megabytes of capture artifacts retained on disk")
+	fs.DurationVar(&c.profCooldown, "prof-trigger-cooldown", prof.DefaultCooldown, "continuous profiling: minimum gap between anomaly-triggered captures of the same cause")
+	fs.IntVar(&c.mutexFraction, "mutex-profile-fraction", 0, "sample 1/N of mutex contention events into /debug/pprof/mutex (0 disables)")
+	fs.DurationVar(&c.blockRate, "block-profile-rate", 0, "record goroutine blocking events at least this long into /debug/pprof/block (0 disables)")
+
+	fs.StringVar(&c.peers, "peers", "", "comma-separated base URLs of replica peers to sync snapshots from (store mode only)")
+	fs.DurationVar(&c.syncInterval, "sync-interval", replica.DefaultInterval, "anti-entropy sync loop period, jittered ±25% (effective with -peers)")
+	fs.StringVar(&c.replicaListen, "replica-listen", "", "serve the /sync/* replica endpoints on this extra listener too (store mode only; they are always mounted on -addr outside the bulkhead)")
+	fs.DurationVar(&c.rescanInterval, "rescan-interval", 0, "re-scan the snapshot directory on this jittered period to pick up externally written files (0 disables; store mode only)")
+
+	fs.StringVar(&c.failpoints, "failpoints", "", "arm fault-injection sites, e.g. 'store/decode=error*1;store/load=delay(50ms,0.2)' (also read from "+resilience.FailpointEnv+")")
+	fs.IntVar(&c.maxInflight, "max-inflight", 64, "bulkhead: application requests executing concurrently (0 disables load shedding)")
+	fs.IntVar(&c.shedQueue, "shed-queue", 64, "bulkhead: requests allowed to queue for a slot before overflow sheds with 503")
+	fs.DurationVar(&c.shedWait, "shed-wait", 250*time.Millisecond, "bulkhead: how long a queued request waits for a slot before being shed")
+
+	if err := fs.Parse(args); err != nil {
+		return c, err
 	}
+	if _, err := obs.ParseLevel(c.logLevel); err != nil {
+		return c, err
+	}
+	// Replication only makes sense over an on-disk snapshot store: a
+	// mining server's registry is a temporary directory with nothing
+	// worth advertising to peers.
+	if c.store == "" && (c.peers != "" || c.replicaListen != "" || c.rescanInterval > 0) {
+		return c, errors.New("-peers, -replica-listen, and -rescan-interval require -store")
+	}
+	return c, nil
 }
 
 func main() {
-	var (
-		data      = flag.String("data", "data", "directory with FAERS quarter files")
-		quarter   = flag.String("quarter", "2014Q1", "quarter label")
-		storeDir  = flag.String("store", "", "serve pre-mined quarter snapshots from this directory instead of mining")
-		addr      = flag.String("addr", ":8080", "listen address")
-		minsup    = flag.Int("minsup", 8, "absolute minimum support")
-		topK      = flag.Int("top", 60, "signals to keep")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
-
-		traceCap  = flag.Int("trace-journal", obs.DefaultJournalCapacity, "completed request traces kept in the in-memory journal (0 disables span tracing)")
-		traceSlow = flag.Duration("trace-slow", obs.DefaultSlowThreshold, "requests at or above this duration are flagged slow in the trace journal")
-
-		wideCap    = flag.Int("wide-events", wide.DefaultCapacity, "wide events kept in the in-memory ring behind /debug/events and /debug/diag (0 disables wide-event telemetry)")
-		wideSample = flag.Int("wide-sample", 1, "keep every Nth wide event (1 keeps all)")
-
-		runtimeSample = flag.Duration("runtime-sample", obs.DefaultSampleInterval, "runtime health sampling interval (0 disables the sampler)")
-		wdGoroutines  = flag.Int64("watchdog-max-goroutines", 10000, "watchdog: warn and count when goroutines exceed this (0 disables)")
-		wdGCPause     = flag.Duration("watchdog-max-gc-pause", 250*time.Millisecond, "watchdog: warn and count when a GC pause exceeds this (0 disables)")
-
-		auditTopK      = flag.Int("audit-topk", 25, "audit: rank cutoff for drift comparison (negative = all signals)")
-		auditChurnWarn = flag.Float64("audit-churn-warn", 0.5, "audit: warn when the top-K churn rate between quarters reaches this")
-		auditDropWarn  = flag.Float64("audit-drop-warn", 0.6, "audit: warn when a quarter's cleaning drop rate reaches this")
-
-		historyScrape    = flag.Duration("history-scrape", 10*time.Second, "metrics history scrape interval (0 disables history and the SLO engine)")
-		historyRetention = flag.Duration("history-retention", 6*time.Hour, "how far back metrics history windows can reach")
-		sloAvailability  = flag.Float64("slo-availability", 0.995, "SLO: target fraction of requests answered without a 5xx (0 disables)")
-		sloP99           = flag.Duration("slo-p99", 500*time.Millisecond, "SLO: p99 request latency target (0 disables)")
-		sloStaleCeiling  = flag.Float64("slo-stale-ceiling", 0.05, "SLO: max fraction of requests served from the stale cache (0 disables)")
-		sloShedCeiling   = flag.Float64("slo-shed-ceiling", 0.10, "SLO: max fraction of requests shed by the bulkhead (0 disables)")
-		sloWindowScale   = flag.Float64("slo-window-scale", 1, "SLO: multiply the burn-rate rule windows (sub-1 values shrink 5m/1h to test burn dynamics quickly)")
-		sloCooldown      = flag.Duration("slo-cooldown", 0, "SLO: clean time before an active breach clears (0 = each rule's short window)")
-
-		watchFile    = flag.String("watch-file", "", "persist watchlists to this snapshot file (store mode defaults to <store>/watchlists.mrwl; empty elsewhere keeps lists in memory)")
-		watchUserCap = flag.Int("watch-user-cap", 100, "max watchlists per user")
-		watchFeedCap = flag.Int("watch-feed-cap", watch.DefaultFeedCapacity, "alerts retained per user feed")
-		watchBudget  = flag.Duration("watch-eval-budget", watch.DefaultEvalBudget, "watch evaluation latency budget; slower passes raise a warn audit event")
-
-		profDir       = flag.String("prof-dir", "", "continuous profiling: record capture artifacts into this directory (empty disables)")
-		profCPUWindow = flag.Duration("prof-cpu-window", prof.DefaultCPUWindow, "continuous profiling: CPU sampling window per scheduled capture")
-		profInterval  = flag.Duration("prof-interval", prof.DefaultInterval, "continuous profiling: scheduled capture period (0 keeps only anomaly-triggered captures)")
-		profRetain    = flag.Int("prof-retain", prof.DefaultMaxArtifacts, "continuous profiling: capture artifacts retained on disk")
-		profRetainMB  = flag.Int("prof-retain-mb", 64, "continuous profiling: megabytes of capture artifacts retained on disk")
-		profCooldown  = flag.Duration("prof-trigger-cooldown", prof.DefaultCooldown, "continuous profiling: minimum gap between anomaly-triggered captures of the same cause")
-		mutexFraction = flag.Int("mutex-profile-fraction", 0, "sample 1/N of mutex contention events into /debug/pprof/mutex (0 disables)")
-		blockRate     = flag.Duration("block-profile-rate", 0, "record goroutine blocking events at least this long into /debug/pprof/block (0 disables)")
-
-		peers          = flag.String("peers", "", "comma-separated base URLs of replica peers to sync snapshots from (store mode only)")
-		syncInterval   = flag.Duration("sync-interval", replica.DefaultInterval, "anti-entropy sync loop period, jittered ±25% (effective with -peers)")
-		replicaListen  = flag.String("replica-listen", "", "serve the /sync/* replica endpoints on this extra listener too (store mode only; they are always mounted on -addr outside the bulkhead)")
-		rescanInterval = flag.Duration("rescan-interval", 0, "re-scan the snapshot directory on this jittered period to pick up externally written files (0 disables; store mode only)")
-
-		failpoints  = flag.String("failpoints", "", "arm fault-injection sites, e.g. 'store/decode=error*1;store/load=delay(50ms,0.2)' (also read from "+resilience.FailpointEnv+")")
-		maxInflight = flag.Int("max-inflight", 64, "bulkhead: application requests executing concurrently (0 disables load shedding)")
-		shedQueue   = flag.Int("shed-queue", 64, "bulkhead: requests allowed to queue for a slot before overflow sheds with 503")
-		shedWait    = flag.Duration("shed-wait", 250*time.Millisecond, "bulkhead: how long a queued request waits for a slot before being shed")
-	)
-	flag.Parse()
-
-	level, err := obs.ParseLevel(*logLevel)
+	cfg, err := parseConfig(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "maras-server:", err)
 		os.Exit(2)
 	}
-	logger := obs.NewLogger(os.Stderr, *logFormat, level)
-
-	// Replication only makes sense over an on-disk snapshot store: a
-	// mining server has nothing to advertise and nowhere to install
-	// fetched quarters.
-	if *storeDir == "" && (*peers != "" || *replicaListen != "" || *rescanInterval > 0) {
-		fmt.Fprintln(os.Stderr, "maras-server: -peers, -replica-listen, and -rescan-interval require -store")
-		os.Exit(2)
-	}
-
-	// Arm failpoints from the environment first, then the flag (the
-	// flag adds to or overrides the env spec site by site).
-	if spec, err := resilience.EnableFromEnv(); err != nil {
-		fmt.Fprintln(os.Stderr, "maras-server:", err)
-		os.Exit(2)
-	} else if spec != "" {
-		logger.Warn("failpoints armed from env", "spec", spec)
-	}
-	if *failpoints != "" {
-		if err := resilience.Enable(*failpoints); err != nil {
-			fmt.Fprintln(os.Stderr, "maras-server:", err)
-			os.Exit(2)
-		}
-		logger.Warn("failpoints armed", "spec", *failpoints)
-	}
-
-	// Runtime contention profiling: off unless asked for, because both
-	// collectors cost on every contention event. Set before any real
-	// work so the profiles cover the whole process lifetime.
-	prof.EnableMutexProfiling(*mutexFraction)
-	prof.EnableBlockProfiling(*blockRate)
-
-	reg := obs.NewRegistry()
-	reg.PublishExpvar("maras_metrics")
-	mw := obs.NewHTTPMetrics(reg, logger)
-	tracer := obs.NewTracer(logger)
-
-	var journal *obs.Journal
-	if *traceCap > 0 {
-		journal = obs.NewJournal(*traceCap, *traceSlow)
-		mw.EnableTracing(journal)
-	}
-	ready := &obs.Readiness{}
-
-	// Wide-event telemetry: one flat record per request (and per store
-	// load, watch evaluation, and mining run) into the columnar ring
-	// behind /debug/events and /debug/diag. A nil ring no-ops at every
-	// emission point, so the wiring below is unconditional.
-	var events *wide.Ring
-	if *wideCap > 0 {
-		events = wide.NewRing(*wideCap, *wideSample, reg)
-		mw.OnComplete(events.EmitRequest)
-	}
-
-	// The audit pillar: one event log for the process, fed by quality
-	// and drift evaluations and by runtime watchdog excursions.
-	alog := audit.NewLog(audit.LogOptions{Logger: logger, Metrics: reg})
-	auditor := &audit.Auditor{
-		Log: alog,
-		Thresholds: audit.Thresholds{
-			TopK:      *auditTopK,
-			ChurnWarn: *auditChurnWarn,
-			DropWarn:  *auditDropWarn,
-		},
-		Metrics: reg,
-	}
-
-	// The lifecycle context ends on SIGINT/SIGTERM. Created before any
-	// background work starts so the audit sweep (and anything else
-	// holding it) stops with the process instead of leaking through
-	// shutdown.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var shed *resilience.Bulkhead
-	if *maxInflight > 0 {
-		var err error
-		shed, err = resilience.NewBulkhead(reg, resilience.BulkheadConfig{
-			MaxConcurrent: *maxInflight,
-			MaxWaiting:    *shedQueue,
-			MaxWait:       *shedWait,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "maras-server:", err)
-			os.Exit(2)
-		}
-	}
-
-	// The SLO stack: scrape the registry into ring-buffer history and
-	// evaluate burn-rate rules on every sample. Shares the audit log
-	// and readiness probe with the rest of the alerting spine.
-	slos := newSLOStack(reg, alog, ready, logger, sloOptions{
-		scrape:       *historyScrape,
-		retention:    *historyRetention,
-		availability: *sloAvailability,
-		p99:          *sloP99,
-		staleCeiling: *sloStaleCeiling,
-		shedCeiling:  *sloShedCeiling,
-		windowScale:  *sloWindowScale,
-		cooldown:     *sloCooldown,
-	})
-
-	// Continuous profiling: scheduled capture cycles into the on-disk
-	// artifact ring, plus anomaly-triggered snapshots from the audit
-	// log (watchdog violations, SLO burns, slow watch passes) and from
-	// the trace journal's slow-trace threshold. The trigger adapts
-	// audit events to plain strings because obs/prof cannot import
-	// internal/audit (audit → core → prof would cycle).
-	var captor *prof.Captor
-	if *profDir != "" {
-		pstore, err := prof.OpenStore(*profDir, prof.StoreOptions{
-			MaxArtifacts: *profRetain,
-			MaxBytes:     int64(*profRetainMB) << 20,
-			Metrics:      reg,
-			Logger:       logger,
-			// Back-link wide events to the artifact that profiled them:
-			// the CPU window plus slack covers the capture's extent.
-			OnAdd: func(a prof.Artifact) {
-				events.LinkProfile(a.ID, a.TakenAt, *profCPUWindow+5*time.Second)
-			},
-		})
-		if err != nil {
-			logger.Error("open profile store", "err", err)
-			os.Exit(1)
-		}
-		captor = prof.NewCaptor(prof.CaptorOptions{
-			Store:     pstore,
-			CPUWindow: *profCPUWindow,
-			Interval:  *profInterval,
-			Metrics:   reg,
-			Logger:    logger,
-		})
-		captor.Start(ctx)
-		defer captor.Stop()
-		trigger := prof.NewTrigger(prof.TriggerOptions{
-			Captor:   captor,
-			Cooldown: *profCooldown,
-			Metrics:  reg,
-			Logger:   logger,
-		})
-		alog.OnRecord(func(e audit.Event) {
-			trigger.Observe(e.Rule, string(e.Severity), e.Scope, e.Message)
-		})
-		journal.OnSlow(func(tr obs.TraceRecord) {
-			trigger.SlowTrace(tr.Name, tr.Duration())
-		})
-		logger.Info("continuous profiling enabled", "dir", *profDir,
-			"interval", *profInterval, "cpu_window", *profCPUWindow,
-			"retain", *profRetain, "retain_mb", *profRetainMB)
-	}
-
-	var sampler *obs.RuntimeSampler
-	if *runtimeSample > 0 {
-		sampler = obs.NewRuntimeSampler(reg, obs.RuntimeSamplerOptions{
-			Interval:      *runtimeSample,
-			MaxGoroutines: *wdGoroutines,
-			MaxGCPause:    *wdGCPause,
-			Logger:        logger,
-			OnViolation:   auditor.RecordWatchdog,
-		})
-		sampler.Start()
-		defer sampler.Stop()
-	}
-
-	// The watchlist subsystem is live in both serving modes; store mode
-	// persists lists next to the snapshots unless told otherwise. Drift
-	// events reach the evaluator through the audit log subscription.
-	wfile := *watchFile
-	if wfile == "" && *storeDir != "" {
-		wfile = filepath.Join(*storeDir, "watchlists.mrwl")
-	}
-	ws, err := newWatchStack(watchConfig{
-		file:    wfile,
-		userCap: *watchUserCap,
-		feedCap: *watchFeedCap,
-		budget:  *watchBudget,
-	}, knowledge.Builtin(), reg, auditor, logger, events)
+	d, err := newDeps(cfg)
 	if err != nil {
-		logger.Error("open watchlists", "err", err)
+		fmt.Fprintln(os.Stderr, "maras-server:", err)
 		os.Exit(1)
 	}
-	alog.OnRecord(ws.ev.HandleAuditEvent)
-	if ws.ix.Len() > 0 {
-		logger.Info("watchlists loaded", "file", wfile, "lists", ws.ix.Len())
+	err = serve(d)
+	d.Close()
+	if err != nil {
+		d.logger.Error("serve", "err", err)
+		os.Exit(1)
 	}
+}
 
-	var handler http.Handler
+// serve starts d's background loops, listens on -addr (and
+// -replica-listen), and on SIGINT/SIGTERM drains in-flight requests.
+// The caller closes d afterwards.
+func serve(d *deps) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	d.start()
+
+	newServer := func(addr string, h http.Handler) *http.Server {
+		return &http.Server{
+			Addr:              addr,
+			Handler:           h,
+			ReadHeaderTimeout: 5 * time.Second,
+			ReadTimeout:       30 * time.Second,
+			// Generous write timeout: /debug/pprof/profile streams for
+			// 30s (configurable via ?seconds=) and must not be cut off.
+			WriteTimeout: 2 * time.Minute,
+			IdleTimeout:  2 * time.Minute,
+			ErrorLog:     slog.NewLogLogger(d.logger.Handler(), slog.LevelWarn),
+		}
+	}
+	// An optional second listener carries only the replica sync
+	// endpoints, so operators can keep peer traffic off the public
+	// address (and firewall the two apart).
 	var replicaSrv *http.Server
-	if *storeDir != "" {
-		ss, err := newStoreServer(*storeDir, logger, tracer, obs.NewStoreMetrics(reg), auditor, ws, events)
-		if err != nil {
-			logger.Error("open store", "err", err)
-			os.Exit(1)
-		}
-		// The replica node always exists in store mode so peers can pull
-		// from this server even when it has no -peers of its own; the
-		// sync loop only runs when there is someone to pull from.
-		node := replica.NewNode(ss.reg, replica.Options{
-			Name:     *addr,
-			Peers:    splitPeers(*peers),
-			Interval: *syncInterval,
-			Metrics:  replica.NewMetrics(reg),
-			Wide:     events,
-			Auditor:  auditor,
-			Logger:   logger,
-			OnRound: func(st replica.SyncStats) {
-				ready.SetDegraded("replica", st.Unreachable > 0)
-			},
-		})
-		ss.replica = node
-		if len(node.Peers()) > 0 {
-			ss.reg.SetPeerFetch(node.FetchAnalysis)
-			node.Start(ctx)
-			logger.Info("replica sync started",
-				"peers", node.Peers(), "interval", *syncInterval)
-		}
-		ss.reg.StartRescan(ctx, *rescanInterval)
-		quarters := ss.reg.Quarters()
-		logger.Info("serving from store", "dir", *storeDir,
-			"quarters", len(quarters), "default", ss.reg.Latest())
-		handler = ss.routes(reg, mw, journal, ready, shed, slos, ws, captor, events)
-		ready.SetReady() // registry opened and scanned: store mode can serve
-		// Populate the audit timeline in the background: quality per
-		// quarter, drift per adjacent pair. Serving never waits on it,
-		// and the sweep stops with the lifecycle context on SIGTERM.
-		go ss.auditSweep(ctx)
-		// An optional second listener carries only the replica sync
-		// endpoints, so operators can keep peer traffic off the public
-		// address (and firewall the two apart).
-		if *replicaListen != "" {
-			rmux := http.NewServeMux()
-			node.Mount(rmux)
-			replicaSrv = &http.Server{
-				Addr:              *replicaListen,
-				Handler:           rmux,
-				ReadHeaderTimeout: 5 * time.Second,
-				ReadTimeout:       30 * time.Second,
-				WriteTimeout:      2 * time.Minute,
-				IdleTimeout:       2 * time.Minute,
-				ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
+	if d.cfg.replicaListen != "" {
+		rmux := http.NewServeMux()
+		d.node.Mount(rmux)
+		replicaSrv = newServer(d.cfg.replicaListen, rmux)
+		go func() {
+			if err := replicaSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				d.logger.Error("replica listener", "err", err)
 			}
-			go func() {
-				if err := replicaSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-					logger.Error("replica listener", "err", err)
-				}
-			}()
-			logger.Info("replica sync listening", "addr", *replicaListen)
-		}
-	} else {
-		q, err := faers.LoadQuarter(*data, *quarter)
-		if err != nil {
-			logger.Error("load quarter", "err", err)
-			os.Exit(1)
-		}
-		opts := core.NewOptions()
-		opts.MinSupport = *minsup
-		opts.TopK = *topK
-		opts.Tracer = tracer
-		logger.Info("mining", "quarter", *quarter, "minsup", *minsup)
-		// Trace the startup mine into the journal (trace "startup") so
-		// /debug/traces explains where boot time went, stage by stage.
-		mineCtx := context.Background()
-		var mineTrace *obs.Trace
-		var mineRoot *obs.Span
-		if journal != nil {
-			mineTrace = obs.NewTrace("startup")
-			mineCtx, mineRoot = mineTrace.StartRoot(mineCtx, "startup mine "+*quarter)
-		}
-		a, err := core.RunQuarterContext(mineCtx, q, opts)
-		if mineRoot != nil {
-			mineRoot.End()
-			journal.Add(mineTrace.Snapshot())
-		}
-		if err != nil {
-			logger.Error("pipeline", "err", err)
-			os.Exit(1)
-		}
-		// The startup mine is a unit of work like any other: one wide
-		// event, linked to the "startup" trace when tracing is on.
-		events.Emit(wide.Event{
-			Kind: wide.KindMine, Quarter: *quarter, Status: 200,
-			Duration: tracer.TotalDuration(), Trace: mineRoot.TraceID(),
-		})
-		for _, st := range tracer.Records() {
-			logger.Info("pipeline stage", "stage", st.Name,
-				"duration", st.Duration().Round(time.Millisecond),
-				"alloc_mb", st.AllocBytes>>20)
-		}
-		logger.Info("ready", "signals", len(a.Signals), "reports", a.Stats.Reports,
-			"mining_wall", tracer.TotalDuration().Round(time.Millisecond))
-		// Audit the freshly mined quarter (no trailing context in
-		// single-quarter mode) so ingest anomalies hit the event log
-		// and the operator log line before traffic arrives.
-		qr := audit.ComputeQuality(*quarter, a)
-		audit.EvaluateQuality(qr, nil, auditor.ActiveThresholds())
-		auditor.RecordQuality(qr)
-		logger.Info("ingest quality", "quarter", *quarter, "verdict", qr.Verdict,
-			"drop_rate", fmt.Sprintf("%.3f", qr.DropRate), "findings", len(qr.Findings))
-		// Seed the watch subsystem with the mined quarter: populate the
-		// known-drug vocabulary and fire any alerts the startup signals
-		// qualify for.
-		ws.onQuarterLoaded(context.Background(), *quarter, a)
-		s := &server{analysis: a, quarter: *quarter, logger: logger, alog: alog, started: time.Now()}
-		handler = s.routes(reg, mw, journal, ready, shed, slos, ws, captor, events)
-		ready.SetReady() // initial mine complete: traffic can flow
+		}()
+		d.logger.Info("replica sync listening", "addr", d.cfg.replicaListen)
 	}
-	// Start scraping only once the serving mode is up: the first
-	// scrape then sees every eagerly-registered route series, giving
-	// the burn-rate windows a clean zero baseline.
-	slos.start(ctx)
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		// Generous write timeout: /debug/pprof/profile streams for
-		// 30s (configurable via ?seconds=) and must not be cut off.
-		WriteTimeout: 2 * time.Minute,
-		IdleTimeout:  2 * time.Minute,
-		ErrorLog:     slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
-	}
-
+	srv := newServer(d.cfg.addr, d.handler)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr)
+	d.logger.Info("listening", "addr", d.cfg.addr)
 
 	select {
 	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("serve", "err", err)
-			os.Exit(1)
+		if errors.Is(err, http.ErrServerClosed) {
+			return nil
 		}
+		return err
 	case <-ctx.Done():
-		stop() // restore default signal handling: a second ^C kills hard
-		logger.Info("signal received, draining in-flight requests", "grace", shutdownGrace)
-		// Stop the background samplers before draining: the audit
-		// sweep already sees ctx canceled; the runtime sampler ticker
-		// must not outlive the listener.
-		if sampler != nil {
-			sampler.Stop()
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-		defer cancel()
-		if replicaSrv != nil {
-			if err := replicaSrv.Shutdown(shutdownCtx); err != nil {
-				logger.Warn("replica listener shutdown", "err", err)
-			}
-		}
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			logger.Error("shutdown", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("drained cleanly")
 	}
+	stop() // restore default signal handling: a second ^C kills hard
+	d.logger.Info("signal received, draining in-flight requests", "grace", shutdownGrace)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if replicaSrv != nil {
+		if err := replicaSrv.Shutdown(shutdownCtx); err != nil {
+			d.logger.Warn("replica listener shutdown", "err", err)
+		}
+	}
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	d.logger.Info("drained cleanly")
+	return nil
 }
 
 // splitPeers parses the -peers flag: comma-separated base URLs,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,8 +15,9 @@ import (
 	"maras/internal/obs"
 )
 
-func testServer(t *testing.T) *server {
-	t.Helper()
+// fixtureReports is a tiny quarter with one strong interaction:
+// ASPIRIN+WARFARIN => Haemorrhage over single-drug background.
+func fixtureReports() []faers.Report {
 	var reports []faers.Report
 	id := 0
 	add := func(drugs, reacs []string) {
@@ -32,9 +34,14 @@ func testServer(t *testing.T) *server {
 		add([]string{"ASPIRIN"}, []string{"Nausea"})
 		add([]string{"WARFARIN"}, []string{"Dizziness"})
 	}
+	return reports
+}
+
+func testServer(t *testing.T) *server {
+	t.Helper()
 	opts := core.NewOptions()
 	opts.MinSupport = 3
-	a, err := core.Run(reports, opts)
+	a, err := core.Run(fixtureReports(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,29 +220,65 @@ func TestBarChartSVG(t *testing.T) {
 	}
 }
 
-// testHandler builds the full instrumented mux the way main does
-// (tracing off, readiness already signaled).
-func testHandler(t *testing.T) (http.Handler, *server) {
+// testArgs are the flags every test server starts from: quiet logs,
+// and the background telemetry the tests do not exercise switched
+// off (later flags in a test's own args win).
+var testArgs = []string{"-log-level", "error", "-trace-journal", "0", "-wide-events", "0",
+	"-runtime-sample", "0", "-history-scrape", "0", "-max-inflight", "0"}
+
+// buildDeps builds a server through newDeps — the wiring main runs —
+// from testArgs plus args. The caller closes it.
+func buildDeps(t *testing.T, args ...string) *deps {
 	t.Helper()
-	s := testServer(t)
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	ready := &obs.Readiness{}
-	ready.SetReady()
-	return s.routes(reg, mw, nil, ready, nil, nil, nil, nil, nil), s
+	cfg, err := parseConfig(flag.NewFlagSet("maras-server", flag.ContinueOnError),
+		append(append([]string{}, testArgs...), args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDeps(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
-// testHandlerTraced is testHandler with span tracing into a journal.
-func testHandlerTraced(t *testing.T) (http.Handler, *obs.Journal) {
+// newTestDeps is buildDeps closed when the test ends and marked ready
+// without starting the background loops, so the registry holds
+// exactly what the test's own requests put there.
+func newTestDeps(t *testing.T, args ...string) *deps {
 	t.Helper()
-	s := testServer(t)
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	journal := obs.NewJournal(16, time.Hour)
-	mw.EnableTracing(journal)
-	ready := &obs.Readiness{}
-	ready.SetReady()
-	return s.routes(reg, mw, journal, ready, nil, nil, nil, nil, nil), journal
+	d := buildDeps(t, args...)
+	t.Cleanup(d.Close)
+	d.ready.SetReady()
+	return d
+}
+
+// mineArgs points a mining server at testServer's reports written out
+// as a FAERS quarter (2014Q1) on disk.
+func mineArgs(t *testing.T) []string {
+	t.Helper()
+	q := &faers.Quarter{Label: "2014Q1"}
+	for _, r := range fixtureReports() {
+		q.Demos = append(q.Demos, faers.Demo{PrimaryID: r.PrimaryID, CaseID: r.CaseID, ReportCode: r.ReportCode})
+		for j, drug := range r.Drugs {
+			q.Drugs = append(q.Drugs, faers.Drug{PrimaryID: r.PrimaryID, Seq: j + 1, RoleCode: "PS", Name: drug})
+		}
+		for _, term := range r.Reactions {
+			q.Reacs = append(q.Reacs, faers.Reac{PrimaryID: r.PrimaryID, Term: term})
+		}
+	}
+	dir := t.TempDir()
+	if err := faers.SaveQuarter(dir, q); err != nil {
+		t.Fatal(err)
+	}
+	return []string{"-data", dir, "-quarter", "2014Q1", "-minsup", "3"}
+}
+
+// testHandler builds the mining server over the mineArgs fixture.
+func testHandler(t *testing.T, args ...string) (http.Handler, *deps) {
+	t.Helper()
+	d := newTestDeps(t, append(mineArgs(t), args...)...)
+	return d.handler, d
 }
 
 func getMux(t *testing.T, h http.Handler, url string) *httptest.ResponseRecorder {
@@ -253,6 +296,7 @@ func TestMetricsEndpointBothFormats(t *testing.T) {
 		getMux(t, h, "/signal/1")
 	}
 	getMux(t, h, "/signal/9999") // a 404
+	getMux(t, h, "/q/2014Q1/api/signals")
 
 	prom := getMux(t, h, "/metrics")
 	if prom.Code != http.StatusOK {
@@ -261,11 +305,13 @@ func TestMetricsEndpointBothFormats(t *testing.T) {
 	body := prom.Body.String()
 	for _, want := range []string{
 		"# TYPE http_requests_total counter",
-		`http_requests_total{route="/",code="2xx"} 2`,
-		`http_requests_total{route="/signal/",code="2xx"} 2`,
-		`http_requests_total{route="/signal/",code="4xx"} 1`,
+		// The default quarter's pages all count under route "/", any
+		// quarter's under "/q/".
+		`http_requests_total{route="/",code="2xx"} 4`,
+		`http_requests_total{route="/",code="4xx"} 1`,
+		`http_requests_total{route="/q/",code="2xx"} 1`,
 		"# TYPE http_request_duration_seconds histogram",
-		`http_request_duration_seconds_count{route="/signal/"} 3`,
+		`http_request_duration_seconds_count{route="/"} 5`,
 		"go_goroutines",
 	} {
 		if !strings.Contains(body, want) {
@@ -284,20 +330,24 @@ func TestMetricsEndpointBothFormats(t *testing.T) {
 }
 
 func TestHealthzEndpoint(t *testing.T) {
-	h, s := testHandler(t)
+	h, d := testHandler(t)
 	rec := getMux(t, h, "/healthz")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/healthz status = %d", rec.Code)
 	}
 	var body struct {
-		Status  string `json:"status"`
-		Quarter string `json:"quarter"`
-		Signals int    `json:"signals"`
+		Status   string `json:"status"`
+		Mode     string `json:"mode"`
+		StoreDir string `json:"store_dir"`
+		Quarters int    `json:"quarters"`
+		Default  string `json:"default"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Status != "ok" || body.Quarter != s.quarter || body.Signals != len(s.analysis.Signals) {
+	// The mining server reports the detail of its one-quarter registry.
+	if body.Status != "ok" || body.Mode != "mine" || body.Quarters != 1 ||
+		body.Default != "2014Q1" || body.StoreDir != d.ss.reg.Dir() {
 		t.Errorf("healthz = %+v", body)
 	}
 }
@@ -340,22 +390,21 @@ func TestIndexContentTypeSet(t *testing.T) {
 }
 
 func TestHealthDetailUptimeNonNegative(t *testing.T) {
-	s := testServer(t)
-	s.started = time.Now().Add(-2 * time.Second)
-	d := s.healthDetail()
-	if up, ok := d["uptime_seconds"].(int64); !ok || up < 2 {
-		t.Errorf("uptime_seconds = %v", d["uptime_seconds"])
+	_, d := testHandler(t)
+	d.started = time.Now().Add(-2 * time.Second)
+	detail := d.healthDetail()
+	if up, ok := detail["uptime_seconds"].(int64); !ok || up < 2 {
+		t.Errorf("uptime_seconds = %v", detail["uptime_seconds"])
 	}
 }
 
 // TestReadyzEndpoint: liveness and readiness must diverge — /healthz
-// answers ok from boot, /readyz gates on the readiness latch.
+// answers ok from boot, /readyz gates on the readiness latch that
+// deps.start flips.
 func TestReadyzEndpoint(t *testing.T) {
-	s := testServer(t)
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	ready := &obs.Readiness{}
-	h := s.routes(reg, mw, nil, ready, nil, nil, nil, nil, nil)
+	d := buildDeps(t, mineArgs(t)...)
+	defer d.Close()
+	h := d.handler
 
 	if rec := getMux(t, h, "/healthz"); rec.Code != http.StatusOK {
 		t.Errorf("/healthz before ready = %d, want 200 (liveness is unconditional)", rec.Code)
@@ -368,19 +417,19 @@ func TestReadyzEndpoint(t *testing.T) {
 		t.Errorf("pre-ready body = %q", rec.Body.String())
 	}
 
-	ready.SetReady()
+	d.start()
 	rec = getMux(t, h, "/readyz")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/readyz after ready = %d, want 200", rec.Code)
 	}
 	var body struct {
 		Status  string `json:"status"`
-		Quarter string `json:"quarter"`
+		Default string `json:"default"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Status != "ready" || body.Quarter != s.quarter {
+	if body.Status != "ready" || body.Default != "2014Q1" {
 		t.Errorf("readyz detail = %+v", body)
 	}
 }
@@ -406,14 +455,15 @@ func TestRequestIDThroughMux(t *testing.T) {
 // produces a journal trace with the HTTP root span and the handler's
 // render child span, inspectable at /debug/traces.
 func TestTracedRequestLandsInJournal(t *testing.T) {
-	h, journal := testHandlerTraced(t)
+	h, d := testHandler(t, "-trace-journal", "16", "-trace-slow", "1h")
 	req := httptest.NewRequest(http.MethodGet, "/", nil)
 	req.Header.Set(obs.RequestIDHeader, "ui-trace-1")
 	h.ServeHTTP(httptest.NewRecorder(), req)
 
-	recent := journal.Recent(0)
-	if len(recent) != 1 {
-		t.Fatalf("journal traces = %d, want 1", len(recent))
+	// Newest first: the request, then the startup mine.
+	recent := d.journal.Recent(0)
+	if len(recent) != 2 || recent[1].ID != "startup" {
+		t.Fatalf("journal traces = %+v, want the request and the startup mine", recent)
 	}
 	tr := recent[0]
 	if tr.ID != "ui-trace-1" || tr.Name != "GET /" {

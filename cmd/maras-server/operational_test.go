@@ -1,96 +1,52 @@
 package main
 
-// Operational-surface drift guard and the wide-event incident-view
-// acceptance path. The drift guard pins the full set of operational
-// endpoints in BOTH serving modes: a refactor that forgets to mount
-// one (or mounts it in only one mode) fails here, not in production.
+// Operational-surface drift guard, the wide-event incident-view
+// acceptance path, and the deps lifecycle. The drift guard pins the
+// full set of operational endpoints in BOTH serving modes: a refactor
+// that forgets to mount one (or mounts it in only one mode) fails
+// here, not in production.
 
 import (
 	"compress/gzip"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"maras/internal/audit"
-	"maras/internal/knowledge"
 	"maras/internal/obs"
-	"maras/internal/obs/history"
-	"maras/internal/obs/prof"
-	"maras/internal/obs/wide"
-	"maras/internal/slo"
 )
 
-// fullStack bundles every subsystem a serving mode can run, wired the
-// way main does.
-type fullStack struct {
-	reg     *obs.Registry
-	mw      *obs.HTTPMetrics
-	journal *obs.Journal
-	events  *wide.Ring
-	alog    *audit.Log
-	ready   *obs.Readiness
-	slos    *sloStack
-	captor  *prof.Captor
-	ws      *watchStack
+// fullArgs switch on every subsystem a server can run, at test
+// sizes: tracing, wide events, metrics history with the SLO engine,
+// continuous profiling (trigger-only), and a small watch stack.
+func fullArgs(t *testing.T) []string {
+	return []string{
+		"-trace-journal", "32", "-trace-slow", "1h",
+		"-wide-events", "1024",
+		"-history-scrape", "1s", "-history-retention", "1m",
+		"-prof-dir", t.TempDir(), "-prof-interval", "0",
+		"-watch-user-cap", "4", "-watch-feed-cap", "8", "-watch-eval-budget", "1s",
+	}
 }
 
-func newFullStack(t *testing.T) *fullStack {
-	t.Helper()
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	journal := obs.NewJournal(32, time.Hour)
-	mw.EnableTracing(journal)
-	events := wide.NewRing(1024, 1, reg)
-	mw.OnComplete(events.EmitRequest)
-	alog := audit.NewLog(audit.LogOptions{Metrics: reg})
-	ready := &obs.Readiness{}
-	ready.SetReady()
-	hist := history.New(reg, history.Options{Interval: time.Second, Retention: time.Minute})
-	eng := slo.NewEngine(hist, slo.Config{
-		Objectives: slo.DefaultObjectives(0.995, 500*time.Millisecond, 0.05, 0.10),
-		Log:        alog, Ready: ready, Metrics: reg,
-	})
-	pstore, err := prof.OpenStore(t.TempDir(), prof.StoreOptions{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	captor := prof.NewCaptor(prof.CaptorOptions{Store: pstore})
-	auditor := &audit.Auditor{Log: alog, Metrics: reg}
-	ws, err := newWatchStack(watchConfig{userCap: 4, feedCap: 8, budget: time.Second},
-		knowledge.Builtin(), reg, auditor, nil, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fullStack{reg: reg, mw: mw, journal: journal, events: events,
-		alog: alog, ready: ready, slos: &sloStack{hist: hist, eng: eng},
-		captor: captor, ws: ws}
+// fullMine and fullStore build the two serving modes with fullArgs.
+func fullMine(t *testing.T) *deps {
+	return newTestDeps(t, append(fullArgs(t), mineArgs(t)...)...)
 }
 
-// mineHandler builds the mine-mode mux with the full stack.
-func (fs *fullStack) mineHandler(t *testing.T) http.Handler {
-	t.Helper()
-	s := testServer(t)
-	s.alog = fs.alog
-	return s.routes(fs.reg, fs.mw, fs.journal, fs.ready, nil, fs.slos, fs.ws, fs.captor, fs.events)
-}
-
-// storeModeHandler builds the store-mode mux with the full stack.
-func (fs *fullStack) storeModeHandler(t *testing.T) http.Handler {
-	t.Helper()
-	auditor := &audit.Auditor{Log: fs.alog, Metrics: fs.reg}
-	ss, err := newStoreServer(tempStoreDir(t, 1), nil, nil, obs.NewStoreMetrics(fs.reg), auditor, fs.ws, fs.events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ss.routes(fs.reg, fs.mw, fs.journal, fs.ready, nil, fs.slos, fs.ws, fs.captor, fs.events)
+func fullStore(t *testing.T) *deps {
+	return newTestDeps(t, append(fullArgs(t), "-store", tempStoreDir(t, 1))...)
 }
 
 // TestOperationalSurfaceBothModes is the drift guard: every
 // operational endpoint must be mounted and answering its expected
-// status in both serving modes.
+// status in both serving modes, built and started exactly as main
+// does.
 func TestOperationalSurfaceBothModes(t *testing.T) {
 	endpoints := []struct {
 		url  string
@@ -111,13 +67,12 @@ func TestOperationalSurfaceBothModes(t *testing.T) {
 		{"/api/slo", http.StatusOK},
 		{"/api/watch/stats", http.StatusOK},
 	}
-	modes := map[string]func(*testing.T) http.Handler{
-		"mine":  func(t *testing.T) http.Handler { return newFullStack(t).mineHandler(t) },
-		"store": func(t *testing.T) http.Handler { return newFullStack(t).storeModeHandler(t) },
-	}
+	modes := map[string]func(*testing.T) *deps{"mine": fullMine, "store": fullStore}
 	for mode, build := range modes {
 		t.Run(mode, func(t *testing.T) {
-			h := build(t)
+			d := build(t)
+			d.start()
+			h := d.handler
 			for _, ep := range endpoints {
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, ep.url, nil))
@@ -134,8 +89,8 @@ func TestOperationalSurfaceBothModes(t *testing.T) {
 // its full trace, in-window audit events — and its trace ID appears as
 // an exemplar in the OpenMetrics /metrics rendering.
 func TestDiagEndToEnd(t *testing.T) {
-	fs := newFullStack(t)
-	h := fs.storeModeHandler(t)
+	d := fullStore(t)
+	h := d.handler
 	const reqID = "incident0badc0de"
 
 	// Induce the request (slow threshold is irrelevant to retrieval;
@@ -148,7 +103,7 @@ func TestDiagEndToEnd(t *testing.T) {
 		t.Fatalf("induced request = %d", rec.Code)
 	}
 	// An audit event lands inside the correlation window.
-	fs.alog.Record(audit.Event{Rule: "incident_marker", Severity: audit.SevWarn,
+	d.auditor.Log.Record(audit.Event{Rule: "incident_marker", Severity: audit.SevWarn,
 		Scope: "2014Q1", Message: "synthetic incident for diag test"})
 
 	rec = httptest.NewRecorder()
@@ -192,11 +147,11 @@ func TestDiagEndToEnd(t *testing.T) {
 // index compresses for gzip-accepting clients while artifact downloads
 // (application/octet-stream) stay identity-encoded.
 func TestProfilesGzipNegotiation(t *testing.T) {
-	fs := newFullStack(t)
-	if _, err := fs.captor.Store().Add("cpu", "test", "", "", []byte("pprofdata"), 0); err != nil {
+	d := fullMine(t)
+	if _, err := d.captor.Store().Add("cpu", "test", "", "", []byte("pprofdata"), 0); err != nil {
 		t.Fatal(err)
 	}
-	h := fs.mineHandler(t)
+	h := d.handler
 
 	get := func(url string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodGet, url, nil)
@@ -232,8 +187,7 @@ func TestProfilesGzipNegotiation(t *testing.T) {
 // TestWatchRoutesGzip pins satellite behavior: the watch JSON GETs
 // negotiate gzip.
 func TestWatchRoutesGzip(t *testing.T) {
-	fs := newFullStack(t)
-	h := fs.mineHandler(t)
+	h := fullMine(t).handler
 	for _, url := range []string{"/api/watchlists?user=alice", "/api/watch/stats"} {
 		req := httptest.NewRequest(http.MethodGet, url, nil)
 		req.Header.Set("Accept-Encoding", "gzip")
@@ -245,5 +199,50 @@ func TestWatchRoutesGzip(t *testing.T) {
 		if rec.Header().Get("Content-Encoding") != "gzip" {
 			t.Errorf("%s not gzipped: %v", url, rec.Header())
 		}
+	}
+}
+
+// TestDepsCloseStopsEverything builds and starts both serving modes
+// with every background loop on — profiling, the runtime sampler,
+// metrics history, and (store mode) replica sync and rescan against a
+// peer list — then checks Close leaves no goroutine behind, removes
+// the mining server's temporary registry, and is idempotent.
+func TestDepsCloseStopsEverything(t *testing.T) {
+	for _, mode := range []string{"mine", "store"} {
+		t.Run(mode, func(t *testing.T) {
+			args := append(fullArgs(t), "-runtime-sample", "50ms", "-prof-interval", "1h")
+			if mode == "mine" {
+				args = append(args, mineArgs(t)...)
+			} else {
+				args = append(args, "-store", tempStoreDir(t, 2), "-peers", "http://127.0.0.1:1",
+					"-sync-interval", "1h", "-rescan-interval", "1h")
+			}
+			base := runtime.NumGoroutine()
+			d := buildDeps(t, args...)
+			d.start()
+			if rec := getMux(t, d.handler, "/api/signals"); rec.Code != http.StatusOK {
+				t.Fatalf("/api/signals = %d", rec.Code)
+			}
+			if n := runtime.NumGoroutine(); n <= base {
+				t.Fatalf("goroutines %d after start, want more than %d", n, base)
+			}
+			dir := d.ss.reg.Dir()
+
+			d.Close()
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines = %d after Close, want <= %d", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			_, err := os.Stat(dir)
+			switch {
+			case mode == "mine" && !os.IsNotExist(err):
+				t.Errorf("temporary registry %s survived Close (stat err %v)", dir, err)
+			case mode == "store" && err != nil:
+				t.Errorf("Close touched the -store directory: %v", err)
+			}
+			d.Close() // a second Close is a no-op
+		})
 	}
 }

@@ -9,10 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"maras/internal/audit"
-	"maras/internal/obs"
 	"maras/internal/obs/prof"
 )
 
@@ -29,23 +27,9 @@ func TestProfilesEndpoint404WhenDisabled(t *testing.T) {
 // TestProfilesEndpointThroughMux: with a captor wired, the index and
 // artifact download serve through the full server mux.
 func TestProfilesEndpointThroughMux(t *testing.T) {
-	s := testServer(t)
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	ready := &obs.Readiness{}
-	ready.SetReady()
-	pstore, err := prof.OpenStore(t.TempDir(), prof.StoreOptions{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	captor := prof.NewCaptor(prof.CaptorOptions{
-		Store:         pstore,
-		CPUWindow:     time.Millisecond,
-		TriggerWindow: time.Millisecond,
-	})
-	h := s.routes(reg, mw, nil, ready, nil, nil, nil, captor, nil)
+	h, d := testHandler(t, "-prof-dir", t.TempDir(), "-prof-cpu-window", "1ms", "-prof-interval", "0")
 
-	arts, err := captor.CaptureCycle(context.Background(), prof.CauseScheduled, "")
+	arts, err := d.captor.CaptureCycle(context.Background(), prof.CauseScheduled, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +72,9 @@ func TestBuildInfoExposed(t *testing.T) {
 
 // TestAuditEndpointGzip: /debug/audit honors Accept-Encoding: gzip.
 func TestAuditEndpointGzip(t *testing.T) {
-	s := testServer(t)
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	ready := &obs.Readiness{}
-	ready.SetReady()
-	s.alog = audit.NewLog(audit.LogOptions{Metrics: reg})
-	s.alog.Record(audit.Event{Rule: "quality_gate", Severity: audit.SevWarn,
+	h, d := testHandler(t)
+	d.auditor.Log.Record(audit.Event{Rule: "quality_gate", Severity: audit.SevWarn,
 		Scope: "2014Q1", Message: "support floor grazed"})
-	h := s.routes(reg, mw, nil, ready, nil, nil, nil, nil, nil)
 
 	req := httptest.NewRequest(http.MethodGet, "/debug/audit", nil)
 	req.Header.Set("Accept-Encoding", "gzip")

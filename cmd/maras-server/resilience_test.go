@@ -21,25 +21,6 @@ import (
 	"maras/internal/store"
 )
 
-// storeHandlerShed is storeHandler with a bulkhead over the
-// application routes, for saturation tests.
-func storeHandlerShed(t *testing.T, dir string, cfg resilience.BulkheadConfig) (http.Handler, *obs.Registry) {
-	t.Helper()
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	ss, err := newStoreServer(dir, nil, nil, obs.NewStoreMetrics(reg), nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shed, err := resilience.NewBulkhead(reg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := &obs.Readiness{}
-	ready.SetReady()
-	return ss.routes(reg, mw, nil, ready, shed, nil, nil, nil, nil), reg
-}
-
 // flipByte corrupts a snapshot in place so decode fails its checksum.
 func flipByte(t *testing.T, path string) {
 	t.Helper()
@@ -59,11 +40,8 @@ func flipByte(t *testing.T, path string) {
 // moving — while /healthz (outside the bulkhead) still answers.
 func TestServerShedsWhenSaturated(t *testing.T) {
 	t.Cleanup(resilience.DisableAll)
-	h, reg := storeHandlerShed(t, tempStoreDir(t, 1), resilience.BulkheadConfig{
-		MaxConcurrent: 1,
-		MaxWaiting:    0,
-		RetryAfter:    2 * time.Second,
-	})
+	h, d := storeHandler(t, tempStoreDir(t, 1), "-max-inflight", "1", "-shed-queue", "0")
+	reg := d.metrics
 	if err := resilience.Enable(resilience.FPLoad + "=delay(750ms)"); err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +66,8 @@ func TestServerShedsWhenSaturated(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated status = %d, want 503", rec.Code)
 	}
-	if ra := rec.Header().Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", ra)
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want the bulkhead default \"1\"", ra)
 	}
 	if !strings.Contains(rec.Body.String(), "overloaded") {
 		t.Fatalf("shed body = %q", rec.Body.String())
@@ -111,14 +89,14 @@ func TestServerShedsWhenSaturated(t *testing.T) {
 }
 
 // TestServerServesStaleWhenLoadFails drives the degradation loop
-// through the HTTP surface: a warmed quarter whose disk path starts
-// failing is served from the last-good copy with X-Maras-Origin:
-// stale, the readiness probe reports "degraded" (still 200 — the load
-// balancer keeps routing), and a fresh load clears both.
+// through the HTTP surface: a warmed quarter, evicted from the LRU,
+// whose disk path then starts failing is served from the last-good
+// copy with X-Maras-Origin: stale, the readiness probe reports
+// "degraded" (still 200 — the load balancer keeps routing), and a
+// fresh load clears both.
 func TestServerServesStaleWhenLoadFails(t *testing.T) {
 	t.Cleanup(resilience.DisableAll)
-	dir := tempStoreDir(t, 1)
-	h, ss, _, _ := storeHandler(t, dir)
+	h, d := storeHandler(t, tempStoreDir(t, store.DefaultMaxOpen+1))
 
 	// Warm: fresh serve populates the last-good cache and carries the
 	// local serving origin.
@@ -127,16 +105,21 @@ func TestServerServesStaleWhenLoadFails(t *testing.T) {
 		t.Fatalf("warm request: status=%d origin=%q", rec.Code, rec.Header().Get(store.OriginHeader))
 	}
 
-	// Invalidate the resident copy so the next request must hit disk,
-	// then make every disk read fail.
-	a, err := ss.reg.Load("2014Q1")
-	if err != nil {
-		t.Fatal(err)
+	// Evict the default quarter through the LRU by touching every other
+	// quarter, so the next request must hit disk; then make every disk
+	// read fail.
+	latest := d.ss.reg.Latest()
+	for _, label := range d.ss.reg.Quarters() {
+		if label == latest {
+			continue
+		}
+		if rec := getMux(t, h, "/q/"+label+"/api/signals"); rec.Code != http.StatusOK {
+			t.Fatalf("touch %s: status %d", label, rec.Code)
+		}
 	}
-	if err := ss.reg.Save("2014Q1", a); err != nil {
-		t.Fatal(err)
+	if n := d.ss.reg.OpenCount(); n != store.DefaultMaxOpen {
+		t.Fatalf("open quarters = %d, want %d", n, store.DefaultMaxOpen)
 	}
-	ss.dropHandler("2014Q1")
 	if err := resilience.Enable(resilience.FPLoad + "=error"); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +162,7 @@ func TestServerQuarantinesCorruptQuarter(t *testing.T) {
 	dir := tempStoreDir(t, 2)
 	path := filepath.Join(dir, "2014Q1"+store.Ext)
 	flipByte(t, path)
-	h, ss, _, _ := storeHandler(t, dir)
+	h, d := storeHandler(t, dir)
 
 	rec := getMux(t, h, "/q/2014Q1/api/signals")
 	if rec.Code != http.StatusServiceUnavailable {
@@ -192,7 +175,7 @@ func TestServerQuarantinesCorruptQuarter(t *testing.T) {
 		t.Fatalf("quarantined file missing: %v", err)
 	}
 	found := false
-	for _, e := range ss.auditor.Log.Recent(0) {
+	for _, e := range d.auditor.Log.Recent(0) {
 		if e.Rule == "store_quarantine" && e.Scope == "2014Q1" && e.Severity == audit.SevFail {
 			found = true
 		}
@@ -233,10 +216,9 @@ func TestServerFailsOverToPeer(t *testing.T) {
 	srvB := httptest.NewServer(peerMux)
 	defer srvB.Close()
 
-	h, ss, _, _ := storeHandler(t, dirA)
-	nodeA := replica.NewNode(ss.reg, replica.Options{Name: "a", Peers: []string{srvB.URL}})
-	ss.replica = nodeA
-	ss.reg.SetPeerFetch(nodeA.FetchAnalysis)
+	// A's anti-entropy loop is not started, so the only way to 2014Q1
+	// is the read-failover path.
+	h, _ := storeHandler(t, dirA, "-peers", srvB.URL)
 
 	// First touch: local decode fails (quarantining the file), no stale
 	// copy exists, and the peer tier answers.
@@ -273,7 +255,7 @@ func TestServerChaosFromEnv(t *testing.T) {
 	if _, err := resilience.EnableFromEnv(); err != nil {
 		t.Fatal(err)
 	}
-	h, _, _, _ := storeHandler(t, tempStoreDir(t, 2))
+	h, _ := storeHandler(t, tempStoreDir(t, 2))
 	paths := []string{"/api/signals", "/q/2014Q1/api/signals", "/q/2014Q2/api/signals", "/api/quarters"}
 	for i := 0; i < 40; i++ {
 		p := paths[i%len(paths)]

@@ -29,20 +29,14 @@ type sloClock struct{ t time.Time }
 func (c *sloClock) Now() time.Time          { return c.t }
 func (c *sloClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
-// sloStoreHandler builds the store-mode mux with a clock-stubbed SLO
-// stack: 1s scrape interval, a single fast 5s/20s burn rule at 14.4x
-// on a 99.5% availability objective, 2s clear cooldown.
+// sloStoreHandler builds the store-mode server with a clock-stubbed
+// SLO stack in place of the flag-built one: 1s scrape interval, a
+// single fast 5s/20s burn rule at 14.4x on a 99.5% availability
+// objective, 2s clear cooldown. The routes are rebuilt over the stub.
 func sloStoreHandler(t *testing.T, dir string) (http.Handler, *sloStack, *sloClock, *obs.Readiness, *audit.Log) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	alog := audit.NewLog(audit.LogOptions{Metrics: reg})
-	ss, err := newStoreServer(dir, nil, nil, obs.NewStoreMetrics(reg), &audit.Auditor{Log: alog, Metrics: reg}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := &obs.Readiness{}
-	ready.SetReady()
+	_, d := storeHandler(t, dir)
+	reg, alog, ready := d.metrics, d.auditor.Log, d.ready
 	clock := &sloClock{t: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)}
 	hist := history.New(reg, history.Options{
 		Interval: time.Second, Retention: 5 * time.Minute, Now: clock.Now,
@@ -59,7 +53,8 @@ func sloStoreHandler(t *testing.T, dir string) (http.Handler, *sloStack, *sloClo
 	})
 	hist.OnScrape(eng.Tick)
 	slos := &sloStack{hist: hist, eng: eng}
-	h := ss.routes(reg, mw, nil, ready, nil, slos, nil, nil, nil)
+	d.slos, d.ss.slos = slos, slos
+	h := routes(d)
 	hist.Scrape() // baseline after routes register the HTTP series
 	return h, slos, clock, ready, alog
 }
@@ -222,7 +217,7 @@ func TestSLOAndHistoryEndpoints(t *testing.T) {
 // the history and SLO routes answer 404 instead of panicking when the
 // server runs with -history-scrape 0.
 func TestSLOEndpointsDisabledWithoutStack(t *testing.T) {
-	h, _, _, _ := storeHandler(t, tempStoreDir(t, 1))
+	h, _ := storeHandler(t, tempStoreDir(t, 1))
 	for _, url := range []string{"/api/slo", "/api/history/http_requests_total", "/debug/history"} {
 		if rec := getMux(t, h, url); rec.Code != http.StatusNotFound {
 			t.Errorf("%s with nil stack = %d, want 404", url, rec.Code)

@@ -1,10 +1,10 @@
 package main
 
-// Store mode: maras-server -store DIR serves a directory of per-
-// quarter snapshots written by maras-mine -snapshot-out (or the
-// registry itself). Mining happened once, offline; the server only
-// ever decodes snapshots, so startup is milliseconds instead of a
-// full FP-Growth run and one process serves every quarter:
+// The registry-backed route surface. Every quarter the server holds
+// is a snapshot in a store.Registry directory: written offline by
+// maras-mine -snapshot-out (or by the registry itself) with -store, or
+// mined once at startup into a temporary one-quarter directory without
+// it. Serving only ever decodes snapshots, through one path:
 //
 //	/                       the latest quarter's full UI + API
 //	/q/{label}/...          any quarter's UI + API (e.g. /q/2014Q2/api/signals)
@@ -15,29 +15,24 @@ package main
 //	/api/drift/{from}/{to}  signal churn between two stored quarters
 //	/debug/audit            the audit event timeline (?format=json)
 //
-// Warm quarters are held in the registry's LRU; /metrics exposes the
-// store series (load latency, open-quarter gauge, hit/miss/eviction
+// Warm quarters are held in the registry's LRU, which every quarter
+// request consults (a warm request is one LRU hit); there is no
+// per-quarter handler state beside it. /metrics exposes the store
+// series (load latency, open-quarter gauge, hit/miss/eviction
 // counters) next to the HTTP series.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
-	"time"
 
 	"maras/internal/audit"
-	"maras/internal/core"
 	"maras/internal/knowledge"
 	"maras/internal/obs"
-	"maras/internal/obs/prof"
-	"maras/internal/obs/wide"
 	"maras/internal/replica"
-	"maras/internal/resilience"
 	"maras/internal/store"
 	"maras/internal/trend"
 )
@@ -47,148 +42,18 @@ import (
 // a breaker cooldown to elapse before the client returns.
 const staleRetryAfter = "5"
 
+// storeServer is the registry-backed half of the route surface: the
+// quarter routing and the cross-quarter handlers. newDeps builds it.
 type storeServer struct {
 	reg     *store.Registry
 	logger  *slog.Logger
 	auditor *audit.Auditor
-	started time.Time
-	ready   *obs.Readiness // degraded flag target; set by routes, may be nil
-	slos    *sloStack      // SLO rollup for the quarters page; set by routes, may be nil
-	// replica, when non-nil, is this node's replication layer: routes
-	// mounts its /sync endpoints (outside the bulkhead) and quarter
+	ready   *obs.Readiness // degraded flag target
+	slos    *sloStack      // SLO rollup for the quarters page; may be nil
+	// replica, when non-nil, is this node's replication layer: quarter
 	// routing consults its peer inventories before 404ing a label the
-	// local disk has never seen. Assigned after newStoreServer, before
-	// routes.
+	// local disk has never seen.
 	replica *replica.Node
-
-	mu       sync.Mutex
-	handlers map[string]http.Handler // per-quarter muxes, dropped on LRU evict
-	// fallbackHandlers caches the mux built over a quarter's fallback
-	// analysis (last-good stale copy or a peer-fetched one), keyed by
-	// quarter and invalidated when the copy itself changes.
-	// Deliberately NOT dropped on LRU evict: the whole point is
-	// surviving the live path going away.
-	fallbackHandlers map[string]fallbackHandler
-}
-
-type fallbackHandler struct {
-	a *core.Analysis
-	h http.Handler
-}
-
-// newStoreServer opens the snapshot registry in dir and binds it to
-// the serving layer. tracer, metrics, and auditor may be nil (a nil
-// auditor disables the event log; reports still compute at default
-// thresholds). The registry runs with the resilience layer on:
-// per-quarter load breakers, transient-failure retry, corrupt-snapshot
-// quarantine, and the last-good stale cache behind graceful
-// degradation.
-func newStoreServer(dir string, logger *slog.Logger, tracer *obs.Tracer, m *obs.StoreMetrics, auditor *audit.Auditor, ws *watchStack, events *wide.Ring) (*storeServer, error) {
-	ss := &storeServer{
-		logger:           logger,
-		auditor:          auditor,
-		started:          time.Now(),
-		handlers:         map[string]http.Handler{},
-		fallbackHandlers: map[string]fallbackHandler{},
-	}
-	reg, err := store.OpenRegistry(dir, store.RegistryOptions{
-		Metrics: m,
-		Tracer:  tracer,
-		Auditor: auditor,
-		OnEvict: ss.dropHandler,
-		// Every cold decode flows into the watchlist evaluator (a nil
-		// ws makes this a no-op), so quarter loads and refreshes fire
-		// alerts without any polling.
-		OnLoad:     ws.onQuarterLoaded,
-		Wide:       events,
-		Resilience: &store.ResilienceOptions{Quarantine: true},
-	})
-	if err != nil {
-		return nil, err
-	}
-	ss.reg = reg
-	return ss, nil
-}
-
-func (ss *storeServer) log() *slog.Logger {
-	if ss.logger != nil {
-		return ss.logger
-	}
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
-
-// routes assembles the store-mode mux: quarter-scoped and default-
-// quarter application routes under observability middleware, plus the
-// operational endpoints. journal may be nil (tracing disabled,
-// /debug/traces 404s); ready gates /readyz and carries the degraded
-// flag; shed may be nil (no load shedding); slos may be nil
-// (history/SLO endpoints 404). The bulkhead wraps only the
-// application routes — the operational endpoints stay reachable at
-// any load, which is when an operator needs them most.
-func (ss *storeServer) routes(reg *obs.Registry, mw *obs.HTTPMetrics, journal *obs.Journal, ready *obs.Readiness, shed *resilience.Bulkhead, slos *sloStack, ws *watchStack, captor *prof.Captor, events *wide.Ring) http.Handler {
-	ss.ready = ready
-	ss.slos = slos
-	app := func(h http.HandlerFunc) http.Handler { return shed.Middleware(h) }
-	mux := http.NewServeMux()
-	// The JSON APIs negotiate gzip: quarter inventories, timelines,
-	// quality reports, and drift reports are repetitive text that
-	// compresses an order of magnitude for polling clients.
-	mw.Handle(mux, "/api/quarters", obs.GzipHandler(app(ss.handleQuarters)))
-	mw.Handle(mux, "/api/timeline/", obs.GzipHandler(app(ss.handleTimeline)))
-	mw.Handle(mux, "/api/quality/", obs.GzipHandler(app(ss.handleQuality)))
-	mw.Handle(mux, "/api/drift/", obs.GzipHandler(app(ss.handleDrift)))
-	mw.Handle(mux, "/quarters", app(ss.handleQuartersPage))
-	mw.Handle(mux, "/q/", app(ss.handleQuarterScoped))
-	mw.Handle(mux, "/", app(ss.handleDefaultQuarter))
-	ws.register(mux, mw, app)
-	if ss.replica != nil {
-		// The peer-sync endpoints mount OUTSIDE the bulkhead, next to
-		// the operational surface: a node saturated with client traffic
-		// must keep feeding its replicas, or one hot node degrades the
-		// whole set. Inventories are repetitive JSON, so they gzip;
-		// snapshot bodies are CRC-carrying binaries and stay identity.
-		mw.Handle(mux, "/sync/inventory", obs.GzipHandler(ss.replica.InventoryHandler()))
-		mw.Handle(mux, "/sync/snapshot/", ss.replica.SnapshotHandler())
-	}
-	mountOperational(mux, reg, journal, ready, slos, ss.healthDetail, ss.auditLog(), captor, events)
-	return mux
-}
-
-// auditLog returns the auditor's event log, nil when auditing is
-// disabled (audit.Handler answers 404 for a nil log, so /debug/audit
-// mounts unconditionally).
-func (ss *storeServer) auditLog() *audit.Log {
-	if ss.auditor == nil {
-		return nil
-	}
-	return ss.auditor.Log
-}
-
-func (ss *storeServer) healthDetail() map[string]any {
-	detail := map[string]any{
-		"mode":           "store",
-		"store_dir":      ss.reg.Dir(),
-		"quarters":       len(ss.reg.Quarters()),
-		"open_quarters":  ss.reg.OpenCount(),
-		"default":        ss.reg.Latest(),
-		"uptime_seconds": int64(time.Since(ss.started).Seconds()),
-	}
-	if ss.replica != nil {
-		detail["replica"] = ss.replica.CurrentStatus()
-	}
-	if ss.reg.Degraded() {
-		detail["degraded"] = true
-		open := []string{}
-		for label, st := range ss.reg.BreakerStates() {
-			if st != resilience.StateClosed {
-				open = append(open, label+":"+st.String())
-			}
-		}
-		if len(open) > 0 {
-			detail["breakers"] = open
-		}
-	}
-	return detail
 }
 
 // noteDegradation mirrors the registry's degradation state onto the
@@ -205,79 +70,46 @@ func (ss *storeServer) peerHas(label string) bool {
 	return ss.replica != nil && ss.replica.PeerHas(label)
 }
 
-// dropHandler is the registry's eviction callback: when a quarter's
-// analysis leaves the LRU, the route handler holding it must go too,
-// or the memory bound is fiction.
-func (ss *storeServer) dropHandler(label string) {
-	ss.mu.Lock()
-	delete(ss.handlers, label)
-	ss.mu.Unlock()
-	ss.log().Debug("quarter evicted", "quarter", label)
+// quarterKey is the request-context key under which serveQuarter hands
+// the quarter's *server to the application mux.
+type quarterKey struct{}
+
+// quarterApp builds the per-quarter application mux once. Every
+// handler renders the quarter serveQuarter put in the request context,
+// so one mux serves every quarter and no per-quarter state outlives
+// the registry's own LRU.
+func quarterApp() *http.ServeMux {
+	mux := http.NewServeMux()
+	for pattern, h := range map[string]func(*server, http.ResponseWriter, *http.Request){
+		"/":             (*server).handleIndex,
+		"/signal/":      (*server).handleSignal,
+		"/glyph/":       (*server).handleGlyph,
+		"/barchart/":    (*server).handleBarChart,
+		"/report/":      (*server).handleReport,
+		"/api/signals":  (*server).handleAPISignals,
+		"/network.dot":  (*server).handleNetworkDOT,
+		"/network.json": (*server).handleNetworkJSON,
+	} {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			h(r.Context().Value(quarterKey{}).(*server), w, r)
+		})
+	}
+	return mux
 }
 
-// quarterHandler returns the per-quarter application mux, loading the
-// snapshot through the registry LRU on first touch. The lookup runs
-// under a "quarter_mux" child span so a trace distinguishes the
-// handler cache from a registry load: handler_cache=hit means the
-// registry was never consulted this request. A non-local origin means
-// the live load failed and the handler serves a fallback copy (the
-// last-good stale snapshot, or one proxied from a replica peer).
-func (ss *storeServer) quarterHandler(ctx context.Context, label string) (http.Handler, store.Origin, error) {
-	ctx, span := obs.StartSpan(ctx, "quarter_mux")
-	defer span.End()
-	span.SetAttr("quarter", label)
-	ss.mu.Lock()
-	h := ss.handlers[label]
-	ss.mu.Unlock()
-	if h != nil {
-		span.SetAttr("handler_cache", "hit")
-		return h, store.OriginLocal, nil
-	}
-	span.SetAttr("handler_cache", "miss")
-	a, origin, err := ss.reg.LoadResilient(ctx, label)
-	defer ss.noteDegradation()
+// serveQuarter dispatches a request into the application mux over
+// label's analysis, taken from the registry on every request (a warm
+// quarter is one LRU hit) with graceful degradation: the fresh
+// analysis when the live path works, the last-good stale copy or a
+// replica peer's verified copy when it does not, and 503 with
+// Retry-After — never a 500 — when no tier can answer. Every quarter
+// response carries X-Maras-Origin (local|stale|peer); stale responses
+// keep the X-Maras-Stale: 1 header for back compatibility.
+func (ss *storeServer) serveQuarter(w http.ResponseWriter, r *http.Request, label string, app http.Handler) {
+	a, origin, err := ss.reg.LoadResilient(r.Context(), label)
+	ss.noteDegradation()
 	if err != nil {
-		return nil, "", err
-	}
-	if origin != store.OriginLocal {
-		span.SetAttr("origin", string(origin))
-		return ss.fallbackQuarterHandler(label, a), origin, nil
-	}
-	qs := &server{analysis: a, quarter: label, logger: ss.logger, started: ss.started}
-	h = qs.quarterMux()
-	ss.mu.Lock()
-	ss.handlers[label] = h
-	ss.mu.Unlock()
-	return h, store.OriginLocal, nil
-}
-
-// fallbackQuarterHandler returns (building if needed) the mux over a
-// quarter's fallback analysis — stale or peer-fetched. Cached
-// separately from the live handlers so LRU eviction cannot take it,
-// and rebuilt only when the fallback copy itself changes.
-func (ss *storeServer) fallbackQuarterHandler(label string, a *core.Analysis) http.Handler {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if fh, ok := ss.fallbackHandlers[label]; ok && fh.a == a {
-		return fh.h
-	}
-	qs := &server{analysis: a, quarter: label, logger: ss.logger, started: ss.started}
-	h := qs.quarterMux()
-	ss.fallbackHandlers[label] = fallbackHandler{a: a, h: h}
-	return h
-}
-
-// serveQuarter dispatches a request into label's application mux with
-// graceful degradation: a fresh handler when the live path works, the
-// last-good stale copy or a replica peer's verified copy when it does
-// not, and 503 with Retry-After — never a 500 — when no tier can
-// answer. Every quarter response carries X-Maras-Origin
-// (local|stale|peer); stale responses keep the X-Maras-Stale: 1
-// header for back compatibility.
-func (ss *storeServer) serveQuarter(w http.ResponseWriter, r *http.Request, label string) {
-	h, origin, err := ss.quarterHandler(r.Context(), label)
-	if err != nil {
-		ss.log().Error("load quarter", "quarter", label, "err", err)
+		ss.logger.Error("load quarter", "quarter", label, "err", err)
 		w.Header().Set("Retry-After", staleRetryAfter)
 		http.Error(w, fmt.Sprintf("quarter %s temporarily unavailable, retry later", label),
 			http.StatusServiceUnavailable)
@@ -286,29 +118,30 @@ func (ss *storeServer) serveQuarter(w http.ResponseWriter, r *http.Request, labe
 	w.Header().Set(store.OriginHeader, string(origin))
 	switch origin {
 	case store.OriginStale:
-		ss.log().Warn("serving stale quarter", "quarter", label)
+		ss.logger.Warn("serving stale quarter", "quarter", label)
 		w.Header().Set("X-Maras-Stale", "1")
 	case store.OriginPeer:
-		ss.log().Warn("serving quarter from replica peer", "quarter", label)
+		ss.logger.Warn("serving quarter from replica peer", "quarter", label)
 	}
-	h.ServeHTTP(w, r)
+	s := &server{analysis: a, quarter: label, logger: ss.logger}
+	app.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), quarterKey{}, s)))
 }
 
 // handleDefaultQuarter serves the whole single-quarter application
 // (index, signal pages, glyphs, /api/signals, network exports) for
 // the latest quarter in the store.
-func (ss *storeServer) handleDefaultQuarter(w http.ResponseWriter, r *http.Request) {
+func (ss *storeServer) handleDefaultQuarter(w http.ResponseWriter, r *http.Request, app http.Handler) {
 	label := ss.reg.Latest()
 	if label == "" {
 		http.Error(w, "store is empty: no quarter snapshots on disk", http.StatusServiceUnavailable)
 		return
 	}
-	ss.serveQuarter(w, r, label)
+	ss.serveQuarter(w, r, label, app)
 }
 
 // handleQuarterScoped serves /q/{label}/<rest> by dispatching <rest>
-// into the named quarter's application mux.
-func (ss *storeServer) handleQuarterScoped(w http.ResponseWriter, r *http.Request) {
+// into the application mux over the named quarter.
+func (ss *storeServer) handleQuarterScoped(w http.ResponseWriter, r *http.Request, app http.Handler) {
 	rest := strings.TrimPrefix(r.URL.Path, "/q/")
 	label, sub, _ := strings.Cut(rest, "/")
 	if label == "" {
@@ -324,14 +157,14 @@ func (ss *storeServer) handleQuarterScoped(w http.ResponseWriter, r *http.Reques
 	}
 	r2 := r.Clone(r.Context())
 	r2.URL.Path = "/" + sub
-	ss.serveQuarter(w, r2, label)
+	ss.serveQuarter(w, r2, label, app)
 }
 
 // handleQuarters lists what the store can serve.
 func (ss *storeServer) handleQuarters(w http.ResponseWriter, r *http.Request) {
 	// Rescan first: a miner may have dropped a new quarter in.
 	if err := ss.reg.RefreshContext(r.Context()); err != nil {
-		ss.log().Warn("store rescan", "err", err)
+		ss.logger.Warn("store rescan", "err", err)
 	}
 	body, err := json.Marshal(struct {
 		Default  string   `json:"default"`
@@ -366,7 +199,7 @@ func (ss *storeServer) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	key := knowledge.DrugKey(strings.Split(raw, "+"))
 	labels, traj, err := ss.reg.TimelineContext(r.Context(), key)
 	if err != nil {
-		ss.log().Error("timeline", "key", key, "err", err)
+		ss.logger.Error("timeline", "key", key, "err", err)
 		http.Error(w, "timeline unavailable", http.StatusInternalServerError)
 		return
 	}

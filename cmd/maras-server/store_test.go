@@ -1,20 +1,49 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"maras/internal/audit"
 	"maras/internal/core"
 	"maras/internal/faers"
 	"maras/internal/obs"
 	"maras/internal/store"
 )
+
+// pairAnalysis mines a tiny quarter whose one strong interaction is
+// drugA+drugB => reaction in pairReports reports, over single-drug
+// background.
+func pairAnalysis(t *testing.T, drugA, drugB, reaction string, pairReports int) *core.Analysis {
+	t.Helper()
+	var reports []faers.Report
+	id := 0
+	add := func(drugs, reacs []string) {
+		id++
+		reports = append(reports, faers.Report{
+			PrimaryID: fmt.Sprintf("%d", 1000+id), CaseID: fmt.Sprintf("c%d", id),
+			ReportCode: "EXP", Drugs: drugs, Reactions: reacs,
+		})
+	}
+	for i := 0; i < pairReports; i++ {
+		add([]string{drugA, drugB}, []string{reaction})
+	}
+	for i := 0; i < 20; i++ {
+		add([]string{drugA}, []string{"Nausea"})
+		add([]string{drugB}, []string{"Dizziness"})
+	}
+	opts := core.NewOptions()
+	opts.MinSupport = 3
+	a, err := core.Run(reports, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
 
 // tempStoreDir mines n tiny quarters (2014Q1..) and persists them as
 // snapshots, returning the store directory. Pair support ramps with
@@ -23,28 +52,7 @@ func tempStoreDir(t *testing.T, n int) string {
 	t.Helper()
 	dir := t.TempDir()
 	for qi := 0; qi < n; qi++ {
-		var reports []faers.Report
-		id := 0
-		add := func(drugs, reacs []string) {
-			id++
-			reports = append(reports, faers.Report{
-				PrimaryID: fmt.Sprintf("%d", 1000+id), CaseID: fmt.Sprintf("c%d", id),
-				ReportCode: "EXP", Drugs: drugs, Reactions: reacs,
-			})
-		}
-		for i := 0; i < 8+4*qi; i++ {
-			add([]string{"ASPIRIN", "WARFARIN"}, []string{"Haemorrhage"})
-		}
-		for i := 0; i < 20; i++ {
-			add([]string{"ASPIRIN"}, []string{"Nausea"})
-			add([]string{"WARFARIN"}, []string{"Dizziness"})
-		}
-		opts := core.NewOptions()
-		opts.MinSupport = 3
-		a, err := core.Run(reports, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := pairAnalysis(t, "ASPIRIN", "WARFARIN", "Haemorrhage", 8+4*qi)
 		label := fmt.Sprintf("2014Q%d", qi+1)
 		if err := store.WriteFile(filepath.Join(dir, label+store.Ext), label, a); err != nil {
 			t.Fatal(err)
@@ -53,42 +61,15 @@ func tempStoreDir(t *testing.T, n int) string {
 	return dir
 }
 
-// storeHandler builds the store-mode mux the way main does with
-// -store, returning the handler plus the tracer and metric registry
-// for assertions. Tracing is off; readiness is already signaled.
-func storeHandler(t *testing.T, dir string) (http.Handler, *storeServer, *obs.Tracer, *obs.Registry) {
+// storeHandler builds the store-mode server over dir through newTestDeps.
+func storeHandler(t *testing.T, dir string, args ...string) (http.Handler, *deps) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	tracer := obs.NewTracer(nil)
-	auditor := &audit.Auditor{Log: audit.NewLog(audit.LogOptions{Metrics: reg}), Metrics: reg}
-	ss, err := newStoreServer(dir, nil, tracer, obs.NewStoreMetrics(reg), auditor, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := &obs.Readiness{}
-	ready.SetReady()
-	return ss.routes(reg, mw, nil, ready, nil, nil, nil, nil, nil), ss, tracer, reg
-}
-
-// storeHandlerTraced is storeHandler with span tracing into a journal.
-func storeHandlerTraced(t *testing.T, dir string) (http.Handler, *obs.Journal) {
-	t.Helper()
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	journal := obs.NewJournal(16, time.Hour)
-	mw.EnableTracing(journal)
-	ss, err := newStoreServer(dir, nil, nil, obs.NewStoreMetrics(reg), nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := &obs.Readiness{}
-	ready.SetReady()
-	return ss.routes(reg, mw, journal, ready, nil, nil, nil, nil, nil), journal
+	d := newTestDeps(t, append([]string{"-store", dir}, args...)...)
+	return d.handler, d
 }
 
 func TestStoreModeQuartersEndpoint(t *testing.T) {
-	h, _, _, _ := storeHandler(t, tempStoreDir(t, 3))
+	h, _ := storeHandler(t, tempStoreDir(t, 3))
 	rec := getMux(t, h, "/api/quarters")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
@@ -109,7 +90,7 @@ func TestStoreModeQuartersEndpoint(t *testing.T) {
 // /api/signals from the store must never invoke the miner — the only
 // pipeline stage a serving process records is snapshot_load.
 func TestStoreModeWarmSignalsZeroMining(t *testing.T) {
-	h, _, tracer, _ := storeHandler(t, tempStoreDir(t, 2))
+	h, d := storeHandler(t, tempStoreDir(t, 2))
 	for i := 0; i < 3; i++ {
 		rec := getMux(t, h, "/api/signals")
 		if rec.Code != http.StatusOK {
@@ -126,7 +107,7 @@ func TestStoreModeWarmSignalsZeroMining(t *testing.T) {
 			t.Fatalf("request %d: payload %+v", i, out)
 		}
 	}
-	recs := tracer.Records()
+	recs := d.tracer.Records()
 	loads := 0
 	for _, r := range recs {
 		if r.Name == core.StageMine {
@@ -144,7 +125,7 @@ func TestStoreModeWarmSignalsZeroMining(t *testing.T) {
 }
 
 func TestStoreModeDefaultQuarterUI(t *testing.T) {
-	h, _, _, _ := storeHandler(t, tempStoreDir(t, 2))
+	h, _ := storeHandler(t, tempStoreDir(t, 2))
 	rec := getMux(t, h, "/")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
@@ -168,7 +149,7 @@ func TestStoreModeDefaultQuarterUI(t *testing.T) {
 }
 
 func TestStoreModeQuarterScopedRoutes(t *testing.T) {
-	h, _, _, _ := storeHandler(t, tempStoreDir(t, 3))
+	h, _ := storeHandler(t, tempStoreDir(t, 3))
 	rec := getMux(t, h, "/q/2014Q1/api/signals")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/q/2014Q1/api/signals status = %d", rec.Code)
@@ -199,7 +180,7 @@ func TestStoreModeQuarterScopedRoutes(t *testing.T) {
 }
 
 func TestStoreModeTimeline(t *testing.T) {
-	h, _, _, _ := storeHandler(t, tempStoreDir(t, 3))
+	h, _ := storeHandler(t, tempStoreDir(t, 3))
 	// Lower-case, reversed order: the key is canonicalized server-side.
 	rec := getMux(t, h, "/api/timeline/warfarin+aspirin")
 	if rec.Code != http.StatusOK {
@@ -237,12 +218,12 @@ func TestStoreModeTimeline(t *testing.T) {
 }
 
 func TestStoreModeMetricsExposeStoreSeries(t *testing.T) {
-	h, ss, _, _ := storeHandler(t, tempStoreDir(t, 2))
+	h, d := storeHandler(t, tempStoreDir(t, 2))
 	getMux(t, h, "/api/signals") // cold load
-	getMux(t, h, "/api/signals") // served from the cached handler
-	// A direct warm registry load (what a second process route, e.g. the
-	// timeline, performs) must register as a cache hit.
-	if _, err := ss.reg.Load(ss.reg.Latest()); err != nil {
+	getMux(t, h, "/api/signals") // warm: an LRU hit
+	// A direct warm registry load (what a cross-quarter route, e.g. the
+	// timeline, performs) registers as a cache hit too.
+	if _, err := d.ss.reg.Load(d.ss.reg.Latest()); err != nil {
 		t.Fatal(err)
 	}
 	rec := getMux(t, h, "/metrics")
@@ -254,7 +235,7 @@ func TestStoreModeMetricsExposeStoreSeries(t *testing.T) {
 		"maras_store_snapshot_load_seconds",
 		"maras_store_open_quarters 1",
 		"maras_store_cache_misses_total 1",
-		"maras_store_cache_hits_total 1",
+		"maras_store_cache_hits_total 2",
 		"maras_store_snapshot_bytes_read_total",
 	} {
 		if !strings.Contains(body, want) {
@@ -264,7 +245,7 @@ func TestStoreModeMetricsExposeStoreSeries(t *testing.T) {
 }
 
 func TestStoreModeHealthz(t *testing.T) {
-	h, ss, _, _ := storeHandler(t, tempStoreDir(t, 3))
+	h, d := storeHandler(t, tempStoreDir(t, 3))
 	rec := getMux(t, h, "/healthz")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/healthz status = %d", rec.Code)
@@ -279,13 +260,13 @@ func TestStoreModeHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	if body.Status != "ok" || body.Mode != "store" || body.Quarters != 3 ||
-		body.Default != ss.reg.Latest() {
+		body.Default != d.ss.reg.Latest() {
 		t.Errorf("healthz = %+v", body)
 	}
 }
 
 func TestStoreModeEmptyStore(t *testing.T) {
-	h, _, _, _ := storeHandler(t, t.TempDir())
+	h, _ := storeHandler(t, t.TempDir())
 	if rec := getMux(t, h, "/"); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("empty store index status = %d, want 503", rec.Code)
 	}
@@ -303,15 +284,15 @@ func TestStoreModeEmptyStore(t *testing.T) {
 // root HTTP span has registry child spans, with a cache hit vs a cold
 // decode distinguishable by span attributes.
 func TestStoreModeTraceAcceptance(t *testing.T) {
-	h, journal := storeHandlerTraced(t, tempStoreDir(t, 2))
+	h, d := storeHandler(t, tempStoreDir(t, 2), "-trace-journal", "16", "-trace-slow", "1h")
+	journal := d.journal
 
 	// Cold: /q/2014Q1 loads + decodes the snapshot.
 	if rec := getMux(t, h, "/q/2014Q1/api/signals"); rec.Code != http.StatusOK {
 		t.Fatalf("/q/2014Q1/api/signals = %d", rec.Code)
 	}
-	// Warm in the registry but not the handler cache: the timeline
-	// walks every quarter through LoadContext — 2014Q1 is an LRU hit,
-	// 2014Q2 a miss with a decode.
+	// The timeline walks every quarter through LoadContext — 2014Q1 is
+	// an LRU hit, 2014Q2 a miss with a decode.
 	if rec := getMux(t, h, "/api/timeline/warfarin+aspirin"); rec.Code != http.StatusOK {
 		t.Fatalf("/api/timeline = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -351,13 +332,9 @@ func TestStoreModeTraceAcceptance(t *testing.T) {
 	if len(decodes) != 1 || decodes[0].Parent != loads[0].ID {
 		t.Fatalf("cold snapshot_decode spans = %+v", decodes)
 	}
-	// The load hangs off the request's span tree, rooted at the HTTP span.
-	qm, ok := parentOf(cold, loads[0].Parent)
-	if !ok || qm.Name != "quarter_mux" || qm.Attrs["handler_cache"] != "miss" {
-		t.Fatalf("store_load parent = %+v", qm)
-	}
-	if root, ok := parentOf(cold, qm.Parent); !ok || root.Parent != -1 {
-		t.Fatalf("quarter_mux not under the HTTP root: %+v", root)
+	// The load hangs directly off the request's HTTP root span.
+	if root, ok := parentOf(cold, loads[0].Parent); !ok || root.Parent != -1 {
+		t.Fatalf("store_load not under the HTTP root: %+v", root)
 	}
 
 	warm := recent[0]
@@ -378,15 +355,15 @@ func TestStoreModeTraceAcceptance(t *testing.T) {
 		t.Errorf("timeline decodes = %d, want 1 (only 2014Q2)", len(spansBy(warm, store.SpanDecode)))
 	}
 
-	// The handler-cache hit path: repeat the /q/ request; the registry
-	// is bypassed entirely.
+	// The warm path: a repeated /q/ request is one LRU hit and no
+	// decode.
 	getMux(t, h, "/q/2014Q1/api/signals")
 	rerun := journal.Recent(1)[0]
-	if n := len(spansBy(rerun, store.SpanLoad)); n != 0 {
-		t.Errorf("handler-cached request touched the registry %d times", n)
+	if loads := spansBy(rerun, store.SpanLoad); len(loads) != 1 || loads[0].Attrs["cache"] != "lru_hit" {
+		t.Errorf("warm request store_load spans = %+v, want one lru_hit", loads)
 	}
-	if qm := spansBy(rerun, "quarter_mux"); len(qm) != 1 || qm[0].Attrs["handler_cache"] != "hit" {
-		t.Errorf("handler cache span = %+v", qm)
+	if n := len(spansBy(rerun, store.SpanDecode)); n != 0 {
+		t.Errorf("warm request decoded %d times", n)
 	}
 
 	// All of it visible at /debug/traces.
@@ -400,12 +377,93 @@ func TestStoreModeTraceAcceptance(t *testing.T) {
 
 // TestStoreModeReadyz: store mode mounts /readyz too.
 func TestStoreModeReadyz(t *testing.T) {
-	h, _, _, _ := storeHandler(t, tempStoreDir(t, 1))
+	h, _ := storeHandler(t, tempStoreDir(t, 1))
 	rec := getMux(t, h, "/readyz")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/readyz = %d, want 200 (storeHandler marks ready)", rec.Code)
 	}
 	if !strings.Contains(rec.Body.String(), `"mode":"store"`) {
 		t.Errorf("readyz detail missing store mode: %s", rec.Body.String())
+	}
+}
+
+// signalDrugs returns the drugs of the top signal at url.
+func signalDrugs(t *testing.T, h http.Handler, url string) string {
+	t.Helper()
+	rec := getMux(t, h, url)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s = %d", url, rec.Code)
+	}
+	var out []struct {
+		Drugs []string `json:"drugs"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) == 0 {
+		t.Fatalf("%s: no signals", url)
+	}
+	return strings.Join(out[0].Drugs, "+")
+}
+
+// TestRepublishedQuarterServedFresh: a quarter re-published while the
+// server holds it — by Save, or by a replica install over an existing
+// label — is served from the new bytes on the very next request.
+func TestRepublishedQuarterServedFresh(t *testing.T) {
+	publish := map[string]func(*store.Registry, string, *core.Analysis) error{
+		"save": (*store.Registry).Save,
+		"install_bytes": func(reg *store.Registry, label string, a *core.Analysis) error {
+			var buf bytes.Buffer
+			if err := store.Write(&buf, label, a); err != nil {
+				return err
+			}
+			return reg.InstallBytes(label, buf.Bytes())
+		},
+	}
+	for name, republish := range publish {
+		t.Run(name, func(t *testing.T) {
+			h, d := storeHandler(t, tempStoreDir(t, 2))
+			const url = "/q/2014Q1/api/signals"
+			if got := signalDrugs(t, h, url); got != "ASPIRIN+WARFARIN" {
+				t.Fatalf("before re-publish: top signal %s", got)
+			}
+			next := pairAnalysis(t, "IBUPROFEN", "LITHIUM", "Renal failure", 12)
+			if err := republish(d.ss.reg, "2014Q1", next); err != nil {
+				t.Fatal(err)
+			}
+			if got := signalDrugs(t, h, url); got != "IBUPROFEN+LITHIUM" {
+				t.Errorf("after re-publish: top signal %s, want IBUPROFEN+LITHIUM", got)
+			}
+		})
+	}
+}
+
+// TestQuarterRoutingKeepsLRURecency: quarter requests refresh the
+// registry's LRU position, so a quarter requested between every other
+// one is never the eviction victim. Six quarters, LRU of four: Q1,
+// then Q2..Q5 with Q1 touched after each, decodes each of the five
+// exactly once (Q2 is evicted, Q1 never).
+func TestQuarterRoutingKeepsLRURecency(t *testing.T) {
+	h, d := storeHandler(t, tempStoreDir(t, store.DefaultMaxOpen+2))
+	get := func(q int) {
+		t.Helper()
+		url := fmt.Sprintf("/q/2014Q%d/api/signals", q)
+		if rec := getMux(t, h, url); rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d", url, rec.Code)
+		}
+	}
+	get(1)
+	for q := 2; q <= 5; q++ {
+		get(q)
+		get(1)
+	}
+	loads := 0
+	for _, r := range d.tracer.Records() {
+		if r.Name == store.StageSnapshotLoad {
+			loads++
+		}
+	}
+	if loads != 5 {
+		t.Errorf("snapshot_load stages = %d, want 5 (the hot quarter must not be evicted)", loads)
 	}
 }

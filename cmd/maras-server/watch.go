@@ -14,10 +14,11 @@ package main
 //	                                response is the next cursor value
 //	GET    /api/watch/stats         index/feed/evaluator counters
 //
-// Evaluation is event-driven: store mode evaluates every quarter as
-// the registry cold-decodes it (store.RegistryOptions.OnLoad), mine
-// mode evaluates the startup quarter once, and audit drift events
-// reach the evaluator through audit.Log.OnRecord. Watchlists persist
+// Evaluation is event-driven: every quarter is evaluated as the
+// registry cold-decodes it (store.RegistryOptions.OnLoad) — the mining
+// server's startup quarter included, since it is loaded through the
+// same registry — and audit drift events reach the evaluator through
+// audit.Log.OnRecord. Watchlists persist
 // to a snapshot file (watch.SaveFile) on every mutation.
 
 import (
@@ -56,9 +57,7 @@ type watchConfig struct {
 
 // watchStack bundles the watch subsystem as wired into the server:
 // index, feeds, evaluator, metrics, persistence, and the known-drug
-// vocabulary used to validate new lists. A nil *watchStack disables
-// the subsystem (routes unregistered, hooks no-ops) — tests that do
-// not care about watchlists pass nil.
+// vocabulary used to validate new lists.
 type watchStack struct {
 	ix     *watch.Index
 	feeds  *watch.Feeds
@@ -139,20 +138,6 @@ func watchIDSeq(id string) (int, bool) {
 	return n, true
 }
 
-func (ws *watchStack) log() *slog.Logger {
-	if ws != nil && ws.logger != nil {
-		return ws.logger
-	}
-	return slog.New(discardHandler{})
-}
-
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
 // register mounts the watch routes behind the shared middleware/
 // bulkhead wrapper. All the JSON surfaces negotiate gzip — alert
 // feeds, watchlist listings, and the stats dump are repetitive JSON
@@ -161,9 +146,6 @@ func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 // correct because GzipHandler only engages per-request on
 // Accept-Encoding.)
 func (ws *watchStack) register(mux *http.ServeMux, mw *obs.HTTPMetrics, app func(http.HandlerFunc) http.Handler) {
-	if ws == nil {
-		return
-	}
 	mw.Handle(mux, "/api/watchlists", obs.GzipHandler(app(ws.handleWatchlists)))
 	mw.Handle(mux, "/api/watchlists/", obs.GzipHandler(app(ws.handleWatchlistByID)))
 	mw.Handle(mux, "/api/alerts/", obs.GzipHandler(app(ws.handleAlerts)))
@@ -172,14 +154,10 @@ func (ws *watchStack) register(mux *http.ServeMux, mw *obs.HTTPMetrics, app func
 
 // onQuarterLoaded is the store registry's OnLoad hook: every cold
 // decode refreshes the drug vocabulary and runs a watch evaluation.
-// Nil-receiver safe so newStoreServer can wire it unconditionally.
 func (ws *watchStack) onQuarterLoaded(ctx context.Context, label string, a *core.Analysis) {
-	if ws == nil {
-		return
-	}
 	ws.noteDrugs(a)
 	res := ws.ev.EvaluateAnalysis(ctx, label, a)
-	ws.log().Info("watch evaluation", "quarter", label, "signals", res.Signals,
+	ws.logger.Info("watch evaluation", "quarter", label, "signals", res.Signals,
 		"changed", res.Changed, "alerts", res.Alerts,
 		"duration_ms", fmt.Sprintf("%.2f", res.DurationMS))
 }
@@ -227,14 +205,14 @@ func (ws *watchStack) persistLocked() {
 		return
 	}
 	if err := watch.SaveFile(ws.file, ws.ix.All()); err != nil {
-		ws.log().Error("persist watchlists", "file", ws.file, "err", err)
+		ws.logger.Error("persist watchlists", "file", ws.file, "err", err)
 	}
 }
 
 func (ws *watchStack) writeJSON(w http.ResponseWriter, status int, what string, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		ws.log().Error("watch encode", "what", what, "err", err)
+		ws.logger.Error("watch encode", "what", what, "err", err)
 		http.Error(w, "internal encode error", http.StatusInternalServerError)
 		return
 	}
@@ -295,7 +273,7 @@ func (ws *watchStack) createWatchlist(w http.ResponseWriter, r *http.Request) {
 	ws.mu.Unlock()
 
 	ws.met.SyncIndex(ws.ix.Stats())
-	ws.log().Info("watchlist created", "id", wl.ID, "user", wl.User,
+	ws.logger.Info("watchlist created", "id", wl.ID, "user", wl.User,
 		"drugs", len(wl.Drugs), "reactions", len(wl.Reactions))
 	ws.writeJSON(w, http.StatusCreated, "watchlist", &wl)
 }
@@ -340,7 +318,7 @@ func (ws *watchStack) handleWatchlistByID(w http.ResponseWriter, r *http.Request
 			return
 		}
 		ws.met.SyncIndex(ws.ix.Stats())
-		ws.log().Info("watchlist deleted", "id", id)
+		ws.logger.Info("watchlist deleted", "id", id)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		w.Header().Set("Allow", "GET, DELETE")

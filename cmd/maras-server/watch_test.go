@@ -12,40 +12,17 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"maras/internal/audit"
-	"maras/internal/knowledge"
-	"maras/internal/obs"
-	"maras/internal/obs/history"
-	"maras/internal/slo"
 	"maras/internal/watch"
 )
 
-// watchStoreHandler builds the store-mode mux with a live watch stack
-// (user cap 3, feed cap 16) wired the way main does: OnLoad evaluates
-// loaded quarters, audit drift events reach the evaluator, watchlists
-// persist to file.
-func watchStoreHandler(t *testing.T, dir, file string) (http.Handler, *storeServer, *watchStack, *obs.Registry) {
+// watchStoreHandler builds the store-mode server with a small watch
+// stack (user cap 3, feed cap 16) persisting to file ("" = the
+// default next to the snapshots).
+func watchStoreHandler(t *testing.T, dir, file string, args ...string) (http.Handler, *deps) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	alog := audit.NewLog(audit.LogOptions{Metrics: reg})
-	auditor := &audit.Auditor{Log: alog, Metrics: reg}
-	ws, err := newWatchStack(watchConfig{
-		file: file, userCap: 3, feedCap: 16, budget: time.Second,
-	}, knowledge.Builtin(), reg, auditor, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alog.OnRecord(ws.ev.HandleAuditEvent)
-	ss, err := newStoreServer(dir, nil, nil, obs.NewStoreMetrics(reg), auditor, ws, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := &obs.Readiness{}
-	ready.SetReady()
-	return ss.routes(reg, mw, nil, ready, nil, nil, ws, nil, nil), ss, ws, reg
+	return storeHandler(t, dir, append([]string{"-watch-file", file,
+		"-watch-user-cap", "3", "-watch-feed-cap", "16", "-watch-eval-budget", "1s"}, args...)...)
 }
 
 func postJSON(t *testing.T, h http.Handler, url, body string) *httptest.ResponseRecorder {
@@ -65,7 +42,7 @@ func doMux(t *testing.T, h http.Handler, method, url string) *httptest.ResponseR
 }
 
 func TestWatchlistCRUD(t *testing.T) {
-	h, _, _, _ := watchStoreHandler(t, tempStoreDir(t, 1), "")
+	h, _ := watchStoreHandler(t, tempStoreDir(t, 1), "")
 
 	rec := postJSON(t, h, "/api/watchlists",
 		`{"user":"alice","name":"bleeding","drugs":["aspirin","warfarin"],"severity_floor":"moderate"}`)
@@ -106,7 +83,7 @@ func TestWatchlistCRUD(t *testing.T) {
 }
 
 func TestWatchlistValidationFailures(t *testing.T) {
-	h, _, _, _ := watchStoreHandler(t, tempStoreDir(t, 1), "")
+	h, _ := watchStoreHandler(t, tempStoreDir(t, 1), "")
 
 	// Malformed and unknown-field JSON.
 	if rec := postJSON(t, h, "/api/watchlists", `{"user":`); rec.Code != http.StatusBadRequest {
@@ -174,7 +151,7 @@ func getAlerts(t *testing.T, h http.Handler, url string) alertsResponse {
 // once; re-decoding the same bytes (Save invalidates the resident
 // entry, the next load re-fires OnLoad) fires nothing new.
 func TestWatchAlertsFireOnceAndCursor(t *testing.T) {
-	h, ss, _, _ := watchStoreHandler(t, tempStoreDir(t, 1), "")
+	h, d := watchStoreHandler(t, tempStoreDir(t, 1), "")
 
 	if rec := postJSON(t, h, "/api/watchlists",
 		`{"user":"alice","drugs":["aspirin"]}`); rec.Code != http.StatusCreated {
@@ -207,14 +184,14 @@ func TestWatchAlertsFireOnceAndCursor(t *testing.T) {
 	// Re-load the same quarter: Save drops the resident entry, the
 	// next load re-decodes and re-evaluates — fingerprints unchanged,
 	// zero duplicate alerts.
-	a2, err := ss.reg.Load("2014Q1")
+	a2, err := d.ss.reg.Load("2014Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.reg.Save("2014Q1", a2); err != nil {
+	if err := d.ss.reg.Save("2014Q1", a2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.reg.Load("2014Q1"); err != nil {
+	if _, err := d.ss.reg.Load("2014Q1"); err != nil {
 		t.Fatal(err)
 	}
 	after := getAlerts(t, h, "/api/alerts/alice")
@@ -242,7 +219,7 @@ func TestWatchlistPersistenceAcrossRestart(t *testing.T) {
 	dir := tempStoreDir(t, 1)
 	file := filepath.Join(t.TempDir(), "watchlists.mrwl")
 
-	h, _, _, _ := watchStoreHandler(t, dir, file)
+	h, _ := watchStoreHandler(t, dir, file)
 	rec := postJSON(t, h, "/api/watchlists", `{"user":"alice","drugs":["aspirin"]}`)
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("create = %d", rec.Code)
@@ -252,12 +229,12 @@ func TestWatchlistPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h2, _, ws2, _ := watchStoreHandler(t, dir, file)
+	h2, d2 := watchStoreHandler(t, dir, file)
 	if rec := getMux(t, h2, "/api/watchlists/"+created.ID); rec.Code != http.StatusOK {
 		t.Fatalf("restarted get = %d", rec.Code)
 	}
-	if ws2.ix.Len() != 1 {
-		t.Fatalf("restarted index has %d lists", ws2.ix.Len())
+	if d2.ws.ix.Len() != 1 {
+		t.Fatalf("restarted index has %d lists", d2.ws.ix.Len())
 	}
 	rec = postJSON(t, h2, "/api/watchlists", `{"user":"bob","drugs":["warfarin"]}`)
 	if rec.Code != http.StatusCreated {
@@ -275,30 +252,8 @@ func TestWatchlistPersistenceAcrossRestart(t *testing.T) {
 // The maras_watch_* series reach /metrics and, once scraped, the
 // /api/history surface.
 func TestWatchMetricsAndHistory(t *testing.T) {
-	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
-	alog := audit.NewLog(audit.LogOptions{Metrics: reg})
-	auditor := &audit.Auditor{Log: alog, Metrics: reg}
-	ws, err := newWatchStack(watchConfig{userCap: 3, feedCap: 16, budget: time.Second},
-		knowledge.Builtin(), reg, auditor, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alog.OnRecord(ws.ev.HandleAuditEvent)
-	ss, err := newStoreServer(tempStoreDir(t, 1), nil, nil, obs.NewStoreMetrics(reg), auditor, ws, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := &obs.Readiness{}
-	ready.SetReady()
-	hist := history.New(reg, history.Options{Interval: time.Second, Retention: time.Hour})
-	eng := slo.NewEngine(hist, slo.Config{
-		Objectives: slo.DefaultObjectives(0.995, 0, 0, 0),
-		MinEvents:  1, Log: alog, Ready: ready, Metrics: reg,
-	})
-	hist.OnScrape(eng.Tick)
-	slos := &sloStack{hist: hist, eng: eng}
-	h := ss.routes(reg, mw, nil, ready, nil, slos, ws, nil, nil)
+	h, d := watchStoreHandler(t, tempStoreDir(t, 1), "", "-history-scrape", "1s", "-history-retention", "1h")
+	hist := d.slos.history()
 
 	if rec := postJSON(t, h, "/api/watchlists", `{"user":"alice","drugs":["aspirin"]}`); rec.Code != http.StatusCreated {
 		t.Fatalf("create = %d", rec.Code)
@@ -345,7 +300,7 @@ func TestWatchMetricsAndHistory(t *testing.T) {
 // The alert feed negotiates gzip like the other operational JSON
 // surfaces.
 func TestWatchAlertsGzip(t *testing.T) {
-	h, _, _, _ := watchStoreHandler(t, tempStoreDir(t, 1), "")
+	h, _ := watchStoreHandler(t, tempStoreDir(t, 1), "")
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/api/alerts/alice", nil)
 	req.Header.Set("Accept-Encoding", "gzip")

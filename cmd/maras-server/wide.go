@@ -12,32 +12,28 @@ import (
 // newDiag assembles the /debug/diag cross-signal join from whatever
 // subsystems this process runs: the wide-event ring, the trace
 // journal, the audit timeline, the SLO engine plus readiness causes,
-// and the CRC-verified profile artifact index. Nil subsystems simply
-// leave their section out of the report.
+// and the CRC-verified profile artifact index. The optional
+// subsystems (ring, journal, SLO engine, captor) leave their section
+// out of the report when nil.
 func newDiag(events *wide.Ring, journal *obs.Journal, alog *audit.Log, slos *sloStack, ready *obs.Readiness, captor *prof.Captor) wide.Diag {
 	d := wide.Diag{Ring: events, FindTrace: journal.Find}
-	if alog != nil {
-		d.Audit = func(from, to time.Time) []wide.DiagAuditEvent {
-			var out []wide.DiagAuditEvent
-			for _, e := range alog.Recent(0) {
-				if e.Time.Before(from) || e.Time.After(to) {
-					continue
-				}
-				out = append(out, wide.DiagAuditEvent{
-					Time: e.Time, Rule: e.Rule, Severity: string(e.Severity),
-					Scope: e.Scope, Message: e.Message,
-				})
+	d.Audit = func(from, to time.Time) []wide.DiagAuditEvent {
+		var out []wide.DiagAuditEvent
+		for _, e := range alog.Recent(0) {
+			if e.Time.Before(from) || e.Time.After(to) {
+				continue
 			}
-			return out
+			out = append(out, wide.DiagAuditEvent{
+				Time: e.Time, Rule: e.Rule, Severity: string(e.Severity),
+				Scope: e.Scope, Message: e.Message,
+			})
 		}
+		return out
 	}
 	d.SLO = func() wide.SLOState {
-		s := wide.SLOState{}
+		s := wide.SLOState{Degraded: ready.DegradedCauses()}
 		if eng := slos.engine(); eng != nil {
 			s.Breached = eng.Report().Breached()
-		}
-		if ready != nil {
-			s.Degraded = ready.DegradedCauses()
 		}
 		return s
 	}

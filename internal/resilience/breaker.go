@@ -252,10 +252,13 @@ func (s *BreakerSet) States() map[string]BreakerState {
 
 // OpenCount returns how many member breakers are not closed — the
 // "how degraded are we" number behind readiness reporting.
+// It allocates nothing: the server asks on every quarter request.
 func (s *BreakerSet) OpenCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
-	for _, st := range s.States() {
-		if st != StateClosed {
+	for _, b := range s.m {
+		if b.State() != StateClosed {
 			n++
 		}
 	}

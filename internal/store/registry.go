@@ -42,10 +42,6 @@ type RegistryOptions struct {
 	// load — the counterpart of the mining stages, so a serving
 	// process can prove a warm quarter involved zero mining.
 	Tracer *obs.Tracer
-	// OnEvict, when non-nil, is called (outside the registry lock)
-	// with the label of each quarter the LRU drops, so callers holding
-	// derived state (route handlers, render caches) can drop theirs.
-	OnEvict func(label string)
 	// Auditor, when non-nil, supplies the thresholds for quality and
 	// drift evaluation (QualityContext/DriftContext) and receives
 	// their findings as audit events. A nil auditor evaluates with
@@ -88,7 +84,6 @@ type Registry struct {
 	maxOpen int
 	metrics *obs.StoreMetrics
 	tracer  *obs.Tracer
-	onEvict func(string)
 	onLoad  func(context.Context, string, *core.Analysis)
 	auditor *audit.Auditor
 	wide    *wide.Ring
@@ -143,7 +138,6 @@ func OpenRegistry(dir string, opts RegistryOptions) (*Registry, error) {
 		maxOpen: opts.MaxOpen,
 		metrics: opts.Metrics,
 		tracer:  opts.Tracer,
-		onEvict: opts.OnEvict,
 		onLoad:  opts.OnLoad,
 		auditor: opts.Auditor,
 		wide:    opts.Wide,
@@ -294,6 +288,9 @@ func (r *Registry) LoadContext(ctx context.Context, label string) (*core.Analysi
 	r.touchLocked(label)
 	evicted := r.evictLocked()
 	r.mu.Unlock()
+	if m := r.metrics; m != nil {
+		m.Evictions.Add(int64(evicted))
+	}
 
 	m := r.metrics
 	if resident {
@@ -305,14 +302,6 @@ func (r *Registry) LoadContext(ctx context.Context, label string) (*core.Analysi
 		span.SetAttr("cache", "lru_miss")
 		if m != nil {
 			m.Misses.Inc()
-		}
-	}
-	for _, l := range evicted {
-		if m != nil {
-			m.Evictions.Inc()
-		}
-		if r.onEvict != nil {
-			r.onEvict(l)
 		}
 	}
 
@@ -567,16 +556,16 @@ func (r *Registry) removeLRULocked(label string) {
 }
 
 // evictLocked drops least-recent quarters until the LRU fits, and
-// returns the evicted labels. The gauge is updated here so it is
+// returns how many it evicted. The gauge is updated here so it is
 // consistent under the lock.
-func (r *Registry) evictLocked() []string {
-	var evicted []string
+func (r *Registry) evictLocked() int {
+	evicted := 0
 	for len(r.open) > r.maxOpen && len(r.lruOrder) > 0 {
 		victim := r.lruOrder[0]
 		r.lruOrder = r.lruOrder[1:]
 		if _, ok := r.open[victim]; ok {
 			delete(r.open, victim)
-			evicted = append(evicted, victim)
+			evicted++
 		}
 	}
 	if r.metrics != nil {

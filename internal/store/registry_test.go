@@ -100,16 +100,9 @@ func TestRegistryLRUAndMetrics(t *testing.T) {
 	dir := tempStore(t, 3)
 	mreg := obs.NewRegistry()
 	m := obs.NewStoreMetrics(mreg)
-	var evicted []string
-	var mu sync.Mutex
 	reg, err := OpenRegistry(dir, RegistryOptions{
 		MaxOpen: 2,
 		Metrics: m,
-		OnEvict: func(label string) {
-			mu.Lock()
-			evicted = append(evicted, label)
-			mu.Unlock()
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,12 +117,6 @@ func TestRegistryLRUAndMetrics(t *testing.T) {
 	mustLoad("2014Q2")
 	mustLoad("2014Q1") // touch Q1 so Q2 is the LRU victim
 	mustLoad("2014Q3") // evicts Q2
-	mu.Lock()
-	gotEvicted := append([]string{}, evicted...)
-	mu.Unlock()
-	if !equalStrings(gotEvicted, []string{"2014Q2"}) {
-		t.Errorf("evicted = %v, want [2014Q2]", gotEvicted)
-	}
 	if n := reg.OpenCount(); n != 2 {
 		t.Errorf("open quarters = %d, want 2", n)
 	}
@@ -163,6 +150,19 @@ func TestRegistryLRUAndMetrics(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
+	}
+	// The victim was the least-recently used quarter: Q1 and Q3 are
+	// still resident, only Q2 decodes again.
+	hits, misses := m.Hits.Value(), m.Misses.Value()
+	mustLoad("2014Q1")
+	mustLoad("2014Q3")
+	if m.Hits.Value() != hits+2 || m.Misses.Value() != misses {
+		t.Errorf("Q1/Q3 reloads: hits +%d misses +%d, want +2 +0 (Q2 was the victim)",
+			m.Hits.Value()-hits, m.Misses.Value()-misses)
+	}
+	mustLoad("2014Q2")
+	if m.Misses.Value() != misses+1 {
+		t.Errorf("evicted Q2 reload was not a miss")
 	}
 }
 
