@@ -32,12 +32,15 @@ race:
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
-## fuzz: mutate the snapshot decoder for FUZZTIME (default 30s). The
-## corpus seeds cover valid v1/v2 snapshots, truncations, and CRC-
-## breaking bit flips; any input outside the three typed errors fails.
+## fuzz: mutate the snapshot decoder, then the txdb support counter,
+## each for FUZZTIME (default 30s). The decoder's seeds cover valid
+## v1/v2 snapshots, truncations, and CRC-breaking bit flips; any input
+## outside the three typed errors fails. FuzzTIDs builds a DB and a
+## query from the bytes and checks TIDs against a linear scan.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/txdb -run '^$$' -fuzz FuzzTIDs -fuzztime $(FUZZTIME)
 
 ## vuln: known-vulnerability scan of the module graph and stdlib
 ## call sites. The binary is not installed here (CI pins its version;

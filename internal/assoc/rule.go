@@ -129,21 +129,52 @@ func (s SupportType) String() string {
 // given complete itemset against db, directly per Definitions 3.3.1
 // and 3.3.2. Explicit wins when both hold.
 func Classify(db *txdb.DB, complete types.Itemset) SupportType {
-	tids := db.TIDs(complete, nil)
+	return ClassifyTIDs(db, complete, db.TIDs(complete, nil))
+}
+
+// ClassifyTIDs is Classify for a caller that already holds tids =
+// db.TIDs(complete, ·), the transactions containing complete. It
+// allocates nothing.
+func ClassifyTIDs(db *txdb.DB, complete types.Itemset, tids []txdb.TID) SupportType {
+	txs := db.Transactions()
 	for _, tid := range tids {
-		if db.Tx(tid).Items.Equal(complete) {
+		if txs[tid].Items.Equal(complete) {
 			return Explicit
 		}
 	}
 	// Implicit: complete == (t1.D ∪ t1.A) ∩ (t2.D ∪ t2.A) for some pair.
-	// Only transactions containing the set can participate.
+	// Only transactions containing the set can participate, and for
+	// two of them the intersection contains complete, so it equals
+	// complete iff they share exactly len(complete) items.
 	for i := 0; i < len(tids); i++ {
 		for j := i + 1; j < len(tids); j++ {
-			inter := db.Tx(tids[i]).Items.Intersect(db.Tx(tids[j]).Items)
-			if inter.Equal(complete) {
+			if sharesOnly(txs[tids[i]].Items, txs[tids[j]].Items, len(complete)) {
 				return Implicit
 			}
 		}
 	}
 	return Unsupported
+}
+
+// sharesOnly reports whether the normalized itemsets a and b have
+// exactly k items in common, stopping as soon as they share more.
+func sharesOnly(a, b types.Itemset, k int) bool {
+	shared := 0
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			shared++
+			if shared > k {
+				return false
+			}
+			i++
+			j++
+		}
+	}
+	return shared == k
 }

@@ -391,7 +391,8 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 			c := r.Cluster
 			drugs := dict.SortedNames(c.Target.Antecedent)
 			reacs := dict.SortedNames(c.Target.Consequent)
-			tidBuf = db.TIDs(c.Target.Complete(), tidBuf)
+			complete := c.Target.Complete()
+			tidBuf = db.TIDs(complete, tidBuf)
 			ids := make([]string, len(tidBuf))
 			nSerious := 0
 			for j, tid := range tidBuf {
@@ -413,7 +414,7 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 				Support:      c.Target.Support,
 				Confidence:   c.Target.Confidence,
 				Lift:         c.Target.Lift,
-				SupportType:  assoc.Classify(db, c.Target.Complete()),
+				SupportType:  assoc.ClassifyTIDs(db, complete, tidBuf),
 				Cluster:      c,
 				Known:        opts.Knowledge.Lookup(drugs),
 				SeriousShare: seriousShare,

@@ -1,0 +1,65 @@
+package store
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+	"time"
+
+	"maras/internal/assoc"
+	"maras/internal/core"
+	"maras/internal/synth"
+)
+
+// goldenSHA256 is the SHA-256 of the snapshot encoding of the fixed
+// quarter mined in TestWholeAnalysisGolden. Optimizations of the
+// pipeline (support counting, mining, cluster construction) must leave
+// it unchanged: it covers every persisted field of every signal —
+// rank, score, measures, SupportType, ReportIDs, SeriousShare, SOCs
+// and the full MCAC with its levels — plus stats, dictionary, reports
+// and quality metrics. Change it only with a deliberate change of the
+// analysis's output.
+const goldenSHA256 = "abf7f476c996b6ef1379baf7feeeb5ae8716915120bfc883498aecbf81c26b66"
+
+// TestWholeAnalysisGolden mines a fixed synthetic quarter through
+// core.Run, keeping every ranked signal, and hashes its deterministic
+// snapshot encoding (fixed save time).
+func TestWholeAnalysisGolden(t *testing.T) {
+	cfg := synth.DefaultConfig("2014Q1", 11)
+	cfg.Reports = 4_000
+	cfg.ExposureRate = 0.05
+	q, _, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.NewOptions()
+	opts.MinSupport = 4
+	opts.TopK = 0
+	a, err := core.Run(q.Reports(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The fixture must exercise every support type, or the hash would
+	// not pin Classify's output.
+	seen := map[assoc.SupportType]int{}
+	for i := range a.Signals {
+		seen[a.Signals[i].SupportType]++
+	}
+	for _, st := range []assoc.SupportType{assoc.Explicit, assoc.Implicit, assoc.Unsupported} {
+		if seen[st] == 0 {
+			t.Errorf("fixture has no %s signal (types seen: %v)", st, seen)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := write(&buf, "2014Q1", a, time.Unix(42, 0)); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenSHA256 {
+		t.Errorf("snapshot hash = %s, want %s (%d signals, %d bytes)",
+			got, goldenSHA256, len(a.Signals), buf.Len())
+	}
+}

@@ -1,10 +1,21 @@
 // Package txdb holds the transaction database the miners run against:
 // one transaction per cleaned adverse-event report, each the union of
 // the report's drug items and reaction items. Alongside the horizontal
-// layout it maintains per-item posting lists (sorted transaction-ID
-// lists), which give exact support counts for arbitrary itemsets by
-// k-way intersection — the primitive that contextual-rule scoring
-// (package mcac/rank) relies on.
+// layout it keeps a vertical one: per-item posting lists (sorted
+// transaction-ID lists), which give exact support counts for arbitrary
+// itemsets by k-way intersection — the primitive that rule scoring,
+// contextual-rule scoring (package mcac/rank) and support-type
+// classification rely on.
+//
+// The postings are hybrid. Freeze builds a dense membership bitmap
+// beside the posting list of every item that occurs in at least N/32
+// of the N transactions; at that length the bitmap (N/8 bytes) is no
+// larger than the list (4 bytes per TID). TIDs filters the shortest
+// list against each further item with one bit probe per TID when the
+// item has a bitmap, and with galloping search otherwise. The rule is
+// a fixed size bound, not a tunable: the items it selects are the
+// frequent ones, whose lists are far longer than the rare itemsets
+// they are intersected down to.
 package txdb
 
 import (
@@ -26,17 +37,25 @@ type Transaction struct {
 	Items    types.Itemset
 }
 
+// posting is one item's vertical entry: its sorted TID list and, for
+// items dense enough after Freeze, a bitmap with bit t set iff
+// transaction t contains the item.
+type posting struct {
+	tids []TID
+	bits []uint64
+}
+
 // DB is an immutable-after-Freeze transaction database.
 type DB struct {
 	dict     *types.Dictionary
 	txs      []Transaction
-	postings map[types.Item][]TID
+	postings []posting // indexed by item
 	frozen   bool
 }
 
 // New returns an empty DB over dict.
 func New(dict *types.Dictionary) *DB {
-	return &DB{dict: dict, postings: make(map[types.Item][]TID)}
+	return &DB{dict: dict, postings: make([]posting, dict.Len())}
 }
 
 // Dict returns the dictionary the DB encodes against.
@@ -52,15 +71,44 @@ func (db *DB) Add(reportID string, items types.Itemset) TID {
 	items = items.Clone().Normalize()
 	tid := TID(len(db.txs))
 	db.txs = append(db.txs, Transaction{ReportID: reportID, Items: items})
+	if len(items) > 0 {
+		if top := int(items[len(items)-1]); top >= len(db.postings) {
+			db.postings = append(db.postings, make([]posting, top+1-len(db.postings))...)
+		}
+	}
 	for _, it := range items {
-		db.postings[it] = append(db.postings[it], tid)
+		p := &db.postings[it]
+		p.tids = append(p.tids, tid)
 	}
 	return tid
 }
 
-// Freeze marks the DB read-only. Posting lists are already sorted by
+// Freeze marks the DB read-only and builds the bitmaps of the dense
+// items (see denseMin). Posting lists are already sorted by
 // construction (TIDs are appended in increasing order).
-func (db *DB) Freeze() { db.frozen = true }
+func (db *DB) Freeze() {
+	if db.frozen {
+		return
+	}
+	db.frozen = true
+	n := len(db.txs)
+	words, minLen := (n+63)/64, denseMin(n)
+	for i := range db.postings {
+		p := &db.postings[i]
+		if len(p.tids) == 0 || len(p.tids) < minLen {
+			continue
+		}
+		p.bits = make([]uint64, words)
+		for _, t := range p.tids {
+			p.bits[t>>6] |= 1 << (uint(t) & 63)
+		}
+	}
+}
+
+// denseMin is the posting length from which an item of a DB with n
+// transactions gets a bitmap: ⌈n/32⌉, where the bitmap's n/8 bytes
+// first fit within the list's 4 bytes per TID.
+func denseMin(n int) int { return (n + 31) / 32 }
 
 // Len returns the number of transactions.
 func (db *DB) Len() int { return len(db.txs) }
@@ -71,12 +119,26 @@ func (db *DB) Tx(tid TID) Transaction { return db.txs[tid] }
 // Transactions returns the backing slice; callers must not mutate it.
 func (db *DB) Transactions() []Transaction { return db.txs }
 
+// posting returns the vertical entry of it, nil if it is beyond every
+// item the DB has seen.
+func (db *DB) posting(it types.Item) *posting {
+	if uint(it) >= uint(len(db.postings)) {
+		return nil
+	}
+	return &db.postings[it]
+}
+
 // ItemSupport returns the number of transactions containing it.
-func (db *DB) ItemSupport(it types.Item) int { return len(db.postings[it]) }
+func (db *DB) ItemSupport(it types.Item) int { return len(db.Postings(it)) }
 
 // Postings returns the sorted TID list for it; callers must not
 // mutate it. Nil means the item never occurs.
-func (db *DB) Postings(it types.Item) []TID { return db.postings[it] }
+func (db *DB) Postings(it types.Item) []TID {
+	if p := db.posting(it); p != nil {
+		return p.tids
+	}
+	return nil
+}
 
 // Support returns |{t : set ⊆ t}|, the absolute support of set
 // (Formula 2.1), computed exactly by intersecting posting lists,
@@ -84,6 +146,11 @@ func (db *DB) Postings(it types.Item) []TID { return db.postings[it] }
 func (db *DB) Support(set types.Itemset) int {
 	return len(db.TIDs(set, nil))
 }
+
+// maxStackItems bounds the itemsets whose posting entries TIDs orders
+// in a stack array; longer sets (beyond the miners' MaxItems) fall
+// back to the heap.
+const maxStackItems = 16
 
 // TIDs returns the sorted transaction IDs containing every item of
 // set, appended into buf (reset first) to let hot callers avoid
@@ -96,25 +163,48 @@ func (db *DB) TIDs(set types.Itemset, buf []TID) []TID {
 		}
 		return buf
 	}
-	// Order lists shortest-first: intersection cost is bounded by the
-	// smallest list, and galloping search exploits the size skew.
-	lists := make([][]TID, len(set))
-	for i, it := range set {
-		p := db.postings[it]
-		if len(p) == 0 {
+	// Order entries shortest-first: the result is bounded by the
+	// shortest list, and every further item only filters it.
+	var stack [maxStackItems]*posting
+	lists := stack[:0]
+	if len(set) > maxStackItems {
+		lists = make([]*posting, 0, len(set))
+	}
+	for _, it := range set {
+		p := db.posting(it)
+		if p == nil || len(p.tids) == 0 {
 			return buf
 		}
-		lists[i] = p
+		j := len(lists)
+		lists = append(lists, p)
+		for ; j > 0 && len(lists[j-1].tids) > len(p.tids); j-- {
+			lists[j] = lists[j-1]
+		}
+		lists[j] = p
 	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	buf = append(buf, lists[0]...)
-	for _, l := range lists[1:] {
-		buf = intersectInto(buf, l)
+	buf = append(buf, lists[0].tids...)
+	for _, p := range lists[1:] {
+		if p.bits != nil {
+			buf = filterBits(buf, p.bits)
+		} else {
+			buf = intersectInto(buf, p.tids)
+		}
 		if len(buf) == 0 {
 			return buf
 		}
 	}
 	return buf
+}
+
+// filterBits keeps the TIDs of acc whose bit is set in bits, in place.
+func filterBits(acc []TID, bits []uint64) []TID {
+	out := acc[:0]
+	for _, v := range acc {
+		if bits[v>>6]&(1<<(uint(v)&63)) != 0 {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // intersectInto intersects acc (sorted) with l (sorted) in place,
@@ -171,16 +261,17 @@ func (db *DB) Stats() Stats {
 	var s Stats
 	s.Reports = len(db.txs)
 	var totDrug, totReac int
-	for it, p := range db.postings {
-		if len(p) == 0 {
+	for i := range db.postings {
+		n := len(db.postings[i].tids)
+		if n == 0 {
 			continue
 		}
-		if db.dict.IsDrug(it) {
+		if db.dict.IsDrug(types.Item(i)) {
 			s.Drugs++
-			totDrug += len(p)
+			totDrug += n
 		} else {
 			s.Reactions++
-			totReac += len(p)
+			totReac += n
 		}
 	}
 	if s.Reports > 0 {
