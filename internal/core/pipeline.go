@@ -27,7 +27,6 @@ import (
 	"maras/internal/obs/prof"
 	"maras/internal/rank"
 	"maras/internal/resilience"
-	"maras/internal/strata"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -190,27 +189,9 @@ type Analysis struct {
 	Counts   Counts
 	Signals  []Signal
 
-	db         *txdb.DB
-	dict       *types.Dictionary
-	reports    map[string]faers.Report // original reports by primary ID
-	reportList []faers.Report          // original reports, input order
-}
-
-// Report returns the original (uncleaned) report with the given
-// primary ID and whether it exists — the raw-report drill-down of
-// Section 4.1 ("It is essential to analyze the original data reports
-// submitted by patients").
-func (a *Analysis) Report(primaryID string) (faers.Report, bool) {
-	r, ok := a.reports[primaryID]
-	return r, ok
-}
-
-// Demographics profiles the supporting reports of a signal against
-// the whole population (sex and age-band distributions with
-// chi-square screens) — the relevant-factors investigation Section
-// 4.1 calls for.
-func (a *Analysis) Demographics(s *Signal) strata.Profile {
-	return strata.Build(a.reportList, s.ReportIDs)
+	db      *txdb.DB
+	dict    *types.Dictionary
+	reports *ReportSet // original reports, input order
 }
 
 // DB exposes the transaction database (read-only) for drill-down and
@@ -308,9 +289,7 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 	}
 
 	serious := make(map[string]bool)
-	byID := make(map[string]faers.Report, len(reports))
 	for i := range reports {
-		byID[reports[i].PrimaryID] = reports[i]
 		if reports[i].Serious() {
 			serious[reports[i].PrimaryID] = true
 		}
@@ -434,14 +413,13 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 	st.End()
 
 	return &Analysis{
-		Stats:      db.Stats(),
-		Cleaning:   cstats,
-		Counts:     counts,
-		Signals:    signals,
-		db:         db,
-		dict:       dict,
-		reports:    byID,
-		reportList: reports,
+		Stats:    db.Stats(),
+		Cleaning: cstats,
+		Counts:   counts,
+		Signals:  signals,
+		db:       db,
+		dict:     dict,
+		reports:  ReportList(reports),
 	}, nil
 }
 

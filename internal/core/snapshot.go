@@ -2,7 +2,6 @@ package core
 
 import (
 	"maras/internal/cleaning"
-	"maras/internal/faers"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -17,16 +16,11 @@ import (
 // from exactly those parts, so a quarter mined once can be served
 // many times from disk without ever touching the miners again.
 
-// RawReports returns the original (uncleaned) reports in input order
-// — the population Demographics profiles against and the content the
-// snapshot store persists for drill-down. Callers must not mutate the
-// returned slice.
-func (a *Analysis) RawReports() []faers.Report { return a.reportList }
-
 // Rehydrate reassembles an Analysis from its persisted parts. The
 // dictionary must be the one the signals' clusters were encoded
 // against (item IDs are dense and order-defined, so re-interning the
-// persisted names in ID order reproduces it exactly).
+// persisted names in ID order reproduces it exactly). A nil report set
+// stands for no reports.
 //
 // A rehydrated Analysis serves every read path — Signals,
 // FilterSignals, Report drill-down, Demographics, glyph rendering via
@@ -34,18 +28,13 @@ func (a *Analysis) RawReports() []faers.Report { return a.reportList }
 // nil, and re-mining requires the raw quarter files. That is the
 // point: serving a warm quarter does zero mining.
 func Rehydrate(stats txdb.Stats, cstats cleaning.Stats, counts Counts,
-	signals []Signal, dict *types.Dictionary, reports []faers.Report) *Analysis {
-	byID := make(map[string]faers.Report, len(reports))
-	for i := range reports {
-		byID[reports[i].PrimaryID] = reports[i]
-	}
+	signals []Signal, dict *types.Dictionary, reports *ReportSet) *Analysis {
 	return &Analysis{
-		Stats:      stats,
-		Cleaning:   cstats,
-		Counts:     counts,
-		Signals:    signals,
-		dict:       dict,
-		reports:    byID,
-		reportList: reports,
+		Stats:    stats,
+		Cleaning: cstats,
+		Counts:   counts,
+		Signals:  signals,
+		dict:     dict,
+		reports:  reports,
 	}
 }

@@ -8,7 +8,7 @@
 // a directory of per-quarter snapshots with atomic writes, an LRU of
 // open quarters, and cross-quarter timeline queries.
 //
-// # File format (version 2)
+// # File format (version 3)
 //
 //	header   magic "MRSN" | version uint16 | flags uint16
 //	body     sections, each: id uint16 | reserved uint16 |
@@ -21,15 +21,32 @@
 // versions can add sections without breaking old readers. Readers
 // verify the CRC before parsing a single section, and every decode is
 // bounds-checked: corrupt input yields a typed error, never a panic.
+// The meta section comes first, directly after the header, so
+// ReadManifest finds it with one small read.
 //
 // Version 2 adds the quality section (the metric half of an
 // audit.QualityReport, persisted so serving a quarter's ingest-quality
 // report costs no recomputation). Version 1 files remain readable:
 // they simply lack the section, and Decode recomputes the report from
 // the rehydrated analysis on load.
+//
+// Version 3 adds the report index section, written last:
+//
+//	count    uvarint n, the reports section's report count
+//	rows     n × { sex code uint8 | age-band code uint8 | offset uint32 }
+//	order    n × report index uint32
+//
+// Rows follow the reports' input order. The codes are a strata.Row's;
+// the offset is where the report's body starts inside the reports
+// section payload. Order lists the report indices sorted by PrimaryID,
+// equal IDs in input order. Decode of a v3 file checks every row, offset and order entry against
+// the section bounds and keeps the report bodies encoded: drill-down
+// decodes one body, and demographics read only the rows. v1 and v2
+// files decode every report, as before; the version field decides.
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,6 +66,7 @@ import (
 	"maras/internal/mcac"
 	"maras/internal/meddra"
 	"maras/internal/resilience"
+	"maras/internal/strata"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -56,7 +74,7 @@ import (
 // Version is the snapshot format version this package writes. Readers
 // accept every version back to minVersion.
 const (
-	Version    = 2
+	Version    = 3
 	minVersion = 1
 )
 
@@ -85,6 +103,7 @@ const (
 	secSignals uint16 = 4 // ranked signals with full MCAC clusters
 	secReports uint16 = 5 // raw reports (drill-down + demographics)
 	secQuality uint16 = 6 // ingest quality metrics (v2+)
+	secIndex   uint16 = 7 // per-report strata, body offsets, PrimaryID order (v3+)
 )
 
 // qualityFormat sub-versions the quality payload independently of the
@@ -93,16 +112,18 @@ const (
 const qualityFormat = 1
 
 // Snapshot is one persisted quarter: the label it was mined from,
-// when it was saved, the rehydrated analysis, and the quarter's ingest
-// quality metrics. Quality is always non-nil after a successful
-// decode — persisted for v2+ files, recomputed from the analysis for
-// v1 files — and carries metrics only (no findings/verdict: those
-// depend on serve-time thresholds; see audit.EvaluateQuality).
+// when it was saved, the rehydrated analysis, the quarter's ingest
+// quality metrics, and the length of the encoding it was decoded
+// from. Quality is always non-nil after a successful decode —
+// persisted for v2+ files, recomputed from the analysis for v1 files —
+// and carries metrics only (no findings/verdict: those depend on
+// serve-time thresholds; see audit.EvaluateQuality).
 type Snapshot struct {
 	Label    string
 	SavedAt  time.Time
 	Analysis *core.Analysis
 	Quality  *audit.QualityReport
+	Size     int64
 }
 
 // Write encodes label's completed analysis to w in the snapshot
@@ -159,16 +180,34 @@ func writeVersion(w io.Writer, label string, a *core.Analysis, savedAt time.Time
 			e.signal(&a.Signals[i])
 		}
 	})
+	var offsets []uint32
 	e.section(secReports, func(e *enc) {
+		start := len(e.buf)
 		reports := a.RawReports()
 		e.uv(uint64(len(reports)))
+		offsets = make([]uint32, len(reports))
 		for i := range reports {
+			offsets[i] = uint32(len(e.buf) - start)
 			e.report(&reports[i])
 		}
 	})
 	if version >= 2 {
 		e.section(secQuality, func(e *enc) {
 			e.quality(audit.ComputeQuality(label, a))
+		})
+	}
+	if version >= 3 {
+		e.section(secIndex, func(e *enc) {
+			idx := a.ReportIndex()
+			e.uv(uint64(len(offsets)))
+			for i, off := range offsets {
+				e.u8(idx.Strata[i].Sex)
+				e.u8(idx.Strata[i].Age)
+				e.u32(off)
+			}
+			for _, i := range idx.ByID {
+				e.u32(i)
+			}
 		})
 	}
 
@@ -352,22 +391,27 @@ func ReadManifest(path string) (Manifest, error) {
 	return m, fmt.Errorf("%s: %w: meta section not found", path, ErrCorrupt)
 }
 
-// Decode parses a complete in-memory snapshot.
+// Decode parses a complete in-memory snapshot. A v3 snapshot keeps
+// its report bodies encoded in data, which the caller must therefore
+// not modify afterwards; earlier versions decode every report.
 func Decode(data []byte) (*Snapshot, error) {
 	if err := CheckBytes(data); err != nil {
 		return nil, err
 	}
 	body := data[:len(data)-4]
+	version := binary.LittleEndian.Uint16(data[4:6])
 
-	s := &Snapshot{}
+	s := &Snapshot{Size: int64(len(data))}
 	var (
-		dict       *types.Dictionary
-		stats      txdb.Stats
-		cstats     cleaning.Stats
-		counts     core.Counts
-		signals    []core.Signal
-		rawReports []faers.Report
-		quality    *audit.QualityReport
+		dict           *types.Dictionary
+		stats          txdb.Stats
+		cstats         cleaning.Stats
+		counts         core.Counts
+		signals        []core.Signal
+		reports        *core.ReportSet
+		reportsPayload []byte
+		indexPayload   []byte
+		quality        *audit.QualityReport
 	)
 
 	d := &dec{b: body, off: 8}
@@ -400,9 +444,15 @@ func Decode(data []byte) (*Snapshot, error) {
 		case secSignals:
 			signals = sd.signals()
 		case secReports:
-			rawReports = sd.reports()
+			if version >= 3 {
+				reportsPayload = payload
+			} else {
+				reports = core.ReportList(sd.reports())
+			}
 		case secQuality:
 			quality = sd.quality()
+		case secIndex:
+			indexPayload = payload
 		default:
 			// Unknown section: skip (forward compatibility).
 		}
@@ -416,7 +466,18 @@ func Decode(data []byte) (*Snapshot, error) {
 	if dict == nil {
 		return nil, fmt.Errorf("%w: missing dictionary section", ErrCorrupt)
 	}
-	s.Analysis = core.Rehydrate(stats, cstats, counts, signals, dict, rawReports)
+	if version >= 3 {
+		if reportsPayload == nil || indexPayload == nil {
+			return nil, fmt.Errorf("%w: missing reports or report index section", ErrCorrupt)
+		}
+		sd := &dec{b: indexPayload}
+		bodies, idx := sd.reportIndex(reportsPayload)
+		if sd.err != nil {
+			return nil, fmt.Errorf("%w: section %d: %v", ErrCorrupt, secIndex, sd.err)
+		}
+		reports = core.EncodedReports(bodies, idx)
+	}
+	s.Analysis = core.Rehydrate(stats, cstats, counts, signals, dict, reports)
 	if quality == nil {
 		// v1 file, or a quality payload from a future sub-format:
 		// recompute from the analysis we just rehydrated.
@@ -726,15 +787,17 @@ func (d *dec) nextSection() (uint16, []byte) {
 
 func (d *dec) dict() *types.Dictionary {
 	n := d.count(2)
-	dict := types.NewDictionary()
+	dict := types.NewDictionarySized(n)
 	for i := 0; i < n && d.err == nil; i++ {
 		dom := types.Domain(d.u8())
 		name := d.str()
-		if dom != types.DomainDrug && dom != types.DomainReaction {
+		switch {
+		case d.err != nil:
+		case dom != types.DomainDrug && dom != types.DomainReaction:
 			d.fail("item %d: unknown domain %d", i, dom)
-			return dict
+		case !dict.Add(name, dom):
+			d.fail("item %d: name %q repeats an earlier item", i, name)
 		}
-		dict.Intern(name, dom)
 	}
 	return dict
 }
@@ -837,26 +900,143 @@ func (d *dec) quality() *audit.QualityReport {
 	return q
 }
 
+// minReportBytes is the smallest encoding of a report: twelve empty
+// strings and lists, one length byte each.
+const minReportBytes = 12
+
 func (d *dec) reports() []faers.Report {
-	n := d.count(12)
+	n := d.count(minReportBytes)
 	out := make([]faers.Report, n)
 	for i := range out {
 		if d.err != nil {
 			return out
 		}
-		r := &out[i]
-		r.PrimaryID = d.str()
-		r.CaseID = d.str()
-		r.ReportCode = d.str()
-		r.Sex = d.str()
-		r.Age = d.str()
-		r.AgeCode = d.str()
-		r.Country = d.str()
-		r.EventDate = d.str()
-		r.Drugs = d.strs()
-		r.DrugRoles = d.strs()
-		r.Reactions = d.strs()
-		r.Outcomes = d.strs()
+		out[i] = d.report()
 	}
 	return out
+}
+
+func (d *dec) report() faers.Report {
+	var r faers.Report
+	r.PrimaryID = d.str()
+	r.CaseID = d.str()
+	r.ReportCode = d.str()
+	r.Sex = d.str()
+	r.Age = d.str()
+	r.AgeCode = d.str()
+	r.Country = d.str()
+	r.EventDate = d.str()
+	r.Drugs = d.strs()
+	r.DrugRoles = d.strs()
+	r.Reactions = d.strs()
+	r.Outcomes = d.strs()
+	return r
+}
+
+// reportIndex decodes a v3 report index section against the reports
+// section payload it describes. Every row's strata codes, every body
+// offset and every permutation entry is checked here, and so is each
+// body's PrimaryID length and the permutation's order, so the lazy
+// reads that follow stay in bounds whatever the file holds.
+func (d *dec) reportIndex(reports []byte) (*reportBodies, core.ReportIndex) {
+	var idx core.ReportIndex
+	rd := &dec{b: reports}
+	n := rd.count(minReportBytes)
+	if rd.err != nil {
+		d.fail("reports section: %v", rd.err)
+		return nil, idx
+	}
+	if m := d.count(10); d.err == nil && m != n {
+		d.fail("index holds %d reports, reports section %d", m, n)
+	}
+	if d.err != nil {
+		return nil, idx
+	}
+	bodies := &reportBodies{payload: reports, offs: make([]uint32, n)}
+	idx.Strata = make(strata.Column, n)
+	prev := rd.off - 1 // the first body starts after the count
+	for i := 0; i < n && d.err == nil; i++ {
+		row := strata.Row{Sex: d.u8(), Age: d.u8()}
+		off := d.u32()
+		switch {
+		case d.err != nil:
+		case !row.Valid():
+			d.fail("report %d: strata codes %d/%d", i, row.Sex, row.Age)
+		case int64(off) <= int64(prev) || int64(off) >= int64(len(reports)):
+			d.fail("report %d: body offset %d not in (%d, %d)", i, off, prev, len(reports))
+		default:
+			idx.Strata[i], bodies.offs[i], prev = row, off, int(off)
+		}
+	}
+	for i := 0; i < n && d.err == nil; i++ {
+		body := bodies.body(i)
+		if l, k := binary.Uvarint(body); k <= 0 || l > uint64(len(body)-k) {
+			d.fail("report %d: PrimaryID overruns its body", i)
+		}
+	}
+	idx.ByID = make([]uint32, n)
+	seen := make([]bool, n)
+	for k := 0; k < n && d.err == nil; k++ {
+		i := d.u32()
+		switch {
+		case d.err != nil:
+		case int64(i) >= int64(n) || seen[i]:
+			d.fail("order entry %d: report %d out of range or repeated", k, i)
+		case k > 0 && !idOrdered(bodies, idx.ByID[k-1], i):
+			d.fail("order entry %d: report %d out of PrimaryID order", k, i)
+		default:
+			seen[i], idx.ByID[k] = true, i
+		}
+	}
+	return bodies, idx
+}
+
+// idOrdered reports whether report x may precede report y in the
+// PrimaryID order: a smaller ID, or an equal one earlier in input.
+func idOrdered(b *reportBodies, x, y uint32) bool {
+	c := bytes.Compare(b.primaryID(int(x)), b.primaryID(int(y)))
+	return c < 0 || c == 0 && x < y
+}
+
+// reportBodies is a v3 reports section kept encoded: the verified
+// section payload and where each report's body starts in it. It is the
+// core.ReportSource of a v3 snapshot, decoding one report at a time.
+type reportBodies struct {
+	payload []byte
+	offs    []uint32
+}
+
+func (b *reportBodies) Len() int { return len(b.offs) }
+
+// body returns report i's bytes, up to where the next report starts.
+func (b *reportBodies) body(i int) []byte {
+	end := len(b.payload)
+	if i+1 < len(b.offs) {
+		end = int(b.offs[i+1])
+	}
+	return b.payload[b.offs[i]:end]
+}
+
+// primaryID returns report i's PrimaryID bytes in place; reportIndex
+// checked that they lie within the body.
+func (b *reportBodies) primaryID(i int) []byte {
+	body := b.body(i)
+	n, k := binary.Uvarint(body)
+	return body[k : k+int(n)]
+}
+
+func (b *reportBodies) ComparePrimaryID(i int, id string) int {
+	switch p := b.primaryID(i); {
+	case string(p) < id:
+		return -1
+	case string(p) > id:
+		return 1
+	}
+	return 0
+}
+
+func (b *reportBodies) Report(i int) (faers.Report, bool) {
+	d := &dec{b: b.body(i)}
+	r := d.report()
+	return r, d.err == nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -187,6 +188,8 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 		bytes.Repeat([]byte{0xAB}, 64),       // noise
 		{9, 9, 0, 0, 4, 0, 0, 0, 1, 2, 3, 4}, // unknown section id: must be skipped
 		{2, 0, 0, 0, 1, 0, 0, 0, 0x80},       // stats section, dangling varint
+		// dict naming "A" as a drug and then as a reaction
+		{3, 0, 0, 0, 7, 0, 0, 0, 2, 0, 1, 'A', 1, 1, 'A'},
 	}
 	for i, body := range bodies {
 		var buf []byte
@@ -271,19 +274,26 @@ func BenchmarkMineQuarter(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotDecode decodes the same quarter from format v2,
+// which builds every report, and from v3, which keeps the report
+// bodies encoded.
 func BenchmarkSnapshotDecode(b *testing.B) {
 	a := synthAnalysis(b)
-	var buf bytes.Buffer
-	if err := Write(&buf, "2014Q1", a); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data); err != nil {
+	for _, version := range []uint16{2, 3} {
+		var buf bytes.Buffer
+		if err := writeVersion(&buf, "2014Q1", a, time.Unix(42, 0), version); err != nil {
 			b.Fatal(err)
 		}
+		data := buf.Bytes()
+		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

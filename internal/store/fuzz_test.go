@@ -14,9 +14,13 @@ import (
 // contract under fuzz: Decode never panics, never allocates absurdly
 // off a corrupt count, and every failure is one of the three typed
 // errors (ErrBadMagic / ErrVersion / ErrCorrupt) so callers can always
-// classify what they hit. Seeds cover the honest cases — a valid v2
-// snapshot, a genuine v1 snapshot, truncations, a bit flip (caught by
-// CRC), and degenerate prefixes.
+// classify what they hit. A successful decode must also serve every
+// lazy read without panicking: Report for every indexed ID and
+// Demographics for every signal, so a crafted file with a valid CRC
+// cannot fail later. Seeds cover the honest cases — valid v3, v2 and
+// v1 snapshots, truncations, a bit flip (caught by CRC), and
+// degenerate prefixes — plus v3 files with resealed CRCs whose report
+// index is cut short or points past its section.
 func FuzzDecode(f *testing.F) {
 	// A deliberately small quarter: mutation throughput matters more
 	// than fixture richness here, and every byte of the format —
@@ -34,14 +38,17 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var v2, v1 bytes.Buffer
-	if err := writeVersion(&v2, "2014Q1", a, time.Unix(42, 0), 2); err != nil {
-		f.Fatal(err)
-	}
-	if err := writeVersion(&v1, "2014Q1", a, time.Unix(42, 0), 1); err != nil {
-		f.Fatal(err)
+	var v3, v2, v1 bytes.Buffer
+	for v, buf := range map[uint16]*bytes.Buffer{3: &v3, 2: &v2, 1: &v1} {
+		if err := writeVersion(buf, "2014Q1", a, time.Unix(42, 0), v); err != nil {
+			f.Fatal(err)
+		}
 	}
 
+	f.Add(v3.Bytes())
+	crafted := corruptV3(f, v3.Bytes())
+	f.Add(crafted["truncated index"])
+	f.Add(crafted["offset past section"])
 	f.Add(v2.Bytes())
 	f.Add(v1.Bytes())
 	f.Add(v2.Bytes()[:len(v2.Bytes())/2]) // truncated mid-body
@@ -67,6 +74,15 @@ func FuzzDecode(f *testing.F) {
 		}
 		if snap.Quality == nil {
 			t.Fatal("nil quality without error")
+		}
+		an := snap.Analysis
+		for _, r := range an.RawReports() {
+			if got, ok := an.Report(r.PrimaryID); ok && got.PrimaryID != r.PrimaryID {
+				t.Fatalf("Report(%q) returned report %q", r.PrimaryID, got.PrimaryID)
+			}
+		}
+		for i := range an.Signals {
+			an.Demographics(&an.Signals[i])
 		}
 	})
 }

@@ -12,19 +12,25 @@ import (
 	"maras/internal/synth"
 )
 
-// goldenSHA256 is the SHA-256 of the snapshot encoding of the fixed
-// quarter mined in TestWholeAnalysisGolden. Optimizations of the
-// pipeline (support counting, mining, cluster construction) must leave
-// it unchanged: it covers every persisted field of every signal —
-// rank, score, measures, SupportType, ReportIDs, SeriousShare, SOCs
+// goldenSHA256 is the SHA-256 of the format-v2 snapshot encoding of
+// the fixed quarter mined in TestWholeAnalysisGolden. Optimizations of
+// the pipeline (support counting, mining, cluster construction) must
+// leave it unchanged: it covers every persisted field of every signal
+// — rank, score, measures, SupportType, ReportIDs, SeriousShare, SOCs
 // and the full MCAC with its levels — plus stats, dictionary, reports
 // and quality metrics. Change it only with a deliberate change of the
 // analysis's output.
 const goldenSHA256 = "abf7f476c996b6ef1379baf7feeeb5ae8716915120bfc883498aecbf81c26b66"
 
+// goldenV3SHA256 is the same quarter's hash in the current format,
+// which adds the report index (strata, body offsets, PrimaryID order)
+// to the v2 content. It changes with the analysis or with the format.
+const goldenV3SHA256 = "d46d9884ceb5a0a4c24f3696612244476c6f0aa6d9a7978cdeb9bebf189aa0a2"
+
 // TestWholeAnalysisGolden mines a fixed synthetic quarter through
 // core.Run, keeping every ranked signal, and hashes its deterministic
-// snapshot encoding (fixed save time).
+// snapshot encodings (fixed save time) in format v2 and in the current
+// format.
 func TestWholeAnalysisGolden(t *testing.T) {
 	cfg := synth.DefaultConfig("2014Q1", 11)
 	cfg.Reports = 4_000
@@ -53,13 +59,18 @@ func TestWholeAnalysisGolden(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := write(&buf, "2014Q1", a, time.Unix(42, 0)); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != goldenSHA256 {
-		t.Errorf("snapshot hash = %s, want %s (%d signals, %d bytes)",
-			got, goldenSHA256, len(a.Signals), buf.Len())
+	for _, c := range []struct {
+		version uint16
+		want    string
+	}{{2, goldenSHA256}, {Version, goldenV3SHA256}} {
+		var buf bytes.Buffer
+		if err := writeVersion(&buf, "2014Q1", a, time.Unix(42, 0), c.version); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("v%d snapshot hash = %s, want %s (%d signals, %d bytes)",
+				c.version, got, c.want, len(a.Signals), buf.Len())
+		}
 	}
 }

@@ -336,14 +336,11 @@ func (r *Registry) LoadContext(ctx context.Context, label string) (*core.Analysi
 			if m != nil {
 				m.LoadSeconds.Observe(time.Since(start).Seconds())
 			}
-			var loadBytes int64
-			if fi, statErr := os.Stat(path); statErr == nil {
-				loadBytes = fi.Size()
-				if m != nil {
-					m.BytesRead.Add(loadBytes)
-				}
-				dspan.SetInt("bytes", loadBytes)
+			loadBytes := snap.Size
+			if m != nil {
+				m.BytesRead.Add(loadBytes)
 			}
+			dspan.SetInt("bytes", loadBytes)
 			dspan.SetInt("signals", int64(len(snap.Analysis.Signals)))
 			st.Count("signals", int64(len(snap.Analysis.Signals)))
 			st.Count("reports", int64(snap.Analysis.Stats.Reports))

@@ -177,8 +177,90 @@ func Build(all []faers.Report, supportingIDs []string) Profile {
 	return p
 }
 
+// Row is one report's strata in compact form: a sex code and an
+// age-band code, indices into sexValues and ageBands.
+type Row struct{ Sex, Age uint8 }
+
+// sexValues and ageBands list the stratum values in code order: a
+// Row's Sex and Age index them. Snapshots persist the codes, so new
+// values go at the end.
+var (
+	sexValues = [...]string{"unknown", "F", "M"}
+	ageBands  = [...]AgeBand{AgeUnknown, AgeChild, AgeAdult, AgeMiddle, AgeSenior}
+)
+
+// rowOf returns the strata of one report in compact form.
+func rowOf(r *faers.Report) Row {
+	var row Row
+	sex, age := normalizeSex(r.Sex), ageBandOf(r.Age, r.AgeCode)
+	for i, v := range sexValues {
+		if v == sex {
+			row.Sex = uint8(i)
+		}
+	}
+	for i, b := range ageBands {
+		if b == age {
+			row.Age = uint8(i)
+		}
+	}
+	return row
+}
+
+// Valid reports whether both codes name a stratum value.
+func (r Row) Valid() bool {
+	return int(r.Sex) < len(sexValues) && int(r.Age) < len(ageBands)
+}
+
+// Column holds the strata of a report population in compact form, one
+// valid Row per report in input order.
+type Column []Row
+
+// ColumnOf builds the column of reports.
+func ColumnOf(reports []faers.Report) Column {
+	c := make(Column, len(reports))
+	for i := range reports {
+		c[i] = rowOf(&reports[i])
+	}
+	return c
+}
+
+// Profile computes the profile Build computes, from the column alone:
+// members are the distinct indices of the supporting reports.
+func (c Column) Profile(members []int) Profile {
+	var sexBg, sexSig [len(sexValues)]int
+	var ageBg, ageSig [len(ageBands)]int
+	for _, r := range c {
+		sexBg[r.Sex]++
+		ageBg[r.Age]++
+	}
+	for _, i := range members {
+		sexSig[c[i].Sex]++
+		ageSig[c[i].Age]++
+	}
+	p := Profile{
+		SexSignal: distOf(sexSig[:], sexValues[:]), SexBackground: distOf(sexBg[:], sexValues[:]),
+		AgeSignal: distOf(ageSig[:], ageBands[:]), AgeBackground: distOf(ageBg[:], ageBands[:]),
+	}
+	p.SexChiSquare = chiSquare(p.SexSignal, p.SexBackground)
+	p.AgeChiSquare = chiSquare(p.AgeSignal, p.AgeBackground)
+	return p
+}
+
+// distOf turns per-code counts into a distribution over the values
+// that occur, as Build's increments produce it.
+func distOf[V ~string](counts []int, values []V) Distribution {
+	d := Distribution{}
+	for i, n := range counts {
+		if n > 0 {
+			d[string(values[i])] = n
+		}
+	}
+	return d
+}
+
 // chiSquare computes Σ (obs − exp)² / exp where exp scales the
-// background distribution to the signal's total, over known strata.
+// background distribution to the signal's total, over known strata,
+// summed in key order so equal distributions give equal statistics.
 func chiSquare(sig, bg Distribution) float64 {
 	sigTotal, bgTotal := 0, 0
 	for k, c := range sig {
@@ -195,11 +277,11 @@ func chiSquare(sig, bg Distribution) float64 {
 		return 0
 	}
 	chi := 0.0
-	for k, bc := range bg {
+	for _, k := range bg.Keys() {
 		if k == "unknown" {
 			continue
 		}
-		exp := float64(bc) / float64(bgTotal) * float64(sigTotal)
+		exp := float64(bg[k]) / float64(bgTotal) * float64(sigTotal)
 		if exp == 0 {
 			continue
 		}

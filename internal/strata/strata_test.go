@@ -2,6 +2,7 @@ package strata
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,5 +179,42 @@ func TestUnknownStrataExcludedFromChi(t *testing.T) {
 	p := Build(all, ids)
 	if p.SexChiSquare != 0 {
 		t.Errorf("all-unknown chi² = %v, want 0", p.SexChiSquare)
+	}
+}
+
+// TestColumnProfileMatchesBuild: the compact column gives Build's
+// profile exactly, with repeated IDs, unknown strata and IDs that name
+// no report.
+func TestColumnProfileMatchesBuild(t *testing.T) {
+	all, ids := buildCorpus()
+	all = append(all,
+		faers.Report{PrimaryID: "sig3", Sex: "M", Age: "30", AgeCode: "YR"}, // repeats sig3
+		faers.Report{PrimaryID: "odd", Sex: "UNK", Age: "40", AgeCode: "LY"},
+	)
+	ids = append(ids, "nope", "odd")
+	col := ColumnOf(all)
+	var members []int
+	for i := range all {
+		for _, id := range ids {
+			if all[i].PrimaryID == id {
+				members = append(members, i)
+				break
+			}
+		}
+	}
+	got, want := col.Profile(members), Build(all, ids)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("column profile\n got %+v\nwant %+v", got, want)
+	}
+	for i, r := range col {
+		if !r.Valid() {
+			t.Errorf("row %d = %+v is not valid", i, r)
+		}
+		if sexValues[r.Sex] != normalizeSex(all[i].Sex) || ageBands[r.Age] != ageBandOf(all[i].Age, all[i].AgeCode) {
+			t.Errorf("row %d = %+v does not code report %+v", i, r, all[i])
+		}
+	}
+	if (Row{Sex: uint8(len(sexValues))}).Valid() || (Row{Age: uint8(len(ageBands))}).Valid() {
+		t.Error("out-of-range codes reported valid")
 	}
 }

@@ -19,8 +19,15 @@ type Dictionary struct {
 }
 
 // NewDictionary returns an empty dictionary.
-func NewDictionary() *Dictionary {
-	return &Dictionary{byName: make(map[string]Item)}
+func NewDictionary() *Dictionary { return NewDictionarySized(0) }
+
+// NewDictionarySized returns an empty dictionary with room for n names.
+func NewDictionarySized(n int) *Dictionary {
+	return &Dictionary{
+		byName:  make(map[string]Item, n),
+		names:   make([]string, 0, n),
+		domains: make([]Domain, 0, n),
+	}
 }
 
 // Intern returns the Item for name within dom, issuing a fresh ID on
@@ -35,6 +42,21 @@ func (d *Dictionary) Intern(name string, dom Domain) Item {
 		}
 		return it
 	}
+	return d.add(name, dom)
+}
+
+// Add interns name within dom as a fresh item. It reports false, and
+// leaves the dictionary unchanged, when name is already interned in
+// either domain — the check a reader of persisted names needs.
+func (d *Dictionary) Add(name string, dom Domain) bool {
+	if _, ok := d.byName[name]; ok {
+		return false
+	}
+	d.add(name, dom)
+	return true
+}
+
+func (d *Dictionary) add(name string, dom Domain) Item {
 	it := Item(len(d.names))
 	d.byName[name] = it
 	d.names = append(d.names, name)

@@ -43,6 +43,21 @@ func TestDictionaryDomainClashPanics(t *testing.T) {
 	d.Intern("X", DomainReaction)
 }
 
+// TestDictionaryAdd: Add refuses a name already interned in either
+// domain instead of panicking, and leaves the dictionary unchanged.
+func TestDictionaryAdd(t *testing.T) {
+	d := NewDictionarySized(2)
+	if !d.Add("X", DomainDrug) || !d.Add("Y", DomainReaction) {
+		t.Fatal("Add refused fresh names")
+	}
+	if d.Add("X", DomainDrug) || d.Add("X", DomainReaction) {
+		t.Error("Add accepted a repeated name")
+	}
+	if d.Len() != 2 || d.DrugCount() != 1 || d.Lookup("Y") != 1 || d.Domain(0) != DomainDrug {
+		t.Errorf("dictionary changed by refused Adds: len %d, drugs %d", d.Len(), d.DrugCount())
+	}
+}
+
 func TestDictionaryDomainPredicates(t *testing.T) {
 	d := NewDictionary()
 	drug := d.Intern("PROGRAF", DomainDrug)
