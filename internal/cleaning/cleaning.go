@@ -165,6 +165,15 @@ func isDoseToken(tok string) bool {
 // adjacent transposition) between a and b, the notion of "misspelling
 // closeness" the corrector uses.
 func EditDistance(a, b string) int {
+	var r dpRows
+	return r.distance(a, b)
+}
+
+// dpRows holds the three rolling rows of the edit-distance dynamic
+// program, so a caller comparing many pairs allocates them once.
+type dpRows struct{ prev2, prev, cur []int }
+
+func (r *dpRows) distance(a, b string) int {
 	la, lb := len(a), len(b)
 	if la == 0 {
 		return lb
@@ -172,9 +181,12 @@ func EditDistance(a, b string) int {
 	if lb == 0 {
 		return la
 	}
-	prev2 := make([]int, lb+1)
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
+	if cap(r.cur) < lb+1 {
+		r.prev2 = make([]int, lb+1)
+		r.prev = make([]int, lb+1)
+		r.cur = make([]int, lb+1)
+	}
+	prev2, prev, cur := r.prev2[:lb+1], r.prev[:lb+1], r.cur[:lb+1]
 	for j := 0; j <= lb; j++ {
 		prev[j] = j
 	}
@@ -204,7 +216,9 @@ func EditDistance(a, b string) int {
 	return prev[lb]
 }
 
-// Corrector snaps rare spellings to canonical vocabulary entries.
+// Corrector snaps rare spellings to canonical vocabulary entries. It
+// reuses its edit-distance rows across calls, so it is not safe for
+// concurrent use.
 type Corrector struct {
 	opts Options
 	// canon maps the first two letters to canonical names with that
@@ -212,6 +226,7 @@ type Corrector struct {
 	// overwhelmingly preserve the initial letters).
 	canon  map[string][]canonEntry
 	counts map[string]int
+	rows   dpRows
 }
 
 type canonEntry struct {
@@ -267,10 +282,13 @@ func (c *Corrector) Correct(name string) (string, bool) {
 	}
 	best, bestDist, bestCount := "", maxDist+1, 0
 	for _, e := range c.canon[prefixKey(name)] {
-		if abs(len(e.name)-len(name)) > maxDist || e.count < minCanon {
+		if e.count < minCanon {
+			break // entries run from most to least frequent
+		}
+		if abs(len(e.name)-len(name)) > maxDist {
 			continue
 		}
-		d := EditDistance(name, e.name)
+		d := c.rows.distance(name, e.name)
 		if d < bestDist || (d == bestDist && e.count > bestCount) {
 			best, bestDist, bestCount = e.name, d, e.count
 		}
@@ -297,7 +315,10 @@ func Clean(reports []faers.Report, opts Options) ([]faers.Report, Stats) {
 	var st Stats
 	st.ReportsIn = len(reports)
 
-	// Pass 1: normalize strings, count name frequencies.
+	// Pass 1: normalize strings, count name frequencies. Names repeat
+	// across reports, so each distinct raw string is normalized once.
+	normDrug := memoize(NormalizeDrug)
+	normReac := memoize(NormalizeReaction)
 	norm := make([]faers.Report, len(reports))
 	drugCounts := make(map[string]int)
 	reacCounts := make(map[string]int)
@@ -306,13 +327,13 @@ func Clean(reports []faers.Report, opts Options) ([]faers.Report, Stats) {
 		n.Drugs = make([]string, 0, len(r.Drugs))
 		n.Reactions = make([]string, 0, len(r.Reactions))
 		for _, d := range r.Drugs {
-			if nd := NormalizeDrug(d); nd != "" {
+			if nd := normDrug(d); nd != "" {
 				n.Drugs = append(n.Drugs, nd)
 				drugCounts[nd]++
 			}
 		}
 		for _, a := range r.Reactions {
-			if na := NormalizeReaction(a); na != "" {
+			if na := normReac(a); na != "" {
 				n.Reactions = append(n.Reactions, na)
 				reacCounts[na]++
 			}
@@ -320,19 +341,20 @@ func Clean(reports []faers.Report, opts Options) ([]faers.Report, Stats) {
 		norm[i] = n
 	}
 
-	// Pass 2: spelling correction against the observed vocabulary.
+	// Pass 2: spelling correction against the observed vocabulary,
+	// once per distinct name; the stats still count occurrences.
 	if opts.SpellCorrect {
-		dc := NewCorrector(drugCounts, opts)
-		rc := NewCorrector(reacCounts, opts)
+		drugFixes := corrections(drugCounts, opts)
+		reacFixes := corrections(reacCounts, opts)
 		for i := range norm {
 			for j, d := range norm[i].Drugs {
-				if fixed, changed := dc.Correct(d); changed {
+				if fixed, ok := drugFixes[d]; ok {
 					norm[i].Drugs[j] = fixed
 					st.DrugSpellingsFixed++
 				}
 			}
 			for j, a := range norm[i].Reactions {
-				if fixed, changed := rc.Correct(a); changed {
+				if fixed, ok := reacFixes[a]; ok {
 					norm[i].Reactions[j] = fixed
 					st.ReacSpellingsFixed++
 				}
@@ -370,6 +392,32 @@ func Clean(reports []faers.Report, opts Options) ([]faers.Report, Stats) {
 	}
 	st.ReportsOut = len(out)
 	return out, st
+}
+
+// memoize caches f's result per distinct argument.
+func memoize(f func(string) string) func(string) string {
+	seen := make(map[string]string)
+	return func(s string) string {
+		v, ok := seen[s]
+		if !ok {
+			v = f(s)
+			seen[s] = v
+		}
+		return v
+	}
+}
+
+// corrections runs the corrector built from counts once per distinct
+// name and returns the names it changes, with their corrections.
+func corrections(counts map[string]int, opts Options) map[string]string {
+	c := NewCorrector(counts, opts)
+	fixes := make(map[string]string)
+	for name := range counts {
+		if fixed, changed := c.Correct(name); changed {
+			fixes[name] = fixed
+		}
+	}
+	return fixes
 }
 
 // dedupSorted sorts and deduplicates a string slice in place.

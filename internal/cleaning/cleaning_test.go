@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"maras/internal/faers"
+	"maras/internal/synth"
 )
 
 func TestNormalizeDrug(t *testing.T) {
@@ -242,5 +243,98 @@ func TestCleanNoSpellCorrectOption(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out[len(out)-1].Drugs, []string{"IBUPROFEM"}) {
 		t.Errorf("typo was altered: %v", out[len(out)-1].Drugs)
+	}
+}
+
+// referenceClean is Clean without its per-name memos: every
+// occurrence is normalized and corrected on its own.
+func referenceClean(reports []faers.Report, opts Options) ([]faers.Report, Stats) {
+	opts = opts.normalized()
+	st := Stats{ReportsIn: len(reports)}
+	norm := make([]faers.Report, len(reports))
+	drugCounts := make(map[string]int)
+	reacCounts := make(map[string]int)
+	for i, r := range reports {
+		n := r
+		n.Drugs, n.Reactions = nil, nil
+		for _, d := range r.Drugs {
+			if nd := NormalizeDrug(d); nd != "" {
+				n.Drugs = append(n.Drugs, nd)
+				drugCounts[nd]++
+			}
+		}
+		for _, a := range r.Reactions {
+			if na := NormalizeReaction(a); na != "" {
+				n.Reactions = append(n.Reactions, na)
+				reacCounts[na]++
+			}
+		}
+		norm[i] = n
+	}
+	if opts.SpellCorrect {
+		dc := NewCorrector(drugCounts, opts)
+		rc := NewCorrector(reacCounts, opts)
+		for i := range norm {
+			for j, d := range norm[i].Drugs {
+				if fixed, changed := dc.Correct(d); changed {
+					norm[i].Drugs[j] = fixed
+					st.DrugSpellingsFixed++
+				}
+			}
+			for j, a := range norm[i].Reactions {
+				if fixed, changed := rc.Correct(a); changed {
+					norm[i].Reactions[j] = fixed
+					st.ReacSpellingsFixed++
+				}
+			}
+		}
+	}
+	seenCase := make(map[string]bool)
+	var out []faers.Report
+	for _, r := range norm {
+		before := len(r.Drugs)
+		r.Drugs = dedupSorted(r.Drugs)
+		st.WithinReportDupDrugs += before - len(r.Drugs)
+		before = len(r.Reactions)
+		r.Reactions = dedupSorted(r.Reactions)
+		st.WithinReportDupReacs += before - len(r.Reactions)
+		if len(r.Drugs) == 0 || len(r.Reactions) == 0 {
+			st.EmptyReports++
+			continue
+		}
+		if opts.DropDuplicateReports && r.CaseID != "" {
+			if seenCase[r.CaseID] {
+				st.DuplicateReports++
+				continue
+			}
+			seenCase[r.CaseID] = true
+		}
+		out = append(out, r)
+	}
+	st.ReportsOut = len(out)
+	return out, st
+}
+
+// Memoizing per distinct name must not change what Clean returns or
+// what its stats count, on a quarter with injected misspellings.
+func TestCleanMatchesPerOccurrenceReference(t *testing.T) {
+	cfg := synth.DefaultConfig("2014Q1", 11)
+	cfg.Reports = 4000
+	cfg.MisspellRate = 0.05
+	q, _, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := q.Reports()
+	got, gotSt := Clean(reports, Defaults())
+	want, wantSt := referenceClean(reports, Defaults())
+	if gotSt != wantSt {
+		t.Fatalf("stats = %+v, reference %+v", gotSt, wantSt)
+	}
+	if gotSt.DrugSpellingsFixed == 0 {
+		t.Fatal("fixture fixed no misspelling")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("cleaned reports differ from the per-occurrence reference")
 	}
 }

@@ -288,12 +288,6 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 		opts.Knowledge = knowledge.Builtin()
 	}
 
-	serious := make(map[string]bool)
-	for i := range reports {
-		if reports[i].Serious() {
-			serious[reports[i].PrimaryID] = true
-		}
-	}
 	db, cstats, err := encodeReports(ctx, reports, opts)
 	if err != nil {
 		return nil, err
@@ -365,6 +359,12 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 	signals := make([]Signal, len(ranked))
 	known := 0
 	prof.DoStage(ctx, StageLink, func() {
+		serious := make(map[string]bool)
+		for i := range reports {
+			if reports[i].Serious() {
+				serious[reports[i].PrimaryID] = true
+			}
+		}
 		var tidBuf []txdb.TID
 		for i, r := range ranked {
 			c := r.Cluster

@@ -12,9 +12,10 @@ package faers
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -106,17 +107,26 @@ func (r *Report) Serious() bool { return len(r.Outcomes) > 0 }
 // emitted (FAERS extracts do contain orphans) with only the fields
 // present.
 func (q *Quarter) Reports() []Report {
-	byID := make(map[string]*Report)
-	get := func(id string) *Report {
-		r := byID[id]
-		if r == nil {
-			r = &Report{PrimaryID: id}
-			byID[id] = r
+	index := make(map[string]int32, len(q.Demos))
+	reps := make([]Report, 0, len(q.Demos))
+	// Extracts list a report's rows together, so the last report
+	// looked up usually answers the next lookup too.
+	lastID, last := "", int32(-1)
+	get := func(id string) int32 {
+		if last >= 0 && id == lastID {
+			return last
 		}
-		return r
+		i, ok := index[id]
+		if !ok {
+			i = int32(len(reps))
+			index[id] = i
+			reps = append(reps, Report{PrimaryID: id})
+		}
+		lastID, last = id, i
+		return i
 	}
 	for _, d := range q.Demos {
-		r := get(d.PrimaryID)
+		r := &reps[get(d.PrimaryID)]
 		r.CaseID = d.CaseID
 		r.ReportCode = d.ReportCode
 		r.Sex = d.Sex
@@ -125,31 +135,59 @@ func (q *Quarter) Reports() []Report {
 		r.Country = d.Country
 		r.EventDate = d.EventDate
 	}
-	drugRows := make([]Drug, len(q.Drugs))
-	copy(drugRows, q.Drugs)
-	sort.SliceStable(drugRows, func(i, j int) bool {
-		if drugRows[i].PrimaryID != drugRows[j].PrimaryID {
-			return drugRows[i].PrimaryID < drugRows[j].PrimaryID
+
+	// Bucket the drug rows by report, in file order, then order each
+	// bucket by sequence number (stably, so repeated numbers keep
+	// file order).
+	owner := make([]int32, len(q.Drugs))
+	for i := range q.Drugs {
+		owner[i] = get(q.Drugs[i].PrimaryID)
+	}
+	start := make([]int32, len(reps)+1)
+	for _, o := range owner {
+		start[o+1]++
+	}
+	for i := range reps {
+		start[i+1] += start[i]
+	}
+	next := slices.Clone(start)
+	rows := make([]int32, len(q.Drugs))
+	for i, o := range owner {
+		rows[next[o]] = int32(i)
+		next[o]++
+	}
+	for i := range reps {
+		bucket := rows[start[i]:start[i+1]]
+		if len(bucket) == 0 {
+			continue
 		}
-		return drugRows[i].Seq < drugRows[j].Seq
-	})
-	for _, d := range drugRows {
-		r := get(d.PrimaryID)
-		r.Drugs = append(r.Drugs, d.Name)
-		r.DrugRoles = append(r.DrugRoles, d.RoleCode)
+		slices.SortStableFunc(bucket, func(a, b int32) int { return cmp.Compare(q.Drugs[a].Seq, q.Drugs[b].Seq) })
+		r := &reps[i]
+		r.Drugs = make([]string, len(bucket))
+		r.DrugRoles = make([]string, len(bucket))
+		for k, row := range bucket {
+			r.Drugs[k] = q.Drugs[row].Name
+			r.DrugRoles[k] = q.Drugs[row].RoleCode
+		}
 	}
 	for _, rc := range q.Reacs {
-		get(rc.PrimaryID).Reactions = append(get(rc.PrimaryID).Reactions, rc.Term)
+		r := &reps[get(rc.PrimaryID)]
+		r.Reactions = append(r.Reactions, rc.Term)
 	}
 	for _, oc := range q.Outcs {
-		get(oc.PrimaryID).Outcomes = append(get(oc.PrimaryID).Outcomes, oc.Code)
+		r := &reps[get(oc.PrimaryID)]
+		r.Outcomes = append(r.Outcomes, oc.Code)
 	}
 
-	out := make([]Report, 0, len(byID))
-	for _, r := range byID {
-		out = append(out, *r)
+	order := make([]int32, len(reps))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PrimaryID < out[j].PrimaryID })
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(reps[a].PrimaryID, reps[b].PrimaryID) })
+	out := make([]Report, len(reps))
+	for i, k := range order {
+		out[i] = reps[k]
+	}
 	return out
 }
 

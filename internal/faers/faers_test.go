@@ -1,9 +1,12 @@
 package faers
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -238,5 +241,77 @@ func TestLoadQuarterMissingDemoFails(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := LoadQuarter(dir, "2014Q1"); err == nil {
 		t.Error("missing DEMO should fail")
+	}
+}
+
+// referenceReports assembles reports the direct way: a map of report
+// pointers, drug rows stably sorted by (PrimaryID, Seq), and the
+// reports sorted by PrimaryID.
+func referenceReports(q *Quarter) []Report {
+	byID := make(map[string]*Report)
+	get := func(id string) *Report {
+		r := byID[id]
+		if r == nil {
+			r = &Report{PrimaryID: id}
+			byID[id] = r
+		}
+		return r
+	}
+	for _, d := range q.Demos {
+		r := get(d.PrimaryID)
+		r.CaseID, r.ReportCode, r.Sex, r.Age = d.CaseID, d.ReportCode, d.Sex, d.Age
+		r.AgeCode, r.Country, r.EventDate = d.AgeCode, d.Country, d.EventDate
+	}
+	drugRows := append([]Drug(nil), q.Drugs...)
+	sort.SliceStable(drugRows, func(i, j int) bool {
+		if drugRows[i].PrimaryID != drugRows[j].PrimaryID {
+			return drugRows[i].PrimaryID < drugRows[j].PrimaryID
+		}
+		return drugRows[i].Seq < drugRows[j].Seq
+	})
+	for _, d := range drugRows {
+		r := get(d.PrimaryID)
+		r.Drugs = append(r.Drugs, d.Name)
+		r.DrugRoles = append(r.DrugRoles, d.RoleCode)
+	}
+	for _, rc := range q.Reacs {
+		r := get(rc.PrimaryID)
+		r.Reactions = append(r.Reactions, rc.Term)
+	}
+	for _, oc := range q.Outcs {
+		r := get(oc.PrimaryID)
+		r.Outcomes = append(r.Outcomes, oc.Code)
+	}
+	out := make([]Report, 0, len(byID))
+	for _, r := range byID {
+		out = append(out, *r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].PrimaryID < out[j].PrimaryID })
+	return out
+}
+
+// Reports must assemble exactly what the direct join does on tables in
+// arbitrary order: shuffled rows, drug sequence numbers out of order
+// and repeated, demographics repeated, and drug, reaction and outcome
+// rows of reports that have no demographics.
+func TestQuarterReportsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	id := func() string { return fmt.Sprintf("%d", 1000+rng.Intn(300)) }
+	var q Quarter
+	for i := 0; i < 250; i++ {
+		q.Demos = append(q.Demos, Demo{PrimaryID: id(), CaseID: fmt.Sprint(i), Sex: "F"})
+	}
+	for i := 0; i < 900; i++ {
+		q.Drugs = append(q.Drugs, Drug{PrimaryID: id(), Seq: 1 + rng.Intn(6), RoleCode: "PS", Name: fmt.Sprintf("D%d", i)})
+	}
+	for i := 0; i < 700; i++ {
+		q.Reacs = append(q.Reacs, Reac{PrimaryID: id(), Term: fmt.Sprintf("R%d", i)})
+	}
+	for i := 0; i < 200; i++ {
+		q.Outcs = append(q.Outcs, Outc{PrimaryID: id(), Code: "HO"})
+	}
+	got, want := q.Reports(), referenceReports(&q)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("assembled reports differ from the direct join (%d vs %d reports)", len(got), len(want))
 	}
 }

@@ -1,8 +1,19 @@
 // Package lcm implements closed frequent itemset mining with the LCM
-// (Linear-time Closed itemset Miner, Uno et al.) algorithm over the
-// transaction database's vertical layout: prefix-preserving closure
-// extension enumerates each closed itemset exactly once, with no
-// candidate storage and no subsumption index.
+// (Linear-time Closed itemset Miner, Uno et al.) algorithm:
+// prefix-preserving closure extension enumerates each closed itemset
+// exactly once, with no candidate storage and no subsumption index.
+//
+// Every node works on a conditional database projected from its
+// parent's (LCM ver. 2's database reduction, Uno, Kiyomi & Arimura,
+// FIMI'04). A node writes its transactions, restricted to its
+// candidate extensions, into one buffer, each ended by a terminator
+// that names the transaction; a child receives only the offsets just
+// past its own item and scans those suffixes, so the deeper the node,
+// the less it reads. The prefix-preservation check runs before the
+// count scan, on the original transactions, and stops as soon as it
+// knows the node passes. The root's branches are independent, so
+// they are mined on a pool of GOMAXPROCS workers, each with its own
+// scratch; the final sort fixes the order.
 //
 // It is the production miner: the pipeline (package core) takes its
 // closed sets from MineClosed. Package fpgrowth's mine-then-filter
@@ -11,7 +22,11 @@
 package lcm
 
 import (
-	"sort"
+	"cmp"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"maras/internal/fpgrowth"
 	"maras/internal/txdb"
@@ -35,167 +50,337 @@ type Options struct {
 // result order matches fpgrowth.MineClosed (support desc, then
 // length, then lexicographic) for interchangeability.
 func MineClosed(db *txdb.DB, opts Options) []fpgrowth.FrequentSet {
+	return mineClosed(db, opts, runtime.GOMAXPROCS(0))
+}
+
+// mineClosed is MineClosed on at most workers goroutines; one worker
+// mines serially on the calling goroutine.
+func mineClosed(db *txdb.DB, opts Options, workers int) []fpgrowth.FrequentSet {
 	if opts.MinSupport < 1 {
 		opts.MinSupport = 1
 	}
 	if opts.MaxLen < 0 {
 		opts.MaxLen = 0
 	}
-	m := newMiner(db, opts)
-	// Root: process the full database; the closure of the empty set
-	// (items present in every transaction) is emitted by process when
-	// non-empty.
-	m.process(m.allTids(), nil, types.NoItem, true)
+	w := newWorker(db, opts)
+	closure, buf, cands := w.root()
 
-	out := m.out
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	// Each worker takes the next root branch until none is left.
+	var next atomic.Int64
+	drain := func(w *worker) {
+		w.mark(closure, 1)
+		for k := int(next.Add(1)) - 1; k < len(cands); k = int(next.Add(1)) - 1 {
+			w.process(closure, buf, cands[k].occ, cands[k].item, 1)
+		}
+	}
+	ws := []*worker{w}
+	for len(ws) < min(workers, len(cands)) {
+		ws = append(ws, newWorker(db, opts))
+	}
+	var wg sync.WaitGroup
+	for _, x := range ws[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain(x)
+		}()
+	}
+	drain(w)
+	wg.Wait()
+
+	out := w.out
+	if len(ws) > 1 {
+		total := 0
+		for _, x := range ws {
+			total += len(x.out)
+		}
+		out = make([]fpgrowth.FrequentSet, 0, total)
+		for _, x := range ws {
+			out = append(out, x.out...)
+		}
+	}
+	slices.SortFunc(out, func(a, b fpgrowth.FrequentSet) int {
 		if a.Support != b.Support {
-			return a.Support > b.Support
+			return cmp.Compare(b.Support, a.Support)
 		}
 		if len(a.Items) != len(b.Items) {
-			return len(a.Items) < len(b.Items)
+			return cmp.Compare(len(a.Items), len(b.Items))
 		}
-		for k := range a.Items {
-			if a.Items[k] != b.Items[k] {
-				return a.Items[k] < b.Items[k]
-			}
-		}
-		return false
+		return slices.Compare(a.Items, b.Items)
 	})
 	return out
 }
 
-type miner struct {
-	db   *txdb.DB
-	opts Options
-	// counts and slot are occurrence-deliver scratch arrays indexed by
-	// item ID. process restores both (counts to 0, slot to -1) before
-	// recursing, so one pair serves the whole traversal; touched is
-	// likewise consumed before recursion.
-	counts  []int
+// candidate is an extension item of a node with its occurrences: the
+// offsets, into the node's projected buffer, just past the item in
+// each projected transaction that contains it.
+type candidate struct {
+	item types.Item
+	occ  []int32
+}
+
+// level is the scratch of one recursion depth: the projected buffer
+// and occurrence block of the node being expanded there, and its
+// candidates. Siblings run one after another, so they share it.
+type level struct {
+	buf   []types.Item
+	occ   []int32
+	cands []candidate
+}
+
+// worker is one miner's scratch. counts and slot are indexed by item
+// and restored (to 0 and -1) after every scan; closed[it] is the depth
+// at which it joined the closure of the current node's ancestry (0 =
+// not in it).
+type worker struct {
+	db      *txdb.DB
+	opts    Options
+	counts  []int32
 	slot    []int32
+	closed  []int32
 	touched []types.Item
+	common  []types.Item
+	extra   []types.Item
+	levels  []level
+	chunk   []types.Item
 	out     []fpgrowth.FrequentSet
 }
 
-func newMiner(db *txdb.DB, opts Options) *miner {
-	m := &miner{
+func newWorker(db *txdb.DB, opts Options) *worker {
+	n := db.Dict().Len()
+	w := &worker{
 		db:     db,
 		opts:   opts,
-		counts: make([]int, db.Dict().Len()),
-		slot:   make([]int32, db.Dict().Len()),
+		counts: make([]int32, n),
+		slot:   make([]int32, n),
+		closed: make([]int32, n),
 	}
-	for i := range m.slot {
-		m.slot[i] = -1
+	for i := range w.slot {
+		w.slot[i] = -1
 	}
-	return m
+	return w
 }
 
-func (m *miner) allTids() []txdb.TID {
-	tids := make([]txdb.TID, m.db.Len())
-	for i := range tids {
-		tids[i] = txdb.TID(i)
-	}
-	return tids
-}
+// terminator ends a projected transaction and names it.
+func terminator(tid int) types.Item { return types.Item(-tid - 1) }
 
-// candidate is an extension item of a node with its conditional
-// tidset.
-type candidate struct {
-	item types.Item
-	tids []txdb.TID
-}
-
-// process handles one node of the LCM traversal: tids is the
-// conditional tidset (the transactions containing the node's
-// generator), prevClosed the parent's closed set, coreIt the item
-// whose addition produced this node (types.NoItem at the root), and
-// isRoot marks the database root. Occurrence deliver — two scans of
-// the conditional transactions — derives the node's closure, its
-// extension candidates and every candidate's tidset; the node then
-// enforces the prefix-preservation condition, emits the closed set,
-// and recurses.
-func (m *miner) process(tids []txdb.TID, prevClosed types.Itemset, coreIt types.Item, isRoot bool) {
-	if len(tids) < m.opts.MinSupport { // MinSupport ≥ 1
-		return
+// root counts the whole database straight from its transactions,
+// emits the closure of the empty set (the items present in every
+// transaction) when non-empty, and projects the database onto the
+// frequent items outside that closure. It returns the closure, the
+// projected buffer and the root's candidates.
+func (w *worker) root() (types.Itemset, []types.Item, []candidate) {
+	txs := w.db.Transactions()
+	n := len(txs)
+	if n < w.opts.MinSupport {
+		return nil, nil, nil
 	}
-	// First scan: item counts within the conditional database.
-	m.touched = m.touched[:0]
-	for _, tid := range tids {
-		for _, it := range m.db.Tx(tid).Items {
-			if m.counts[it] == 0 {
-				m.touched = append(m.touched, it)
-			}
-			m.counts[it]++
+	for _, tx := range txs {
+		for _, it := range tx.Items {
+			w.count(it)
 		}
 	}
-	n := len(tids)
-	var closure types.Itemset
-	var cands []candidate
-	total := 0
-	for _, it := range m.touched {
-		switch c := m.counts[it]; {
-		case c == n:
-			closure = append(closure, it)
-		case c >= m.opts.MinSupport && it > coreIt:
-			cands = append(cands, candidate{item: it})
-			total += c
-		}
-	}
-	closure = closure.Normalize()
-
-	// ppc check: items of the closure below the core item must already
-	// belong to the parent's closed set, otherwise this closed set is
-	// generated from a smaller core elsewhere. The root has no core;
-	// its closure (items present in every transaction) may be empty.
-	if !isRoot && !prefixPreserved(prevClosed, closure, coreIt) {
-		m.resetCounts()
-		return
-	}
+	closure, cands, total := w.classify(nil, types.NoItem, n, 0)
 	if len(closure) > 0 {
-		m.emit(closure, n)
+		w.emit(closure, n)
 	}
 	if len(cands) == 0 {
-		m.resetCounts()
-		return
+		w.reset()
+		return closure, nil, nil
 	}
-
-	// Second scan: deliver each transaction to the tidsets of the
-	// candidates it contains, carved out of one block.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].item < cands[j].item })
-	block := make([]txdb.TID, total)
-	off := 0
-	for i := range cands {
-		c := m.counts[cands[i].item]
-		cands[i].tids = block[off : off : off+c]
-		m.slot[cands[i].item] = int32(i)
-		off += c
-	}
-	m.resetCounts()
-	for _, tid := range tids {
-		for _, it := range m.db.Tx(tid).Items {
-			if k := m.slot[it]; k >= 0 {
-				cands[k].tids = append(cands[k].tids, tid)
+	buf := w.prepare(0, cands, total, n)
+	for tid, tx := range txs {
+		start := len(buf)
+		for _, it := range tx.Items {
+			if k := w.slot[it]; k >= 0 {
+				buf = append(buf, it)
+				cands[k].occ = append(cands[k].occ, int32(len(buf)))
 			}
 		}
+		if len(buf) > start {
+			buf = append(buf, terminator(tid))
+		}
 	}
-	for _, c := range cands {
-		m.slot[c.item] = -1
+	w.finish(cands)
+	return closure, buf, cands
+}
+
+// process expands the child of a node (closed set parent, projected
+// buffer src) generated by adding core, whose transactions are the
+// suffixes of src starting at occ, at depth d ≥ 1: it checks prefix
+// preservation, counts the suffixes to get the closure and the
+// candidates, emits the closure, projects its suffixes onto the
+// candidates, and recurses.
+func (w *worker) process(parent types.Itemset, src []types.Item, occ []int32, core types.Item, d int) {
+	if !w.prefixPreserved(src, occ, core) {
+		return
 	}
+	n := len(occ)
+	for _, o := range occ {
+		for p := o; src[p] >= 0; p++ {
+			w.count(src[p])
+		}
+	}
+	closure, cands, total := w.classify(parent, core, n, d)
+	w.emit(closure, n)
+	if len(cands) == 0 {
+		w.reset()
+		return
+	}
+	buf := w.prepare(d, cands, total, n)
+	for _, o := range occ {
+		start := len(buf)
+		p := o
+		for ; src[p] >= 0; p++ {
+			if k := w.slot[src[p]]; k >= 0 {
+				buf = append(buf, src[p])
+				cands[k].occ = append(cands[k].occ, int32(len(buf)))
+			}
+		}
+		if len(buf) > start {
+			buf = append(buf, src[p])
+		}
+	}
+	w.finish(cands)
 
 	// Recurse even past the length bound: the children of a long
 	// closed set are longer still, but each can contribute its own
 	// bounded subsets.
+	w.mark(closure, int32(d+1))
 	for _, c := range cands {
-		m.process(c.tids, closure, c.item, false)
+		w.process(closure, buf, c.occ, c.item, d+1)
+	}
+	w.unmark(closure, int32(d+1))
+}
+
+// prefixPreserved is LCM's prefix-preservation condition for the
+// child generated by core: no item below core outside the parent's
+// closure may lie in every transaction of the child, or the child's
+// closed set is generated from a smaller core elsewhere. Items below
+// the parent's own core are not in the projection, so the check
+// intersects the original transactions, and stops once the
+// intersection is empty.
+func (w *worker) prefixPreserved(src []types.Item, occ []int32, core types.Item) bool {
+	common := w.common[:0]
+	for i, o := range occ {
+		p := o
+		for src[p] >= 0 {
+			p++
+		}
+		items := w.db.Tx(txdb.TID(-src[p] - 1)).Items
+		if i == 0 {
+			for _, it := range items {
+				if it >= core {
+					break
+				}
+				if w.closed[it] == 0 {
+					common = append(common, it)
+				}
+			}
+		} else {
+			common = intersectItems(common, items)
+		}
+		if len(common) == 0 {
+			break
+		}
+	}
+	w.common = common
+	return len(common) == 0
+}
+
+// count adds one occurrence of it to the current scan.
+func (w *worker) count(it types.Item) {
+	if w.counts[it] == 0 {
+		w.touched = append(w.touched, it)
+	}
+	w.counts[it]++
+}
+
+// classify splits the items the scan touched, over n transactions:
+// those in all n join the closure, which is parent ∪ {core} ∪ them;
+// the other frequent ones become depth d's candidates, whose counts
+// sum to total.
+func (w *worker) classify(parent types.Itemset, core types.Item, n, d int) (types.Itemset, []candidate, int) {
+	for len(w.levels) <= d {
+		w.levels = append(w.levels, level{})
+	}
+	extra := w.extra[:0]
+	if core != types.NoItem {
+		extra = append(extra, core)
+	}
+	cands := w.levels[d].cands[:0]
+	total := 0
+	for _, it := range w.touched {
+		switch c := int(w.counts[it]); {
+		case c == n:
+			extra = append(extra, it)
+		case c >= w.opts.MinSupport:
+			cands = append(cands, candidate{item: it})
+			total += c
+		}
+	}
+	slices.Sort(extra)
+	w.extra = extra
+	w.levels[d].cands = cands
+	return w.merge(parent, extra), cands, total
+}
+
+// prepare sizes depth d's buffer and occurrence block for a
+// projection onto cands (total occurrences over n transactions),
+// carves each candidate's occurrence list out of the block, and
+// points slot at the candidates. It clears the scan's counts and
+// returns the empty buffer, whose capacity the projection never
+// exceeds.
+func (w *worker) prepare(d int, cands []candidate, total, n int) []types.Item {
+	lv := &w.levels[d]
+	if cap(lv.buf) < total+n {
+		lv.buf = make([]types.Item, 0, total+n)
+	}
+	if cap(lv.occ) < total {
+		lv.occ = make([]int32, total)
+	}
+	lv.buf = lv.buf[:0]
+	off := 0
+	for k := range cands {
+		c := int(w.counts[cands[k].item])
+		cands[k].occ = lv.occ[off : off : off+c]
+		w.slot[cands[k].item] = int32(k)
+		off += c
+	}
+	w.reset()
+	return lv.buf
+}
+
+// finish restores slot after a projection.
+func (w *worker) finish(cands []candidate) {
+	for _, c := range cands {
+		w.slot[c.item] = -1
 	}
 }
 
-// resetCounts zeroes the counts of the items the last scan touched.
-func (m *miner) resetCounts() {
-	for _, it := range m.touched {
-		m.counts[it] = 0
+// reset zeroes the counts of the items the last scan touched.
+func (w *worker) reset() {
+	for _, it := range w.touched {
+		w.counts[it] = 0
+	}
+	w.touched = w.touched[:0]
+}
+
+// mark records the items of closure not yet in closed as joining at
+// depth d; unmark undoes it.
+func (w *worker) mark(closure types.Itemset, d int32) {
+	for _, it := range closure {
+		if w.closed[it] == 0 {
+			w.closed[it] = d
+		}
+	}
+}
+
+func (w *worker) unmark(closure types.Itemset, d int32) {
+	for _, it := range closure {
+		if w.closed[it] == d {
+			w.closed[it] = 0
+		}
 	}
 }
 
@@ -204,12 +389,12 @@ func (m *miner) resetCounts() {
 // those have no equal-support proper superset of at most L items, so
 // they are closed within the bounded universe. Each such subset has c
 // as its closure, so no subset is emitted twice.
-func (m *miner) emit(c types.Itemset, n int) {
-	if m.opts.MaxLen == 0 || len(c) <= m.opts.MaxLen {
-		m.out = append(m.out, fpgrowth.FrequentSet{Items: c, Support: n})
+func (w *worker) emit(c types.Itemset, n int) {
+	if w.opts.MaxLen == 0 || len(c) <= w.opts.MaxLen {
+		w.out = append(w.out, fpgrowth.FrequentSet{Items: c, Support: n})
 		return
 	}
-	m.boundedSubsets(c, n, make(types.Itemset, 0, m.opts.MaxLen), 0, nil)
+	w.boundedSubsets(c, n, make(types.Itemset, 0, w.opts.MaxLen), 0, nil)
 }
 
 // boundedSubsets extends prefix (a subset of c drawn from c[from:]
@@ -218,39 +403,80 @@ func (m *miner) emit(c types.Itemset, n int) {
 // the support of c. The prefix's tidset only shrinks as items of c
 // are added and never below c's, so once it holds n transactions it
 // is c's tidset and needs no further intersection.
-func (m *miner) boundedSubsets(c types.Itemset, n int, prefix types.Itemset, from int, prefixTids []txdb.TID) {
-	if len(prefix) == m.opts.MaxLen {
+func (w *worker) boundedSubsets(c types.Itemset, n int, prefix types.Itemset, from int, prefixTids []txdb.TID) {
+	if len(prefix) == w.opts.MaxLen {
 		if len(prefixTids) == n {
-			m.out = append(m.out, fpgrowth.FrequentSet{Items: prefix.Clone(), Support: n})
+			w.out = append(w.out, fpgrowth.FrequentSet{Items: append(w.itemset(len(prefix)), prefix...), Support: n})
 		}
 		return
 	}
 	// Leave room for the items the bound still needs.
-	last := len(c) - (m.opts.MaxLen - len(prefix))
+	last := len(c) - (w.opts.MaxLen - len(prefix))
 	for i := from; i <= last; i++ {
 		tids := prefixTids
 		switch {
 		case tids == nil:
-			tids = m.db.Postings(c[i])
+			tids = w.db.Postings(c[i])
 		case len(tids) > n:
-			tids = intersectTids(tids, m.db.Postings(c[i]))
+			tids = intersectTids(tids, w.db.Postings(c[i]))
 		}
-		m.boundedSubsets(c, n, append(prefix, c[i]), i+1, tids)
+		w.boundedSubsets(c, n, append(prefix, c[i]), i+1, tids)
 	}
 }
 
-// prefixPreserved reports whether closure's items below j all belong
-// to c (the prefix-preservation condition of LCM).
-func prefixPreserved(c, closure types.Itemset, j types.Item) bool {
-	for _, it := range closure {
-		if it >= j {
-			break
-		}
-		if !c.Contains(it) {
-			return false
+// itemset returns an empty itemset with room for n items, carved from
+// the worker's current chunk. Emitted sets live as long as the result,
+// so chunks are never reused; each set's capacity is capped, so
+// appending to one cannot overwrite its neighbour.
+func (w *worker) itemset(n int) types.Itemset {
+	if cap(w.chunk)-len(w.chunk) < n {
+		w.chunk = make([]types.Item, 0, max(chunkItems, n))
+	}
+	k := len(w.chunk)
+	w.chunk = w.chunk[:k+n]
+	return w.chunk[k : k : k+n]
+}
+
+// chunkItems is the size of the chunks emitted itemsets are carved
+// from.
+const chunkItems = 4096
+
+// merge returns the union of the sorted, disjoint itemsets a and b
+// as a new itemset.
+func (w *worker) merge(a, b types.Itemset) types.Itemset {
+	out := w.itemset(len(a) + len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
 		}
 	}
-	return true
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// intersectItems keeps the items of the sorted set a that also occur
+// in the sorted set b, in place.
+func intersectItems(a, b []types.Item) []types.Item {
+	out := a[:0]
+	j := 0
+	for _, v := range a {
+		for j < len(b) && b[j] < v {
+			j++
+		}
+		if j == len(b) {
+			break
+		}
+		if b[j] == v {
+			out = append(out, v)
+			j++
+		}
+	}
+	return out
 }
 
 // intersectTids intersects two sorted TID lists.

@@ -1,0 +1,206 @@
+package lcm
+
+import (
+	"math/bits"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"maras/internal/fpgrowth"
+	"maras/internal/types"
+)
+
+// oracleMaxItems bounds the item universe of the by-definition
+// oracle: it enumerates all 2^n itemsets.
+const oracleMaxItems = 12
+
+// oracleClosed computes, by definition, what MineClosed must return
+// for txs (transactions over items 0..nItems-1, at most
+// oracleMaxItems). Every itemset is enumerated as a bitmask; its
+// closure is the intersection of the transactions that contain it,
+// and it is closed when it equals its closure. The result keeps the
+// non-empty frequent closed sets and applies the MaxLen rule
+// documented on Options: closed sets of at most maxLen items, plus the
+// maxLen-item subsets of every longer closed set C that have C's
+// support.
+func oracleClosed(txs [][]int, nItems, minsup, maxLen int) map[string]int {
+	masks := make([]uint32, len(txs))
+	for i, tx := range txs {
+		for _, it := range tx {
+			masks[i] |= 1 << it
+		}
+	}
+	support := func(x uint32) int {
+		n := 0
+		for _, m := range masks {
+			if m&x == x {
+				n++
+			}
+		}
+		return n
+	}
+	out := make(map[string]int)
+	keep := func(x uint32, sup int) {
+		out[maskSet(x).Key()] = sup
+	}
+	for x := uint32(1); x < 1<<nItems; x++ {
+		sup := support(x)
+		if sup < minsup || sup == 0 {
+			continue
+		}
+		closure := ^uint32(0)
+		for _, m := range masks {
+			if m&x == x {
+				closure &= m
+			}
+		}
+		if closure != x {
+			continue
+		}
+		if maxLen <= 0 || bits.OnesCount32(x) <= maxLen {
+			keep(x, sup)
+			continue
+		}
+		// x is closed and longer than the bound: keep its maxLen-item
+		// subsets of equal support.
+		for y := x; y > 0; y = (y - 1) & x {
+			if bits.OnesCount32(y) == maxLen && support(y) == sup {
+				keep(y, sup)
+			}
+		}
+	}
+	return out
+}
+
+func maskSet(x uint32) types.Itemset {
+	var s types.Itemset
+	for ; x != 0; x &= x - 1 {
+		s = append(s, types.Item(bits.TrailingZeros32(x)))
+	}
+	return s
+}
+
+// checkAgainstOracle mines txs under one and four workers and holds
+// each result to the oracle: the same sets with the same supports,
+// none twice, in the documented order.
+func checkAgainstOracle(t *testing.T, label string, txs [][]int, nItems, minsup, maxLen int) {
+	t.Helper()
+	want := oracleClosed(txs, nItems, minsup, maxLen)
+	db := buildDB(t, txs)
+	for _, workers := range []int{1, 4} {
+		got := mineClosed(db, Options{MinSupport: minsup, MaxLen: maxLen}, workers)
+		if len(got) != len(want) {
+			t.Fatalf("%s (minsup=%d maxLen=%d workers=%d): mined %d sets, oracle %d\nmined=%v\noracle=%v",
+				label, minsup, maxLen, workers, len(got), len(want), got, want)
+		}
+		for _, fs := range got {
+			if sup, ok := want[fs.Items.Key()]; !ok || sup != fs.Support {
+				t.Fatalf("%s (minsup=%d maxLen=%d workers=%d): mined %v/%d, oracle support %d (present %v)",
+					label, minsup, maxLen, workers, fs.Items, fs.Support, sup, ok)
+			}
+		}
+		if !sort.SliceIsSorted(got, func(i, j int) bool { return resultLess(got[i], got[j]) }) {
+			t.Fatalf("%s (workers=%d): result not in support/length/lexicographic order", label, workers)
+		}
+	}
+}
+
+// resultLess is the documented result order of MineClosed.
+func resultLess(a, b fpgrowth.FrequentSet) bool {
+	if a.Support != b.Support {
+		return a.Support > b.Support
+	}
+	if len(a.Items) != len(b.Items) {
+		return len(a.Items) < len(b.Items)
+	}
+	for k := range a.Items {
+		if a.Items[k] != b.Items[k] {
+			return a.Items[k] < b.Items[k]
+		}
+	}
+	return false
+}
+
+func randomTxs(rng *rand.Rand, nTx, nItems int, density float64) [][]int {
+	txs := make([][]int, nTx)
+	for i := range txs {
+		for it := 0; it < nItems; it++ {
+			if rng.Float64() < density {
+				txs[i] = append(txs[i], it)
+			}
+		}
+	}
+	return txs
+}
+
+func TestMineClosedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	type dbCase struct {
+		name   string
+		txs    [][]int
+		nItems int
+	}
+	var cases []dbCase
+	for i := 0; i < 12; i++ {
+		nItems := 3 + rng.Intn(oracleMaxItems-2)
+		cases = append(cases, dbCase{"random", randomTxs(rng, 1+rng.Intn(40), nItems, 0.2+0.6*rng.Float64()), nItems})
+	}
+	for i := 0; i < 6; i++ {
+		// A few distinct transactions, each repeated many times.
+		nItems := 4 + rng.Intn(oracleMaxItems-3)
+		distinct := randomTxs(rng, 1+rng.Intn(4), nItems, 0.5)
+		var txs [][]int
+		for n := 20 + rng.Intn(30); n > 0; n-- {
+			txs = append(txs, distinct[rng.Intn(len(distinct))])
+		}
+		cases = append(cases, dbCase{"duplicate-heavy", txs, nItems})
+	}
+	same := []int{0, 2, 3, 5, 8}
+	cases = append(cases,
+		dbCase{"all-identical", [][]int{same, same, same, same, same, same}, 9},
+		dbCase{"single transaction", [][]int{{1, 4, 6, 7}}, 8},
+		dbCase{"empty transactions", [][]int{{}, {0, 1}, {}, {0, 1, 2}, {}, {1, 2}}, 3},
+		dbCase{"only empty transactions", [][]int{{}, {}, {}}, 1},
+		dbCase{"all items everywhere", [][]int{{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}}, 5},
+	)
+	for _, c := range cases {
+		for _, minsup := range []int{1, 2, 3, len(c.txs), len(c.txs) + 1} {
+			for maxLen := 0; maxLen <= 3; maxLen++ {
+				checkAgainstOracle(t, c.name, c.txs, c.nItems, minsup, maxLen)
+			}
+		}
+	}
+}
+
+// FuzzMineClosed decodes the input into a small database (up to
+// oracleMaxItems items and 48 transactions, two bytes of item bitmask
+// each) plus minimum support and length bound, and holds MineClosed
+// to the oracle under one and four workers.
+func FuzzMineClosed(f *testing.F) {
+	f.Add([]byte{5, 1, 0, 0x1f, 0, 0x0f, 0, 0x03, 0, 0x03, 0})
+	f.Add([]byte{12, 2, 3, 0xff, 0x0f, 0xff, 0x0f, 0xf0, 0x00, 0x0f, 0x0f})
+	f.Add([]byte{8, 1, 2, 0, 0, 0x81, 0, 0x81, 0, 0x42, 0})
+	f.Add([]byte{3, 9, 1, 0x07, 0, 0x07, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		nItems := 1 + int(data[0])%oracleMaxItems
+		minsup := 1 + int(data[1])%6
+		maxLen := int(data[2]) % 5
+		data = data[3:]
+		var txs [][]int
+		for len(data) >= 2 && len(txs) < 48 {
+			mask := (uint32(data[0]) | uint32(data[1])<<8) & (1<<nItems - 1)
+			data = data[2:]
+			var tx []int
+			for it := 0; it < nItems; it++ {
+				if mask&(1<<it) != 0 {
+					tx = append(tx, it)
+				}
+			}
+			txs = append(txs, tx)
+		}
+		checkAgainstOracle(t, "fuzz", txs, nItems, minsup, maxLen)
+	})
+}

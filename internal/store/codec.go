@@ -22,7 +22,8 @@
 // verify the CRC before parsing a single section, and every decode is
 // bounds-checked: corrupt input yields a typed error, never a panic.
 // The meta section comes first, directly after the header, so
-// ReadManifest finds it with one small read.
+// ReadManifest finds it with one small read. The dictionary precedes
+// the signals, whose cluster rules may name only items it issued.
 //
 // Version 2 adds the quality section (the metric half of an
 // audit.QualityReport, persisted so serving a quarter's ingest-quality
@@ -442,7 +443,14 @@ func Decode(data []byte) (*Snapshot, error) {
 		case secDict:
 			dict = sd.dict()
 		case secSignals:
-			signals = sd.signals()
+			// Rendering looks every cluster item's name up by ID, so
+			// the dictionary comes first and bounds the items.
+			if dict == nil {
+				sd.fail("signals precede the dictionary")
+			} else {
+				sd.items = dict.Len()
+				signals = sd.signals()
+			}
 		case secReports:
 			if version >= 3 {
 				reportsPayload = payload
@@ -641,6 +649,9 @@ type dec struct {
 	b   []byte
 	off int
 	err error
+	// items is the number of items the dictionary issued; itemset
+	// rejects any other ID.
+	items int
 }
 
 func (d *dec) fail(format string, args ...any) {
@@ -767,6 +778,10 @@ func (d *dec) itemset() types.Itemset {
 	out := make(types.Itemset, n)
 	for i := range out {
 		out[i] = types.Item(d.u32())
+		if out[i] < 0 || int(out[i]) >= d.items {
+			d.fail("item %d outside the %d-item dictionary", out[i], d.items)
+			return nil
+		}
 	}
 	return out
 }

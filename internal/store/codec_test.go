@@ -16,6 +16,7 @@ import (
 	"maras/internal/audit"
 	"maras/internal/core"
 	"maras/internal/synth"
+	"maras/internal/types"
 )
 
 // synthAnalysis mines a small synthetic quarter — a full Analysis
@@ -406,5 +407,64 @@ func TestDecodeUnknownQualityFormat(t *testing.T) {
 	want := audit.ComputeQuality("2014Q1", snap.Analysis)
 	if !reflect.DeepEqual(snap.Quality, want) {
 		t.Error("fallback recompute mismatch")
+	}
+}
+
+// unissuedItem returns a v3 snapshot of a whose first signal's first
+// contextual rule names item id in place of its first drug, with the
+// CRC resealed: a file that passes the CRC but carries an item the
+// dictionary never issued (ids at or above 2^31 decode as negative
+// items). Rendering the signal's glyph labels that rule.
+func unissuedItem(t testing.TB, a *core.Analysis, id uint32) []byte {
+	t.Helper()
+	const marker = 0x5eed1234
+	rule := &a.Signals[0].Cluster.Levels[0].Rules[0]
+	saved := rule.Antecedent
+	rule.Antecedent = append(types.Itemset{marker}, saved[1:]...)
+	var buf bytes.Buffer
+	err := writeVersion(&buf, "2014Q1", a, time.Unix(42, 0), Version)
+	rule.Antecedent = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	mark := binary.LittleEndian.AppendUint32(nil, marker)
+	at := bytes.Index(data, mark)
+	if at < 0 || bytes.Count(data, mark) != 1 {
+		t.Fatal("marker item not found exactly once")
+	}
+	binary.LittleEndian.PutUint32(data[at:], id)
+	return reseal(data)
+}
+
+func TestDecodeRejectsItemsOutsideDictionary(t *testing.T) {
+	a := synthAnalysis(t)
+	n := uint32(a.Dict().Len())
+	for _, id := range []uint32{n, n + 1000, 1 << 31, 0xfffffffe} {
+		if _, err := Decode(unissuedItem(t, a, id)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("item %d in a %d-item dictionary: got %v, want ErrCorrupt", id, n, err)
+		}
+	}
+	// The last issued item still decodes.
+	if _, err := Decode(unissuedItem(t, a, n-1)); err != nil {
+		t.Errorf("item %d: %v", n-1, err)
+	}
+}
+
+// The signals' items are bounded by the dictionary, so a file whose
+// signals section precedes it is corrupt.
+func TestDecodeRejectsSignalsBeforeDictionary(t *testing.T) {
+	data := encode(t, "2014Q1", synthAnalysis(t))
+	dictAt, sigAt := sectionAt(data, secDict), sectionAt(data, secSignals)
+	end := sigAt + 8 + int(binary.LittleEndian.Uint32(data[sigAt+4:]))
+	if dictAt < 0 || sigAt < dictAt {
+		t.Fatal("fixture does not write the dictionary before the signals")
+	}
+	swapped := bytes.Clone(data[:dictAt])
+	swapped = append(swapped, data[sigAt:end]...)
+	swapped = append(swapped, data[dictAt:sigAt]...)
+	swapped = append(swapped, data[end:]...)
+	if _, err := Decode(reseal(swapped)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("got %v, want ErrCorrupt", err)
 	}
 }

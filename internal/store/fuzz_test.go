@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"maras/internal/core"
+	"maras/internal/glyph"
 	"maras/internal/synth"
 )
 
@@ -16,11 +17,13 @@ import (
 // errors (ErrBadMagic / ErrVersion / ErrCorrupt) so callers can always
 // classify what they hit. A successful decode must also serve every
 // lazy read without panicking: Report for every indexed ID and
-// Demographics for every signal, so a crafted file with a valid CRC
-// cannot fail later. Seeds cover the honest cases — valid v3, v2 and
-// v1 snapshots, truncations, a bit flip (caught by CRC), and
-// degenerate prefixes — plus v3 files with resealed CRCs whose report
-// index is cut short or points past its section.
+// Demographics for every signal, and render every signal's glyph and
+// zoom view (which look each cluster item's name up by ID), so a
+// crafted file with a valid CRC cannot fail later. Seeds cover the
+// honest cases — valid v3, v2 and v1 snapshots, truncations, a bit flip
+// (caught by CRC), and degenerate prefixes — plus v3 files with
+// resealed CRCs whose report index is cut short or points past its
+// section, or whose cluster names an item the dictionary never issued.
 func FuzzDecode(f *testing.F) {
 	// A deliberately small quarter: mutation throughput matters more
 	// than fixture richness here, and every byte of the format —
@@ -49,6 +52,8 @@ func FuzzDecode(f *testing.F) {
 	crafted := corruptV3(f, v3.Bytes())
 	f.Add(crafted["truncated index"])
 	f.Add(crafted["offset past section"])
+	f.Add(unissuedItem(f, a, uint32(a.Dict().Len())))
+	f.Add(unissuedItem(f, a, 0xfffffffe))
 	f.Add(v2.Bytes())
 	f.Add(v1.Bytes())
 	f.Add(v2.Bytes()[:len(v2.Bytes())/2]) // truncated mid-body
@@ -81,8 +86,11 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("Report(%q) returned report %q", r.PrimaryID, got.PrimaryID)
 			}
 		}
+		dict := an.Dict()
 		for i := range an.Signals {
 			an.Demographics(&an.Signals[i])
+			glyph.Contextual(an.Signals[i].Cluster, glyph.Options{Dict: dict})
+			glyph.Zoom(an.Signals[i].Cluster, dict)
 		}
 	})
 }
