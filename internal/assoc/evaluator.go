@@ -9,24 +9,38 @@ import (
 
 // Evaluator evaluates rules against one frozen transaction database,
 // memoizing every exact support it counts by itemset. A pipeline run
-// shares one Evaluator between rule generation and cluster
-// construction, where the same antecedents, consequents and complete
+// fills one Evaluator during rule generation, and cluster construction
+// reads its memo, where the same antecedents, consequents and complete
 // itemsets recur across thousands of contextual rules. Results are
 // identical to Evaluate's.
 //
 // An Evaluator is not safe for concurrent use; it belongs to the run
-// that created it.
+// that created it. To count on several goroutines, give each its own
+// Fork: forks of one Evaluator may run concurrently with each other as
+// long as nothing writes the parent while they do.
 type Evaluator struct {
 	db   *txdb.DB
+	base map[string]int // the parent's memo, read-only; nil unless forked
 	memo map[string]int // supports of itemsets with ≥ 2 items, by itemKey
 
-	key  []byte     // scratch itemKey
-	tids []txdb.TID // scratch posting-list intersection
+	key   []byte        // scratch itemKey
+	tids  []txdb.TID    // scratch posting-list intersection
+	union types.Itemset // scratch complete itemset
 }
 
 // NewEvaluator returns an Evaluator over db with an empty memo.
 func NewEvaluator(db *txdb.DB) *Evaluator {
 	return &Evaluator{db: db, memo: make(map[string]int)}
+}
+
+// Fork returns an Evaluator over the same database that reads e's memo
+// as a frozen, read-only base and memoizes what it counts in a map of
+// its own, so forks never write e or each other. A fork answers
+// exactly what e would; it only loses the hits on supports that a
+// sibling fork counted. The base is e's own memo, so fork the
+// Evaluator that holds the memo, not a fork of it.
+func (e *Evaluator) Fork() *Evaluator {
+	return &Evaluator{db: e.db, base: e.memo, memo: make(map[string]int)}
 }
 
 // DB returns the database the Evaluator counts against.
@@ -43,6 +57,9 @@ func (e *Evaluator) Support(set types.Itemset) int {
 		return e.db.ItemSupport(set[0])
 	}
 	e.key = itemKey(e.key[:0], set)
+	if s, ok := e.base[string(e.key)]; ok {
+		return s
+	}
 	if s, ok := e.memo[string(e.key)]; ok {
 		return s
 	}
@@ -55,7 +72,8 @@ func (e *Evaluator) Support(set types.Itemset) int {
 // Evaluate is Evaluate(db, antecedent, consequent) with memoized
 // supports.
 func (e *Evaluator) Evaluate(antecedent, consequent types.Itemset) Rule {
-	return e.evaluate(antecedent, consequent, e.Support(antecedent.Union(consequent)))
+	e.union = types.AppendUnion(e.union[:0], antecedent, consequent)
+	return e.evaluate(antecedent, consequent, e.Support(e.union))
 }
 
 // evaluateComplete evaluates the rule drugs ⇒ reactions whose

@@ -164,3 +164,76 @@ func TestFromItemsetsSeedsMemo(t *testing.T) {
 		}
 	}
 }
+
+// Forks of one evaluator, counting concurrently over a parent memo
+// seeded by rule generation, must answer exactly what counting afresh
+// does, and must never write the parent.
+func TestEvaluatorForkMatchesEvaluate(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 10; trial++ {
+		db, drugs, reacs := randomDB(rng, 3+rng.Intn(6), 1+rng.Intn(4), 10+rng.Intn(60), 0.2+0.5*rng.Float64())
+		ev := NewEvaluator(db)
+		FromItemsets(ev, fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 2}), GenOptions{MinDrugs: 1})
+		for i := 0; i < 20; i++ {
+			ev.Evaluate(randomSubset(rng, drugs), randomSubset(rng, reacs))
+		}
+		base := len(ev.memo)
+
+		const forks = 4
+		queries := make([][][2]types.Itemset, forks)
+		for f := range queries {
+			for i := 0; i < 100; i++ {
+				queries[f] = append(queries[f], [2]types.Itemset{randomSubset(rng, drugs), randomSubset(rng, reacs)})
+			}
+		}
+		errs := make(chan string, forks)
+		for f := range queries {
+			fork := ev.Fork()
+			go func() {
+				defer func() { errs <- "" }()
+				for _, q := range queries[f] {
+					want := Evaluate(db, q[0], q[1])
+					if got := fork.Evaluate(q[0], q[1]); !sameMeasures(got, want) {
+						errs <- fmt.Sprintf("trial %d fork %d: %s forked %+v, counted %+v", trial, f, want.Key(), got, want)
+						return
+					}
+				}
+			}()
+		}
+		for range forks {
+			if msg := <-errs; msg != "" {
+				t.Fatal(msg)
+			}
+		}
+		if len(ev.memo) != base {
+			t.Fatalf("trial %d: parent memo grew from %d to %d under forks", trial, base, len(ev.memo))
+		}
+	}
+}
+
+// A fork serves the parent's memo and keeps what it counts to itself.
+func TestEvaluatorForkReadsBase(t *testing.T) {
+	db, m := fixture(t)
+	A, W, Z := m["ASPIRIN"], m["WARFARIN"], m["ZOMETA"]
+	bl := m["Haemorrhage"]
+
+	ev := NewEvaluator(db)
+	ev.Evaluate(types.NewItemset(A, W), types.NewItemset(bl))
+	ev.memo[string(itemKey(nil, types.NewItemset(A, W)))] = 99
+	base := len(ev.memo)
+
+	fork := ev.Fork()
+	if got := fork.Evaluate(types.NewItemset(A, W), types.NewItemset(bl)); got.AntSupport != 99 {
+		t.Errorf("fork antecedent support %d not served from the parent memo", got.AntSupport)
+	}
+	if len(fork.memo) != 0 {
+		t.Errorf("fork memoized %d supports the parent already held", len(fork.memo))
+	}
+	fork.Evaluate(types.NewItemset(A, Z), types.NewItemset(bl))
+	if len(fork.memo) != 2 { // {A,Z} and {A,Z,bl}
+		t.Errorf("fork memo %d after a new rule, want 2", len(fork.memo))
+	}
+	if len(ev.memo) != base {
+		t.Errorf("parent memo grew from %d to %d", base, len(ev.memo))
+	}
+}

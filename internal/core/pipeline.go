@@ -3,15 +3,21 @@
 // closed-itemset mining with LCM, drug→ADR rule generation,
 // multi-level contextual cluster construction, exclusiveness ranking,
 // knowledge-base validation, and linking every signal back to the raw
-// reports that support it. Rule generation and cluster construction
-// share one run-scoped memo of exact supports (assoc.Evaluator).
-// FP-Growth runs only when Options.CountRules asks for the full
-// frequent-itemset space of Fig 5.1.
+// reports that support it. Rule generation fills one run-scoped memo
+// of exact supports (assoc.Evaluator); cluster construction reads it,
+// through one read-only fork per worker when it runs in parallel.
+// Mining, cluster construction and linking fan out over GOMAXPROCS
+// workers (package par); the other stages are serial, and the output
+// does not depend on the worker count. FP-Growth runs only when
+// Options.CountRules asks for the full frequent-itemset space of
+// Fig 5.1.
 package core
 
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,6 +31,7 @@ import (
 	"maras/internal/meddra"
 	"maras/internal/obs"
 	"maras/internal/obs/prof"
+	"maras/internal/par"
 	"maras/internal/rank"
 	"maras/internal/resilience"
 	"maras/internal/txdb"
@@ -321,7 +328,8 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 	}
 
 	// One memo of exact supports serves rule generation and every
-	// cluster; it lives only as long as this run.
+	// cluster (read-only once clusters fan out); it lives only as long
+	// as this run.
 	ev := assoc.NewEvaluator(db)
 	st = opts.Tracer.StartStage(StageRules)
 	var targets []assoc.Rule
@@ -359,48 +367,15 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 	signals := make([]Signal, len(ranked))
 	known := 0
 	prof.DoStage(ctx, StageLink, func() {
-		serious := make(map[string]bool)
-		for i := range reports {
-			if reports[i].Serious() {
-				serious[reports[i].PrimaryID] = true
-			}
-		}
-		var tidBuf []txdb.TID
-		for i, r := range ranked {
-			c := r.Cluster
-			drugs := dict.SortedNames(c.Target.Antecedent)
-			reacs := dict.SortedNames(c.Target.Consequent)
-			complete := c.Target.Complete()
-			tidBuf = db.TIDs(complete, tidBuf)
-			ids := make([]string, len(tidBuf))
-			nSerious := 0
-			for j, tid := range tidBuf {
-				ids[j] = db.Tx(tid).ReportID
-				if serious[ids[j]] {
-					nSerious++
-				}
-			}
-			sort.Strings(ids)
-			seriousShare := 0.0
-			if len(ids) > 0 {
-				seriousShare = float64(nSerious) / float64(len(ids))
-			}
-			signals[i] = Signal{
-				Rank:         i + 1,
-				Score:        r.Score,
-				Drugs:        drugs,
-				Reactions:    reacs,
-				Support:      c.Target.Support,
-				Confidence:   c.Target.Confidence,
-				Lift:         c.Target.Lift,
-				SupportType:  assoc.ClassifyTIDs(db, complete, tidBuf),
-				Cluster:      c,
-				Known:        opts.Knowledge.Lookup(drugs),
-				SeriousShare: seriousShare,
-				SOCs:         meddra.ClassifyAll(reacs),
-				ReportIDs:    ids,
-			}
-		}
+		l := newLinker(db, reports, opts.Knowledge)
+		// Every signal is validated and linked on its own, so they are
+		// linked on a pool of GOMAXPROCS workers, each with its own
+		// tidset buffer.
+		workers := runtime.GOMAXPROCS(0)
+		tidBufs := make([][]txdb.TID, par.Workers(len(ranked), workers))
+		par.Do(len(ranked), workers, func(w, i int) {
+			signals[i], tidBufs[w] = l.link(i, ranked[i], tidBufs[w])
+		})
 		for i := range signals {
 			if signals[i].Known != nil {
 				known++
@@ -421,6 +396,90 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 		dict:     dict,
 		reports:  ReportList(reports),
 	}, nil
+}
+
+// linker validates ranked clusters and links them to their reports.
+// It is built once per run and only read while linking, so workers
+// share it.
+type linker struct {
+	db      *txdb.DB
+	kb      *knowledge.Base
+	serious []bool       // by TID: some raw report with its ID is serious
+	socs    []meddra.SOC // by item: a reaction's system organ class
+}
+
+func newLinker(db *txdb.DB, reports []faers.Report, kb *knowledge.Base) *linker {
+	byID := make(map[string]bool)
+	for i := range reports {
+		if reports[i].Serious() {
+			byID[reports[i].PrimaryID] = true
+		}
+	}
+	serious := make([]bool, db.Len())
+	for tid := range serious {
+		serious[tid] = byID[db.Tx(txdb.TID(tid)).ReportID]
+	}
+	dict := db.Dict()
+	socs := make([]meddra.SOC, dict.Len())
+	for it := range socs {
+		if dict.IsReaction(types.Item(it)) {
+			socs[it] = meddra.Classify(dict.Name(types.Item(it)))
+		}
+	}
+	return &linker{db: db, kb: kb, serious: serious, socs: socs}
+}
+
+// link turns the cluster ranked at position i into its signal, using
+// tidBuf as scratch for the supporting tidset, and returns the buffer
+// for reuse.
+func (l *linker) link(i int, r rank.Ranked, tidBuf []txdb.TID) (Signal, []txdb.TID) {
+	c := r.Cluster
+	dict := l.db.Dict()
+	drugs := dict.SortedNames(c.Target.Antecedent)
+	// Reactions in name order, as SortedNames lists them, and their
+	// organ classes deduplicated in that order, as ClassifyAll would.
+	reacItems := slices.Clone(c.Target.Consequent)
+	slices.SortFunc(reacItems, func(a, b types.Item) int {
+		return strings.Compare(dict.Name(a), dict.Name(b))
+	})
+	reacs := make([]string, len(reacItems))
+	var socs []meddra.SOC
+	for j, it := range reacItems {
+		reacs[j] = dict.Name(it)
+		if !slices.Contains(socs, l.socs[it]) {
+			socs = append(socs, l.socs[it])
+		}
+	}
+	complete := c.Target.Complete()
+	tidBuf = l.db.TIDs(complete, tidBuf)
+	ids := make([]string, len(tidBuf))
+	nSerious := 0
+	for j, tid := range tidBuf {
+		ids[j] = l.db.Tx(tid).ReportID
+		if l.serious[tid] {
+			nSerious++
+		}
+	}
+	sort.Strings(ids)
+	seriousShare := 0.0
+	if len(ids) > 0 {
+		seriousShare = float64(nSerious) / float64(len(ids))
+	}
+	return Signal{
+		Rank:         i + 1,
+		Score:        r.Score,
+		Drugs:        drugs,
+		Reactions:    reacs,
+		Support:      c.Target.Support,
+		Confidence:   c.Target.Confidence,
+		Lift:         c.Target.Lift,
+		SupportType:  assoc.ClassifyTIDs(l.db, complete, tidBuf),
+		Cluster:      c,
+		Known:        l.kb.Lookup(drugs),
+		SeriousShare: seriousShare,
+		SOCs:         socs,
+		ReportIDs:    ids,
+	}, tidBuf
 }
 
 // RunQuarter is a convenience wrapper: assemble the quarter's reports

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -328,6 +330,54 @@ func TestRunOnSyntheticQuarter(t *testing.T) {
 	resConf := eval.Score(signalKeys(ac.Signals), gt.Keys())
 	if res.MRR < resConf.MRR {
 		t.Errorf("exclusiveness MRR %.3f below confidence MRR %.3f", res.MRR, resConf.MRR)
+	}
+}
+
+// TestRunSameSignalsAcrossGOMAXPROCS: mining, cluster construction and
+// linking fan out over GOMAXPROCS workers; one worker and four must
+// give the same signals — clusters and their level order, report
+// links, organ classes and knowledge matches.
+func TestRunSameSignalsAcrossGOMAXPROCS(t *testing.T) {
+	sc := synth.DefaultConfig("2014Q1", 3)
+	sc.Reports = 2500
+	q, _, err := synth.Generate(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := q.Reports()
+	opts := NewOptions()
+	opts.TopK = 0
+	run := func(procs int) []Signal {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		a, err := Run(reports, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Signals
+	}
+	serial, parallel := run(1), run(4)
+	if len(serial) == 0 {
+		t.Fatal("no signals")
+	}
+	deep, known := 0, 0
+	for _, s := range serial {
+		if s.Cluster.DrugCount() >= 3 {
+			deep++
+		}
+		if s.Known != nil {
+			known++
+		}
+	}
+	if deep == 0 || known == 0 {
+		t.Fatalf("%d signals, %d with ≥ 3 drugs, %d known: want some of each", len(serial), deep, known)
+	}
+	if len(parallel) != len(serial) {
+		t.Fatalf("GOMAXPROCS=4 found %d signals, GOMAXPROCS=1 %d", len(parallel), len(serial))
+	}
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Fatalf("signal %d differs:\nGOMAXPROCS=1 %+v\nGOMAXPROCS=4 %+v", i, serial[i], parallel[i])
+		}
 	}
 }
 

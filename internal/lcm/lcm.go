@@ -12,8 +12,8 @@
 // the less it reads. The prefix-preservation check runs before the
 // count scan, on the original transactions, and stops as soon as it
 // knows the node passes. The root's branches are independent, so
-// they are mined on a pool of GOMAXPROCS workers, each with its own
-// scratch; the final sort fixes the order.
+// they are mined on a pool of GOMAXPROCS workers (package par), each
+// with its own scratch; the final sort fixes the order.
 //
 // It is the production miner: the pipeline (package core) takes its
 // closed sets from MineClosed. Package fpgrowth's mine-then-filter
@@ -25,10 +25,9 @@ import (
 	"cmp"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"maras/internal/fpgrowth"
+	"maras/internal/par"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -64,29 +63,24 @@ func mineClosed(db *txdb.DB, opts Options, workers int) []fpgrowth.FrequentSet {
 	}
 	w := newWorker(db, opts)
 	closure, buf, cands := w.root()
+	w.mark(closure, 1)
 
-	// Each worker takes the next root branch until none is left.
-	var next atomic.Int64
-	drain := func(w *worker) {
-		w.mark(closure, 1)
-		for k := int(next.Add(1)) - 1; k < len(cands); k = int(next.Add(1)) - 1 {
-			w.process(closure, buf, cands[k].occ, cands[k].item, 1)
+	// Each root branch is one pool item; a worker's scratch is made on
+	// its first branch, on its own goroutine.
+	ws := make([]*worker, par.Workers(len(cands), workers))
+	ws[0] = w
+	par.Do(len(cands), workers, func(k, i int) {
+		x := ws[k]
+		if x == nil {
+			x = newWorker(db, opts)
+			x.mark(closure, 1)
+			ws[k] = x
 		}
-	}
-	ws := []*worker{w}
-	for len(ws) < min(workers, len(cands)) {
-		ws = append(ws, newWorker(db, opts))
-	}
-	var wg sync.WaitGroup
-	for _, x := range ws[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain(x)
-		}()
-	}
-	drain(w)
-	wg.Wait()
+		x.process(closure, buf, cands[i].occ, cands[i].item, 1)
+	})
+	// A worker that started after the last branch was claimed made no
+	// scratch.
+	ws = slices.DeleteFunc(ws, func(x *worker) bool { return x == nil })
 
 	out := w.out
 	if len(ws) > 1 {

@@ -3,6 +3,7 @@ package mcac
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"maras/internal/assoc"
@@ -112,5 +113,44 @@ func TestContextMeasureBounds(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// Invariant: buildAll gives the same clusters, in target order, on one
+// worker (through ev) as on several (through forks of ev), whether
+// there are fewer targets than workers or many more.
+func TestBuildAllSameAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 10; trial++ {
+		db := randomDB(t, rng, 6, 4, 80)
+		dict := db.Dict()
+		var drugs, reacs types.Itemset
+		for it := types.Item(0); int(it) < dict.Len(); it++ {
+			if dict.IsDrug(it) {
+				drugs = append(drugs, it)
+			} else {
+				reacs = append(reacs, it)
+			}
+		}
+		// Targets in a shuffled order, single-drug ones among them.
+		var targets []assoc.Rule
+		for k := 1; k <= 4; k++ {
+			drugs.SubsetsOfSize(k, func(ant types.Itemset) bool {
+				con := types.Itemset{reacs[rng.Intn(len(reacs))]}
+				targets = append(targets, assoc.Evaluate(db, ant.Clone(), con))
+				return true
+			})
+		}
+		rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
+		if trial%2 == 1 {
+			targets = targets[:3]
+		}
+		want := buildAll(assoc.NewEvaluator(db), targets, 1)
+		for _, workers := range []int{2, 4} {
+			got := buildAll(assoc.NewEvaluator(db), targets, workers)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %d workers built clusters other than one worker's", trial, workers)
+			}
+		}
 	}
 }

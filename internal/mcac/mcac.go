@@ -7,9 +7,12 @@
 package mcac
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 
 	"maras/internal/assoc"
+	"maras/internal/par"
 	"maras/internal/types"
 )
 
@@ -78,37 +81,135 @@ func Build(ev *assoc.Evaluator, target assoc.Rule) Cluster {
 	if n < 2 {
 		return c
 	}
-	byCard := make(map[int][]assoc.Rule, n-1)
+	if n > types.MaxSubsetItems {
+		panic("mcac: Build on an antecedent larger than types.MaxSubsetItems")
+	}
+	// Every level is a window of one array of rules, highest
+	// cardinality first, and every contextual antecedent a window of
+	// one array of items: two allocations per cluster, not two per rule.
+	rules := make([]assoc.Rule, 1<<n-2)
+	items := make(types.Itemset, 0, n<<(n-1)-n)
+	next := make([]int, n) // next free slot of the level of each cardinality
+	c.Levels = make([]Level, 0, n-1)
+	for k, at := n-1, 0; k >= 1; k-- {
+		size := choose(n, k)
+		c.Levels = append(c.Levels, Level{Cardinality: k, Rules: rules[at : at+size : at+size]})
+		next[k] = at
+		at += size
+	}
 	target.Antecedent.ProperSubsets(func(sub types.Itemset) bool {
-		r := ev.Evaluate(sub.Clone(), target.Consequent)
-		byCard[len(sub)] = append(byCard[len(sub)], r)
+		at := len(items)
+		items = append(items, sub...)
+		rules[next[len(sub)]] = ev.Evaluate(items[at:len(items):len(items)], target.Consequent)
+		next[len(sub)]++
 		return true
 	})
-	for k := n - 1; k >= 1; k-- {
-		rules := byCard[k]
-		sort.Slice(rules, func(i, j int) bool {
-			if rules[i].Confidence != rules[j].Confidence {
-				return rules[i].Confidence > rules[j].Confidence
-			}
-			return rules[i].Key() < rules[j].Key()
-		})
-		c.Levels = append(c.Levels, Level{Cardinality: k, Rules: rules})
+	for _, l := range c.Levels {
+		sortLevel(l.Rules)
 	}
 	return c
 }
 
-// BuildAll constructs a cluster per target rule. Single-drug rules are
-// skipped (they have no context and signal no interaction). Targets
-// sharing antecedent subsets and consequents share ev's memoized
-// supports.
-func BuildAll(ev *assoc.Evaluator, targets []assoc.Rule) []Cluster {
-	out := make([]Cluster, 0, len(targets))
-	for _, r := range targets {
-		if len(r.Antecedent) < 2 {
-			continue
-		}
-		out = append(out, Build(ev, r))
+// choose returns the binomial coefficient C(n, k).
+func choose(n, k int) int {
+	c := 1
+	for i := 0; i < k; i++ {
+		c = c * (n - i) / (i + 1)
 	}
+	return c
+}
+
+// sortLevel orders one level's rules by descending confidence, then
+// key. Only rules whose confidences tie need keys; each is built at
+// most once, on first use, rather than twice per comparison.
+func sortLevel(rules []assoc.Rule) {
+	sort.Sort(byConfKey{rules, make([]string, len(rules))})
+}
+
+// byConfKey sorts rules together with their keys, built lazily ("" is
+// not yet built; no rule's key is empty).
+type byConfKey struct {
+	rules []assoc.Rule
+	keys  []string
+}
+
+func (b byConfKey) Len() int { return len(b.rules) }
+
+func (b byConfKey) Less(i, j int) bool {
+	if b.rules[i].Confidence != b.rules[j].Confidence {
+		return b.rules[i].Confidence > b.rules[j].Confidence
+	}
+	return b.key(i) < b.key(j)
+}
+
+func (b byConfKey) key(i int) string {
+	if b.keys[i] == "" {
+		b.keys[i] = b.rules[i].Key()
+	}
+	return b.keys[i]
+}
+
+func (b byConfKey) Swap(i, j int) {
+	b.rules[i], b.rules[j] = b.rules[j], b.rules[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+}
+
+// BuildAll constructs a cluster per target rule, in target order.
+// Single-drug rules are skipped (they have no context and signal no
+// interaction). Every cluster depends on its target alone (Definition
+// 3.5.2), so they are built on a pool of GOMAXPROCS workers (package
+// par). With one worker every cluster counts through ev; otherwise
+// each worker counts through its own fork of ev, which reads ev's memo
+// but never writes it.
+func BuildAll(ev *assoc.Evaluator, targets []assoc.Rule) []Cluster {
+	return buildAll(ev, targets, runtime.GOMAXPROCS(0))
+}
+
+// chunksPerWorker is how many runs of neighbouring targets each worker
+// takes on average: more balance the load, fewer keep more of the memo
+// hits that neighbours share.
+const chunksPerWorker = 4
+
+// buildAll is BuildAll on at most workers goroutines.
+func buildAll(ev *assoc.Evaluator, targets []assoc.Rule, workers int) []Cluster {
+	multi := make([]int, 0, len(targets)) // indices of multi-drug targets
+	for i := range targets {
+		if len(targets[i].Antecedent) >= 2 {
+			multi = append(multi, i)
+		}
+	}
+	out := make([]Cluster, len(multi))
+	if par.Workers(len(multi), workers) == 1 {
+		for k, i := range multi {
+			out[k] = Build(ev, targets[i])
+		}
+		return out
+	}
+	// A fork recounts every support its own memo lacks, even one a
+	// sibling has counted. Targets sharing a consequent and leading
+	// antecedent items share the most contextual supports, so workers
+	// take contiguous runs of targets in that order.
+	order := make([]int, len(multi)) // positions in out
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		ra, rb := &targets[multi[a]], &targets[multi[b]]
+		if c := slices.Compare(ra.Consequent, rb.Consequent); c != 0 {
+			return c
+		}
+		return slices.Compare(ra.Antecedent, rb.Antecedent)
+	})
+	chunks := min(len(order), workers*chunksPerWorker)
+	evs := make([]*assoc.Evaluator, par.Workers(chunks, workers))
+	par.Do(chunks, workers, func(w, c int) {
+		if evs[w] == nil {
+			evs[w] = ev.Fork()
+		}
+		for _, k := range order[c*len(order)/chunks : (c+1)*len(order)/chunks] {
+			out[k] = Build(evs[w], targets[multi[k]])
+		}
+	})
 	return out
 }
 

@@ -7,7 +7,10 @@
 // triage them.
 package meddra
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // SOC is a System Organ Class label.
 type SOC string
@@ -213,14 +216,12 @@ func isNumber(s string) bool {
 }
 
 // ClassifyAll maps each term to its SOC, deduplicated, in first-seen
-// order.
+// order. The result holds at most one entry per SOC, so scanning it
+// is cheaper than keeping a set.
 func ClassifyAll(terms []string) []SOC {
 	var out []SOC
-	seen := map[SOC]bool{}
 	for _, t := range terms {
-		soc := Classify(t)
-		if !seen[soc] {
-			seen[soc] = true
+		if soc := Classify(t); !slices.Contains(out, soc) {
 			out = append(out, soc)
 		}
 	}

@@ -97,7 +97,12 @@ func (s Itemset) Equal(other Itemset) bool {
 
 // Union returns s ∪ other as a new normalized itemset.
 func (s Itemset) Union(other Itemset) Itemset {
-	out := make(Itemset, 0, len(s)+len(other))
+	return AppendUnion(make(Itemset, 0, len(s)+len(other)), s, other)
+}
+
+// AppendUnion appends s ∪ other, normalized, to out and returns the
+// extended slice, so hot callers can reuse a buffer.
+func AppendUnion(out, s, other Itemset) Itemset {
 	i, j := 0, 0
 	for i < len(s) && j < len(other) {
 		switch {
@@ -208,6 +213,9 @@ func (s Itemset) String() string {
 	return "{" + strings.Join(parts, " ") + "}"
 }
 
+// MaxSubsetItems is the largest itemset ProperSubsets walks.
+const MaxSubsetItems = 20
+
 // ProperSubsets calls fn with every proper non-empty subset of s,
 // reusing a single scratch buffer (fn must copy if it retains the
 // slice). Subsets are emitted in ascending bitmask order of s's
@@ -219,7 +227,7 @@ func (s Itemset) ProperSubsets(fn func(Itemset) bool) {
 	if n == 0 {
 		return
 	}
-	if n > 20 {
+	if n > MaxSubsetItems {
 		panic("types: ProperSubsets on itemset larger than 20 items")
 	}
 	scratch := make(Itemset, 0, n)

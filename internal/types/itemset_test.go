@@ -117,6 +117,18 @@ func TestUnionEmpty(t *testing.T) {
 	}
 }
 
+// AppendUnion reuses its buffer and keeps what was already in it.
+func TestAppendUnion(t *testing.T) {
+	buf := make(Itemset, 0, 8)
+	got := AppendUnion(buf, set(1, 3, 5), set(2, 3))
+	if !got.Equal(set(1, 2, 3, 5)) || &got[0] != &buf[:1][0] {
+		t.Errorf("AppendUnion into an empty buffer = %v", got)
+	}
+	if got := AppendUnion(set(9), set(1), set(2)); !got.Equal(Itemset{9, 1, 2}) {
+		t.Errorf("AppendUnion after 9 = %v", got)
+	}
+}
+
 func TestKeyUniqueness(t *testing.T) {
 	a := set(1, 23)
 	b := set(12, 3)
