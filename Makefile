@@ -32,16 +32,19 @@ race:
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
-## fuzz: mutate the snapshot decoder, the txdb support counter, then
-## the closed-set miner, each for FUZZTIME (default 30s). The decoder's
-## seeds cover valid v1/v2 snapshots, truncations, and CRC-breaking bit
-## flips; any input outside the three typed errors fails. FuzzTIDs
+## fuzz: mutate the snapshot decoder (as is, then with the CRC resealed
+## after each mutation so it reaches the section parsers), the txdb
+## support counter, then the closed-set miner, each for FUZZTIME
+## (default 30s). The decoder's seeds cover valid v1/v2/v3 snapshots,
+## truncations, CRC-breaking bit flips and crafted resealed files; any
+## input outside the three typed errors fails. FuzzTIDs
 ## builds a DB and a query from the bytes and checks TIDs against a
 ## linear scan. FuzzMineClosed builds a small DB, support and length
 ## bound and checks lcm against a by-definition oracle.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeResealed$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/txdb -run '^$$' -fuzz FuzzTIDs -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lcm -run '^$$' -fuzz FuzzMineClosed -fuzztime $(FUZZTIME)
 

@@ -172,8 +172,14 @@ func (ws *watchStack) noteDrugs(a *core.Analysis) {
 	ws.drugMu.Lock()
 	for i := 0; i < dict.Len(); i++ {
 		it := types.Item(i)
-		if dict.IsDrug(it) {
-			ws.drugs[strings.ToUpper(dict.Name(it))] = true
+		if !dict.IsDrug(it) {
+			continue
+		}
+		// A decoded quarter's names are substrings of one backing
+		// string; clone the new ones so this set, which outlives the
+		// quarter, does not pin it.
+		if name := strings.ToUpper(dict.Name(it)); !ws.drugs[name] {
+			ws.drugs[strings.Clone(name)] = true
 		}
 	}
 	ws.drugMu.Unlock()

@@ -44,6 +44,22 @@
 // the section bounds and keeps the report bodies encoded: drill-down
 // decodes one body, and demographics read only the rows. v1 and v2
 // files decode every report, as before; the version field decides.
+//
+// # Decoded memory
+//
+// Decode gives the dictionary and signals sections one backing string
+// each, copied from the payload. Dictionary names, report IDs, SOCs
+// and knowledge-base fields are substrings of it. Itemsets, string
+// lists, cluster levels and level rules are carved from per-decode
+// chunks, each with capacity equal to its length, so an append
+// reallocates. A decoded quarter therefore costs a few dozen
+// allocations for those values instead of one per value, and all of
+// them die together with the quarter. Signal.Drugs and
+// Signal.Reactions are the exception: trend trajectories keep them
+// after the quarter is evicted, and a substring would pin the whole
+// section, so each list and name is allocated on its own. A consumer
+// that keeps any other decoded string beyond the quarter's lifetime
+// must clone it. Reports stay caller-owned copies in every version.
 package store
 
 import (
@@ -422,6 +438,11 @@ func Decode(data []byte) (*Snapshot, error) {
 			break
 		}
 		sd := &dec{b: payload}
+		if id == secDict || id == secSignals {
+			// One copy of the payload backs the section's strings, so
+			// nothing decoded aliases data.
+			sd.shared, sd.s = true, string(payload)
+		}
 		switch id {
 		case secMeta:
 			s.Label = sd.str()
@@ -652,6 +673,45 @@ type dec struct {
 	// items is the number of items the dictionary issued; itemset
 	// rejects any other ID.
 	items int
+	// shared marks a section whose decoded values share per-decode
+	// backing: str returns substrings of s, which holds b as one
+	// string, and strs carves its lists from strChunk.
+	shared bool
+	s      string
+	// Chunks that itemsets, string lists, cluster levels and rules are
+	// carved from; see carve.
+	itemChunk  []types.Item
+	strChunk   []string
+	levelChunk []mcac.Level
+	ruleChunk  []assoc.Rule
+}
+
+// Chunk lengths, in elements, of the stores carve cuts slices from:
+// about 16 KiB each.
+const (
+	itemChunkLen  = 4096
+	strChunkLen   = 1024
+	levelChunkLen = 512
+	ruleChunkLen  = 192
+)
+
+// carve returns n zeroed elements cut from *chunk, starting a new
+// chunk of size elements when the current one has too little room
+// left; a request longer than size gets a slice of its own. n must be
+// a count already bounded against the bytes left (see count), so a
+// corrupt file cannot drive a large allocation. The result's capacity
+// is n: an append to it reallocates instead of writing into the next
+// slice carved.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if n > size {
+		return make([]T, n)
+	}
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, size)
+	}
+	*chunk = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
 }
 
 func (d *dec) fail(format string, args ...any) {
@@ -733,49 +793,72 @@ func (d *dec) f64() float64 {
 	return v
 }
 
-func (d *dec) str() string {
+// str reads a length-prefixed string: a substring of the section's
+// backing string when the decoder is shared, else a copy of its own.
+func (d *dec) str() string { return d.strAs(d.shared) }
+
+func (d *dec) strAs(shared bool) string {
 	n := d.uv()
 	if !d.need(int(n)) {
 		return ""
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	var s string
+	if shared {
+		s = d.s[d.off : d.off+int(n)]
+	} else {
+		s = string(d.b[d.off : d.off+int(n)])
+	}
 	d.off += int(n)
 	return s
 }
 
 // count reads an element count and sanity-bounds it against the bytes
 // remaining (each element costs at least minBytes), so a corrupted
-// count can never drive a giant allocation.
+// count can never drive a giant allocation. The bound divides instead
+// of multiplying, so no count can overflow past it.
 func (d *dec) count(minBytes int) int {
 	n := d.uv()
 	if d.err != nil {
 		return 0
 	}
-	if int64(n)*int64(minBytes) > int64(len(d.b)-d.off) {
+	if n > uint64(len(d.b)-d.off)/uint64(minBytes) {
 		d.fail("impossible count %d at offset %d", n, d.off)
 		return 0
 	}
 	return int(n)
 }
 
-func (d *dec) strs() []string {
+// strs reads a string list; a shared decoder carves the list from its
+// chunk and its strings from the backing string.
+func (d *dec) strs() []string { return d.strsAs(d.shared) }
+
+// strsAs reads a string list, carved and backed only when shared is
+// set; otherwise the list and every string are allocated for it alone.
+func (d *dec) strsAs(shared bool) []string {
 	n := d.count(1)
 	if n == 0 {
 		return nil
 	}
-	out := make([]string, n)
+	var out []string
+	if shared {
+		out = carve(&d.strChunk, n, strChunkLen)
+	} else {
+		out = make([]string, n)
+	}
 	for i := range out {
-		out[i] = d.str()
+		out[i] = d.strAs(shared)
 	}
 	return out
 }
 
+// itemset reads an itemset carved from the item chunk; itemsets occur
+// only in the signals section.
 func (d *dec) itemset() types.Itemset {
 	n := d.count(4)
 	if n == 0 {
 		return nil
 	}
-	out := make(types.Itemset, n)
+	out := types.Itemset(carve(&d.itemChunk, n, itemChunkLen))
 	for i := range out {
 		out[i] = types.Item(d.u32())
 		if out[i] < 0 || int(out[i]) >= d.items {
@@ -832,6 +915,7 @@ func (d *dec) rule() assoc.Rule {
 func (d *dec) signals() []core.Signal {
 	n := d.count(8)
 	out := make([]core.Signal, n)
+	clusters := make([]mcac.Cluster, n)
 	for i := range out {
 		if d.err != nil {
 			return out
@@ -839,15 +923,20 @@ func (d *dec) signals() []core.Signal {
 		s := &out[i]
 		s.Rank = int(d.i64())
 		s.Score = d.f64()
-		s.Drugs = d.strs()
-		s.Reactions = d.strs()
+		// Drug and reaction names outlive the quarter in cached trend
+		// trajectories, so they must not pin the section's backing.
+		s.Drugs = d.strsAs(false)
+		s.Reactions = d.strsAs(false)
 		s.Support = int(d.i64())
 		s.Confidence = d.f64()
 		s.Lift = d.f64()
 		s.SupportType = assoc.SupportType(d.u8())
 		s.SeriousShare = d.f64()
-		for _, soc := range d.strs() {
-			s.SOCs = append(s.SOCs, meddra.SOC(soc))
+		if m := d.count(1); m > 0 {
+			s.SOCs = make([]meddra.SOC, m)
+			for j := range s.SOCs {
+				s.SOCs[j] = meddra.SOC(d.str())
+			}
 		}
 		s.ReportIDs = d.strs()
 		if d.u8() == 1 {
@@ -859,15 +948,20 @@ func (d *dec) signals() []core.Signal {
 				Source:    d.str(),
 			}
 		}
-		c := &mcac.Cluster{Target: d.rule()}
-		nLevels := d.count(2)
-		for li := 0; li < nLevels && d.err == nil; li++ {
-			l := mcac.Level{Cardinality: int(d.i64())}
-			nRules := d.count(8)
-			for ri := 0; ri < nRules && d.err == nil; ri++ {
-				l.Rules = append(l.Rules, d.rule())
+		c := &clusters[i]
+		c.Target = d.rule()
+		if nLevels := d.count(2); nLevels > 0 {
+			c.Levels = carve(&d.levelChunk, nLevels, levelChunkLen)
+			for li := range c.Levels {
+				l := &c.Levels[li]
+				l.Cardinality = int(d.i64())
+				if nRules := d.count(8); nRules > 0 {
+					l.Rules = carve(&d.ruleChunk, nRules, ruleChunkLen)
+					for ri := range l.Rules {
+						l.Rules[ri] = d.rule()
+					}
+				}
 			}
-			c.Levels = append(c.Levels, l)
 		}
 		s.Cluster = c
 	}
@@ -983,34 +1077,37 @@ func (d *dec) reportIndex(reports []byte) (*reportBodies, core.ReportIndex) {
 			idx.Strata[i], bodies.offs[i], prev = row, off, int(off)
 		}
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		body := bodies.body(i)
-		if l, k := binary.Uvarint(body); k <= 0 || l > uint64(len(body)-k) {
-			d.fail("report %d: PrimaryID overruns its body", i)
-		}
-	}
+	// The order is a permutation, so walking it reads every body's
+	// PrimaryID exactly once; the previous entry's ID is kept for the
+	// order check.
 	idx.ByID = make([]uint32, n)
 	seen := make([]bool, n)
+	var prevID []byte
 	for k := 0; k < n && d.err == nil; k++ {
 		i := d.u32()
-		switch {
-		case d.err != nil:
-		case int64(i) >= int64(n) || seen[i]:
-			d.fail("order entry %d: report %d out of range or repeated", k, i)
-		case k > 0 && !idOrdered(bodies, idx.ByID[k-1], i):
-			d.fail("order entry %d: report %d out of PrimaryID order", k, i)
-		default:
-			seen[i], idx.ByID[k] = true, i
+		if d.err != nil {
+			break
 		}
+		if int64(i) >= int64(n) || seen[i] {
+			d.fail("order entry %d: report %d out of range or repeated", k, i)
+			break
+		}
+		body := bodies.body(int(i))
+		l, w := binary.Uvarint(body)
+		if w <= 0 || l > uint64(len(body)-w) {
+			d.fail("report %d: PrimaryID overruns its body", i)
+			break
+		}
+		id := body[w : w+int(l)]
+		if k > 0 {
+			if c := bytes.Compare(prevID, id); c > 0 || c == 0 && idx.ByID[k-1] > i {
+				d.fail("order entry %d: report %d out of PrimaryID order", k, i)
+				break
+			}
+		}
+		seen[i], idx.ByID[k], prevID = true, i, id
 	}
 	return bodies, idx
-}
-
-// idOrdered reports whether report x may precede report y in the
-// PrimaryID order: a smaller ID, or an equal one earlier in input.
-func idOrdered(b *reportBodies, x, y uint32) bool {
-	c := bytes.Compare(b.primaryID(int(x)), b.primaryID(int(y)))
-	return c < 0 || c == 0 && x < y
 }
 
 // reportBodies is a v3 reports section kept encoded: the verified

@@ -6,15 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"maras/internal/audit"
 	"maras/internal/core"
+	"maras/internal/faers"
+	"maras/internal/rank"
 	"maras/internal/synth"
 	"maras/internal/types"
 )
@@ -275,18 +279,45 @@ func BenchmarkMineQuarter(b *testing.B) {
 	}
 }
 
+// servedQuarter mines a quarter shaped like the ones a server holds:
+// 4,000 reports sampled from a 16,500-report population and mined with
+// the options maras-mine ships, keeping every signal (the first store
+// quarter perfbench builds for seed 1). Unlike synthAnalysis's 40
+// signals, its signals section outweighs the dictionary.
+func servedQuarter(t testing.TB) *core.Analysis {
+	t.Helper()
+	cfg := synth.DefaultConfig("2014Q1", 20180416)
+	cfg.Reports = 16_500
+	q, _, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := q.Reports()
+	idx := rand.New(rand.NewSource(1001)).Perm(len(pool))[:4_000]
+	sort.Ints(idx)
+	reports := make([]faers.Report, len(idx))
+	for i, j := range idx {
+		reports[i] = pool[j]
+	}
+	opts := core.NewOptions()
+	opts.MinSupport = 8
+	opts.Theta = 0.5
+	opts.Method = rank.ByExclusivenessConf
+	opts.TopK = 0
+	a, err := core.Run(reports, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // BenchmarkSnapshotDecode decodes the same quarter from format v2,
 // which builds every report, and from v3, which keeps the report
-// bodies encoded.
+// bodies encoded; then a served-shaped quarter (servedQuarter) in the
+// current format.
 func BenchmarkSnapshotDecode(b *testing.B) {
-	a := synthAnalysis(b)
-	for _, version := range []uint16{2, 3} {
-		var buf bytes.Buffer
-		if err := writeVersion(&buf, "2014Q1", a, time.Unix(42, 0), version); err != nil {
-			b.Fatal(err)
-		}
-		data := buf.Bytes()
-		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
+	run := func(name string, data []byte) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
@@ -296,6 +327,19 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 			}
 		})
 	}
+	a := synthAnalysis(b)
+	for _, version := range []uint16{2, 3} {
+		var buf bytes.Buffer
+		if err := writeVersion(&buf, "2014Q1", a, time.Unix(42, 0), version); err != nil {
+			b.Fatal(err)
+		}
+		run(fmt.Sprintf("v%d", version), buf.Bytes())
+	}
+	var buf bytes.Buffer
+	if err := write(&buf, "2014Q1", servedQuarter(b), time.Unix(42, 0)); err != nil {
+		b.Fatal(err)
+	}
+	run("served", buf.Bytes())
 }
 
 func TestOpenMissingFile(t *testing.T) {

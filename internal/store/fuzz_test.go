@@ -94,3 +94,66 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeResealed is FuzzDecode with the checksum out of the way:
+// the harness recomputes the CRC trailer over the mutated body before
+// decoding, so mutations reach the section parsers instead of stopping
+// at CheckBytes. The contract is FuzzDecode's: typed errors only, and
+// every successful decode serves Report, Demographics, glyph and zoom.
+// Seeds add files whose counts wrap a multiplied bound in every
+// position the format holds one.
+func FuzzDecodeResealed(f *testing.F) {
+	cfg := synth.DefaultConfig("2014Q1", 7)
+	cfg.Reports = 300
+	q, _, err := synth.Generate(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	opts := core.NewOptions()
+	opts.MinSupport = 3
+	opts.TopK = 10
+	a, err := core.RunQuarter(q, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	v3 := encodeVersion(f, a, Version)
+	f.Add(v3)
+	f.Add(encodeVersion(f, a, 2))
+	f.Add(encodeVersion(f, a, 1))
+	for _, data := range corruptV3(f, v3) {
+		f.Add(data)
+	}
+	f.Add(unissuedItem(f, a, uint32(a.Dict().Len())))
+	f.Add(withCount(v3, secDict, 0, 1<<63))
+	for _, off := range countOffsets(f, v3) {
+		f.Add(withCount(v3, secSignals, off, 1<<62+1))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 12 {
+			data = reseal(bytes.Clone(data))
+		}
+		snap, err := Decode(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		if snap == nil || snap.Analysis == nil || snap.Quality == nil {
+			t.Fatal("nil snapshot, analysis or quality without error")
+		}
+		an := snap.Analysis
+		for _, r := range an.RawReports() {
+			if got, ok := an.Report(r.PrimaryID); ok && got.PrimaryID != r.PrimaryID {
+				t.Fatalf("Report(%q) returned report %q", r.PrimaryID, got.PrimaryID)
+			}
+		}
+		dict := an.Dict()
+		for i := range an.Signals {
+			an.Demographics(&an.Signals[i])
+			glyph.Contextual(an.Signals[i].Cluster, glyph.Options{Dict: dict})
+			glyph.Zoom(an.Signals[i].Cluster, dict)
+		}
+	})
+}

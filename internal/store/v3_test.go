@@ -66,7 +66,7 @@ func dupAnalysis(t *testing.T) (a *core.Analysis, dupID string) {
 	return nil, ""
 }
 
-func encodeVersion(t *testing.T, a *core.Analysis, version uint16) []byte {
+func encodeVersion(t testing.TB, a *core.Analysis, version uint16) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := writeVersion(&buf, "2014Q1", a, time.Unix(42, 0), version); err != nil {
