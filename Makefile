@@ -34,19 +34,22 @@ bench:
 
 ## fuzz: mutate the snapshot decoder (as is, then with the CRC resealed
 ## after each mutation so it reaches the section parsers), the txdb
-## support counter, then the closed-set miner, each for FUZZTIME
-## (default 30s). The decoder's seeds cover valid v1/v2/v3 snapshots,
-## truncations, CRC-breaking bit flips and crafted resealed files; any
-## input outside the three typed errors fails. FuzzTIDs
-## builds a DB and a query from the bytes and checks TIDs against a
-## linear scan. FuzzMineClosed builds a small DB, support and length
-## bound and checks lcm against a by-definition oracle.
+## support counter, the closed-set miner, then the watchlist snapshot
+## reader, each for FUZZTIME (default 30s). The decoder's seeds cover
+## valid v1/v2/v3 snapshots, truncations, CRC-breaking bit flips and
+## crafted resealed files; any input outside the three typed errors
+## fails. FuzzTIDs builds a DB and a query from the bytes and checks
+## TIDs against a linear scan. FuzzMineClosed builds a small DB, support
+## and length bound and checks lcm against a by-definition oracle.
+## FuzzWatchlistDecode accepts only typed errors or files that
+## round-trip through the watchlist encoder.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeResealed$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/txdb -run '^$$' -fuzz FuzzTIDs -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lcm -run '^$$' -fuzz FuzzMineClosed -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/watch -run '^$$' -fuzz '^FuzzWatchlistDecode$$' -fuzztime $(FUZZTIME)
 
 ## vuln: known-vulnerability scan of the module graph and stdlib
 ## call sites. The binary is not installed here (CI pins its version;

@@ -467,3 +467,49 @@ func TestQuarterRoutingKeepsLRURecency(t *testing.T) {
 		t.Errorf("snapshot_load stages = %d, want 5 (the hot quarter must not be evicted)", loads)
 	}
 }
+
+// TestExternallyRewrittenQuarterServedFresh: a resident quarter
+// rewritten behind the server's back (maras-mine -snapshot-out over an
+// existing label, store.WriteFile into the directory) is picked up by
+// the next inventory poll: its signals and the cross-quarter timeline
+// both come from the new bytes.
+func TestExternallyRewrittenQuarterServedFresh(t *testing.T) {
+	dir := tempStoreDir(t, 2)
+	h, _ := storeHandler(t, dir)
+	const url = "/q/2014Q1/api/signals"
+	if got := signalDrugs(t, h, url); got != "ASPIRIN+WARFARIN" {
+		t.Fatalf("before rewrite: top signal %s", got)
+	}
+	const timeline = "/api/timeline/ibuprofen+lithium"
+	if rec := getMux(t, h, timeline); rec.Code != http.StatusNotFound {
+		t.Fatalf("before rewrite: %s = %d, want 404", timeline, rec.Code)
+	}
+
+	next := pairAnalysis(t, "IBUPROFEN", "LITHIUM", "Renal failure", 12)
+	if err := store.WriteFile(filepath.Join(dir, "2014Q1"+store.Ext), "2014Q1", next); err != nil {
+		t.Fatal(err)
+	}
+	if rec := getMux(t, h, "/api/quarters"); rec.Code != http.StatusOK {
+		t.Fatalf("/api/quarters = %d", rec.Code)
+	}
+
+	if got := signalDrugs(t, h, url); got != "IBUPROFEN+LITHIUM" {
+		t.Errorf("after rewrite and poll: top signal %s, want IBUPROFEN+LITHIUM", got)
+	}
+	rec := getMux(t, h, timeline)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("after rewrite and poll: %s = %d: %s", timeline, rec.Code, rec.Body.String())
+	}
+	var out struct {
+		Points []struct {
+			Quarter string `json:"quarter"`
+			Support int    `json:"support"`
+		} `json:"points"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Points) != 2 || out.Points[0].Support != 12 || out.Points[1].Support != 0 {
+		t.Errorf("timeline after rewrite = %+v, want support 12 in 2014Q1 only", out.Points)
+	}
+}

@@ -19,6 +19,10 @@ type StoreMetrics struct {
 	Evictions *Counter
 	// BytesRead accumulates snapshot bytes read from disk.
 	BytesRead *Counter
+	// Promotions counts LRU misses answered by promoting the quarter's
+	// retained last-good copy because its file was unchanged, instead
+	// of decoding the file again.
+	Promotions *Counter
 	// Retries counts extra load attempts taken by the resilience
 	// layer's transient-failure retry (attempts beyond the first).
 	Retries *Counter
@@ -51,6 +55,8 @@ func NewStoreMetrics(r *Registry) *StoreMetrics {
 			"Quarters evicted by the open-quarter LRU."),
 		BytesRead: r.Counter("maras_store_snapshot_bytes_read_total",
 			"Snapshot bytes read from disk."),
+		Promotions: r.Counter("maras_store_promotions_total",
+			"LRU misses served by promoting the retained last-good copy of an unchanged snapshot file."),
 		Retries: r.Counter("maras_store_load_retries_total",
 			"Extra snapshot load attempts taken after transient failures."),
 		Quarantined: r.Counter("maras_store_quarantined_total",

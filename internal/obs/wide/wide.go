@@ -42,7 +42,7 @@ type Event struct {
 	Status     int           `json:"status,omitempty"`
 	Duration   time.Duration `json:"duration_ns"`
 	Quarter    string        `json:"quarter,omitempty"`
-	Cache      string        `json:"cache,omitempty"`  // lru_hit | lru_miss
+	Cache      string        `json:"cache,omitempty"`  // lru_hit | lru_miss | promoted
 	Origin     string        `json:"origin,omitempty"` // serving origin: local | stale | peer
 	Stale      bool          `json:"stale,omitempty"`
 	Shed       string        `json:"shed,omitempty"` // bulkhead shed reason

@@ -304,18 +304,80 @@ func Read(r io.Reader) (*Snapshot, error) {
 // mismatch, so the quarantine and breaker paths above can be provoked
 // without hand-corrupting files.
 func Open(path string) (*Snapshot, error) {
+	s, _, err := openFile(path, nil)
+	return s, err
+}
+
+// fileID identifies the bytes a snapshot file held when it was read:
+// the file's stat from the descriptor the bytes came through (device
+// and inode, size, modification time) and its CRC-32 trailer. The zero
+// value names no file and matches nothing.
+type fileID struct {
+	info os.FileInfo
+	crc  uint32
+}
+
+// same reports whether f and g name the same bytes of the same file.
+func (f fileID) same(g fileID) bool {
+	return f.crc == g.crc && f.matches(g.info)
+}
+
+// matches reports whether fi, a later stat of the file's path, still
+// describes the file f was read from. A stat carries no CRC, so an
+// in-place rewrite that keeps the size and the modification time
+// passes here; same, which compares the trailer too, does not.
+func (f fileID) matches(fi os.FileInfo) bool {
+	return f.info != nil && fi != nil && os.SameFile(f.info, fi) &&
+		f.info.Size() == fi.Size() && f.info.ModTime().Equal(fi.ModTime())
+}
+
+// openFile is Open that also returns the identity of the bytes it
+// decoded. When current is non-nil, it is first asked about the open
+// file's identity, read as one stat and one 4-byte read of the CRC
+// trailer; if it reports true (the caller already holds a decode of
+// exactly these bytes), openFile returns a nil snapshot without
+// reading the rest of the file. The failpoint fires before either.
+func openFile(path string, current func(fileID) bool) (*Snapshot, fileID, error) {
 	if ferr := resilience.Inject(resilience.FPDecode); ferr != nil {
-		return nil, fmt.Errorf("%s: %w (%w)", path, ErrCorrupt, ferr)
+		return nil, fileID{}, fmt.Errorf("%s: %w (%w)", path, ErrCorrupt, ferr)
 	}
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, fileID{}, fmt.Errorf("store: %w", err)
 	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fileID{}, fmt.Errorf("store: %w", err)
+	}
+	if current != nil && info.Size() >= 4 {
+		var tail [4]byte
+		if _, err := f.ReadAt(tail[:], info.Size()-4); err == nil {
+			id := fileID{info: info, crc: binary.LittleEndian.Uint32(tail[:])}
+			if current(id) {
+				return nil, id, nil
+			}
+		}
+	}
+	// Read to EOF as os.ReadFile does, so a file that grew since the
+	// stat is read whole rather than cut short.
+	buf := bytes.NewBuffer(make([]byte, 0, info.Size()+bytes.MinRead))
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, fileID{}, fmt.Errorf("store: %w", err)
+	}
+	data := buf.Bytes()
 	s, err := Decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fileID{}, fmt.Errorf("%s: %w", path, err)
 	}
-	return s, nil
+	// The identity names the bytes just decoded. A file that changed
+	// while it was read gets none, so nothing is ever matched to it.
+	var id fileID
+	if after, err := f.Stat(); err == nil && int64(len(data)) == info.Size() &&
+		(fileID{info: info}).matches(after) {
+		id = fileID{info: info, crc: binary.LittleEndian.Uint32(data[len(data)-4:])}
+	}
+	return s, id, nil
 }
 
 // CheckBytes verifies a snapshot's envelope — magic, version range,

@@ -65,10 +65,15 @@ type ResilienceOptions struct {
 
 // fallbackCopy is one entry in the last-good cache. Copies cached by
 // a fresh local load carry OriginStale (that is what a later serve of
-// them is); copies fetched from a replica peer keep OriginPeer so the
-// header never claims a peer's bytes were ours.
+// them is), their quality report, and the identity of the file they
+// were decoded from, all taken from one resident entry so they always
+// belong to the same decode. Copies fetched from a replica peer keep
+// OriginPeer, so the header never claims a peer's bytes were ours, and
+// have no identity.
 type fallbackCopy struct {
 	a      *core.Analysis
+	q      *audit.QualityReport
+	id     fileID
 	origin Origin
 }
 
@@ -84,10 +89,13 @@ type resState struct {
 	degraded map[string]bool // labels currently served from a fallback tier
 }
 
-// put inserts a copy into the bounded last-good cache. Caller holds
-// s.mu.
-func (s *resState) put(label string, a *core.Analysis, origin Origin) {
-	if _, ok := s.stale[label]; !ok {
+// put inserts or refreshes a copy in the bounded last-good cache,
+// which evicts the least recently used label beyond StaleCap. Caller
+// holds s.mu.
+func (s *resState) put(label string, fc fallbackCopy) {
+	if _, ok := s.stale[label]; ok {
+		s.touch(label)
+	} else {
 		s.order = append(s.order, label)
 		for len(s.order) > s.opts.StaleCap {
 			victim := s.order[0]
@@ -95,7 +103,34 @@ func (s *resState) put(label string, a *core.Analysis, origin Origin) {
 			delete(s.stale, victim)
 		}
 	}
-	s.stale[label] = fallbackCopy{a: a, origin: origin}
+	s.stale[label] = fc
+}
+
+// touch moves label to the most-recent end of s.order. Caller holds
+// s.mu.
+func (s *resState) touch(label string) {
+	for i, l := range s.order {
+		if l == label {
+			copy(s.order[i:], s.order[i+1:])
+			s.order[len(s.order)-1] = label
+			return
+		}
+	}
+}
+
+// promotable returns label's retained copy if it was decoded from the
+// file id identifies, refreshing its recency; otherwise the zero
+// value. A peer's copy never qualifies: its bytes were never read from
+// this file.
+func (s *resState) promotable(label string, id fileID) fallbackCopy {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fc := s.stale[label]
+	if fc.origin != OriginStale || !fc.id.same(id) {
+		return fallbackCopy{}
+	}
+	s.touch(label)
+	return fc
 }
 
 // initResilience wires the resilience machinery into r from opts.
@@ -144,17 +179,48 @@ func classifyLoad(err error) resilience.Class {
 	return resilience.Transient
 }
 
+// coldLoad is what one cold load produced: the analysis and quality
+// report, the identity of the file they came from, the bytes decoded,
+// and whether they were promoted from the last-good cache instead.
+type coldLoad struct {
+	a        *core.Analysis
+	q        *audit.QualityReport
+	id       fileID
+	size     int64
+	promoted bool
+}
+
 // openResilient performs the disk read behind a cold load. Without
 // resilience options it is a plain Open (plus the load failpoint the
 // chaos harness drives). With them, the read runs behind the quarter's
 // circuit breaker with transient-failure retry; a corrupt decode trips
 // the breaker immediately and — when opted in — quarantines the file.
-func (r *Registry) openResilient(ctx context.Context, label, path string, span *obs.Span) (*Snapshot, error) {
-	loadOnce := func(context.Context) (*Snapshot, error) {
+//
+// With resilience on, a load whose file still has the identity of the
+// quarter's retained last-good copy promotes that copy instead of
+// decoding: the check runs after both failpoints, under the breaker
+// and the retry, so faults play out exactly as they do for a decode.
+func (r *Registry) openResilient(ctx context.Context, label, path string, span *obs.Span) (coldLoad, error) {
+	loadOnce := func(context.Context) (coldLoad, error) {
 		if err := resilience.Inject(resilience.FPLoad); err != nil {
-			return nil, fmt.Errorf("store: %s: %w", path, err)
+			return coldLoad{}, fmt.Errorf("store: %s: %w", path, err)
 		}
-		return Open(path)
+		var kept fallbackCopy
+		var current func(fileID) bool
+		if r.res != nil {
+			current = func(id fileID) bool {
+				kept = r.res.promotable(label, id)
+				return kept.a != nil
+			}
+		}
+		snap, id, err := openFile(path, current)
+		switch {
+		case err != nil:
+			return coldLoad{}, err
+		case snap == nil:
+			return coldLoad{a: kept.a, q: kept.q, id: id, promoted: true}, nil
+		}
+		return coldLoad{a: snap.Analysis, q: snap.Quality, id: id, size: snap.Size}, nil
 	}
 	if r.res == nil {
 		return loadOnce(ctx)
@@ -162,13 +228,13 @@ func (r *Registry) openResilient(ctx context.Context, label, path string, span *
 	br := r.res.breakers.Get(label)
 	if !br.Allow() {
 		span.SetAttr("breaker", "open")
-		return nil, fmt.Errorf("store: quarter %q: %w", label, resilience.ErrBreakerOpen)
+		return coldLoad{}, fmt.Errorf("store: quarter %q: %w", label, resilience.ErrBreakerOpen)
 	}
-	var snap *Snapshot
+	var out coldLoad
 	attempts, err := r.res.opts.Retry.Do(ctx, func(ctx context.Context) error {
-		s, e := loadOnce(ctx)
+		c, e := loadOnce(ctx)
 		if e == nil {
-			snap = s
+			out = c
 		}
 		return e
 	}, classifyLoad)
@@ -184,10 +250,10 @@ func (r *Registry) openResilient(ctx context.Context, label, path string, span *
 		if r.res.opts.Quarantine && (errors.Is(err, ErrCorrupt) || errors.Is(err, ErrBadMagic)) {
 			r.quarantine(label, path, err)
 		}
-		return nil, err
+		return coldLoad{}, err
 	}
 	br.Success()
-	return snap, nil
+	return out, nil
 }
 
 // quarantine moves label's corrupt snapshot aside and removes the
@@ -223,10 +289,7 @@ func (r *Registry) quarantine(label, path string, cause error) {
 		}
 	}
 	r.mu.Unlock()
-	r.qmu.Lock()
-	delete(r.quality, label)
-	r.qmu.Unlock()
-	r.invalidateTrend()
+	r.forget(label)
 	r.res.breakers.Remove(label)
 	// Remove drops the breaker without a state-change callback; refresh
 	// the gauge so an open breaker does not linger on /metrics after
@@ -262,10 +325,10 @@ func (r *Registry) peerFetcher() func(ctx context.Context, label string) (*core.
 // mark; on error the returned Origin is empty. Without resilience
 // options it is LoadContext with OriginLocal on success.
 func (r *Registry) LoadResilient(ctx context.Context, label string) (*core.Analysis, Origin, error) {
-	a, err := r.LoadContext(ctx, label)
+	e, err := r.load(ctx, label)
 	if err == nil {
-		r.noteFresh(label, a)
-		return a, OriginLocal, nil
+		r.noteFresh(label, e)
+		return e.a, OriginLocal, nil
 	}
 	if r.res == nil {
 		return nil, "", err
@@ -299,7 +362,7 @@ func (r *Registry) LoadResilient(ctx context.Context, label string) (*core.Analy
 			}
 			if s := r.res; s != nil {
 				s.mu.Lock()
-				s.put(label, pa, OriginPeer)
+				s.put(label, fallbackCopy{a: pa, origin: OriginPeer})
 				s.mu.Unlock()
 			}
 			r.markDegraded(label, OriginPeer, err)
@@ -309,16 +372,17 @@ func (r *Registry) LoadResilient(ctx context.Context, label string) (*core.Analy
 	return nil, "", err
 }
 
-// noteFresh records a successful live load: the analysis becomes the
-// quarter's last-good stale copy, and a previously degraded quarter is
-// marked recovered on the audit timeline.
-func (r *Registry) noteFresh(label string, a *core.Analysis) {
+// noteFresh records a successful live load: the entry's analysis,
+// quality report and file identity become the quarter's last-good
+// stale copy, and a previously degraded quarter is marked recovered on
+// the audit timeline.
+func (r *Registry) noteFresh(label string, e *entry) {
 	s := r.res
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.put(label, a, OriginStale)
+	s.put(label, fallbackCopy{a: e.a, q: e.q, id: e.id, origin: OriginStale})
 	recovered := s.degraded[label]
 	delete(s.degraded, label)
 	s.mu.Unlock()
@@ -341,12 +405,7 @@ func (r *Registry) fallbackFor(label string) fallbackCopy {
 	defer s.mu.Unlock()
 	fc := s.stale[label]
 	if fc.a != nil {
-		for i, l := range s.order {
-			if l == label {
-				s.order = append(append(append([]string{}, s.order[:i]...), s.order[i+1:]...), label)
-				break
-			}
-		}
+		s.touch(label)
 	}
 	return fc
 }

@@ -46,6 +46,15 @@ const wlVersion = 1
 
 // SaveFile atomically writes the lists to path.
 func SaveFile(path string, lists []*Watchlist) error {
+	data, err := encode(lists)
+	if err != nil {
+		return err
+	}
+	return writeFile(path, data)
+}
+
+// encode serializes the lists in the snapshot layout, CRC included.
+func encode(lists []*Watchlist) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Write(wlMagic[:])
 	putU16(&buf, wlVersion)
@@ -61,7 +70,7 @@ func SaveFile(path string, lists []*Watchlist) error {
 		putI64(&buf, int64(w.MinSupport))
 		floor, err := parseSeverityFloor(w.SeverityFloor)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		buf.WriteByte(byte(floor))
 		var flags byte
@@ -81,7 +90,13 @@ func SaveFile(path string, lists []*Watchlist) error {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
 	buf.Write(crc[:])
+	return buf.Bytes(), nil
+}
 
+// writeFile writes data to path with the store's durability pattern:
+// temp file in the destination directory, fsync, rename, fsync the
+// directory.
+func writeFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -93,7 +108,7 @@ func SaveFile(path string, lists []*Watchlist) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("watch: %w", e)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		return cleanup(err)
 	}
 	if err := tmp.Sync(); err != nil {
@@ -127,6 +142,12 @@ func LoadFile(path string) ([]*Watchlist, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decode(data)
+}
+
+// decode parses a snapshot held in memory. Every failure is ErrBadMagic,
+// ErrVersion or ErrCorrupt.
+func decode(data []byte) ([]*Watchlist, error) {
 	if len(data) < len(wlMagic)+4+4 {
 		return nil, ErrCorrupt
 	}
