@@ -204,12 +204,14 @@ func newDeps(cfg config) (_ *deps, err error) {
 	// breakers, transient-failure retry, corrupt-snapshot quarantine,
 	// and the last-good stale cache behind graceful degradation. Every
 	// cold decode flows into the watchlist evaluator, so quarter loads
-	// and refreshes fire alerts without any polling.
+	// and refreshes fire alerts without any polling; so does a promotion
+	// of a quarter a drift event has marked dirty.
 	reg, err := store.OpenRegistry(dir, store.RegistryOptions{
 		Metrics:    obs.NewStoreMetrics(d.metrics),
 		Tracer:     d.tracer,
 		Auditor:    d.auditor,
 		OnLoad:     d.ws.onQuarterLoaded,
+		Dirty:      d.ws.ev.Dirty,
 		Wide:       d.events,
 		Resilience: &store.ResilienceOptions{Quarantine: true},
 	})

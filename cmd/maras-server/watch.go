@@ -17,8 +17,9 @@ package main
 // Evaluation is event-driven: every quarter is evaluated as the
 // registry cold-decodes it (store.RegistryOptions.OnLoad) — the mining
 // server's startup quarter included, since it is loaded through the
-// same registry — and audit drift events reach the evaluator through
-// audit.Log.OnRecord. Watchlists persist
+// same registry — or promotes it while a drift event has it marked
+// dirty (store.RegistryOptions.Dirty), and audit drift events reach
+// the evaluator through audit.Log.OnRecord. Watchlists persist
 // to a snapshot file (watch.SaveFile) on every mutation.
 
 import (
@@ -153,7 +154,8 @@ func (ws *watchStack) register(mux *http.ServeMux, mw *obs.HTTPMetrics, app func
 }
 
 // onQuarterLoaded is the store registry's OnLoad hook: every cold
-// decode refreshes the drug vocabulary and runs a watch evaluation.
+// decode, and every promotion of a dirty quarter, refreshes the drug
+// vocabulary and runs a watch evaluation.
 func (ws *watchStack) onQuarterLoaded(ctx context.Context, label string, a *core.Analysis) {
 	ws.noteDrugs(a)
 	res := ws.ev.EvaluateAnalysis(ctx, label, a)

@@ -7,12 +7,15 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"maras/internal/audit"
+	"maras/internal/store"
 	"maras/internal/watch"
 )
 
@@ -205,6 +208,60 @@ func TestWatchAlertsFireOnceAndCursor(t *testing.T) {
 	}
 	if rec := getMux(t, h, "/api/alerts/alice?n=0"); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad n = %d", rec.Code)
+	}
+}
+
+// A drift event marks a quarter for a full re-route; a watchlist
+// created afterwards gets its alert when the quarter next comes back
+// into the LRU, even when that load promotes the retained copy instead
+// of decoding. A later clean promotion fires nothing more.
+func TestDirtyQuarterPromotionDeliversAlerts(t *testing.T) {
+	h, d := watchStoreHandler(t, tempStoreDir(t, store.DefaultMaxOpen+1), "")
+	load := func(label string) {
+		t.Helper()
+		if rec := getMux(t, h, "/q/"+label+"/api/signals"); rec.Code != http.StatusOK {
+			t.Fatalf("load %s = %d", label, rec.Code)
+		}
+	}
+	evictQ1 := func() {
+		t.Helper()
+		for i := 2; i <= store.DefaultMaxOpen+1; i++ {
+			load(fmt.Sprintf("2014Q%d", i))
+		}
+	}
+	q1Alerts := func() int {
+		t.Helper()
+		n := 0
+		for _, a := range getAlerts(t, h, "/api/alerts/alice").Alerts {
+			if a.Quarter == "2014Q1" {
+				n++
+			}
+		}
+		return n
+	}
+
+	load("2014Q1") // evaluated with no watchlists: nothing fires
+	d.auditor.Log.Record(audit.Event{Rule: audit.RuleChurn, Severity: audit.SevWarn,
+		Scope: "2014Q5->2014Q1", Message: "churned"})
+	if rec := postJSON(t, h, "/api/watchlists",
+		`{"user":"alice","drugs":["aspirin"]}`); rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d", rec.Code)
+	}
+	evictQ1()
+	promotions := func() int64 { return d.metrics.Counter("maras_store_promotions_total", "").Value() }
+	before := promotions()
+	load("2014Q1")
+	if promotions() != before+1 {
+		t.Fatalf("2014Q1 reload was not a promotion (promotions %d -> %d)", before, promotions())
+	}
+	if n := q1Alerts(); n != 1 {
+		t.Fatalf("2014Q1 alerts after the dirty promotion = %d, want 1", n)
+	}
+
+	evictQ1()
+	load("2014Q1")
+	if n := q1Alerts(); n != 1 {
+		t.Errorf("2014Q1 alerts after a clean promotion = %d, want still 1", n)
 	}
 }
 

@@ -376,6 +376,15 @@ func (ev *Evaluator) HandleAuditEvent(e audit.Event) {
 	}
 }
 
+// Dirty reports whether label is marked for a full re-route on its
+// next evaluation (see HandleAuditEvent). The store registry asks it
+// before skipping the evaluation of an unchanged quarter.
+func (ev *Evaluator) Dirty(label string) bool {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	return ev.dirty[label]
+}
+
 // lostSignalAlerts routes a signal_lost drift event: the Subject is
 // the lost signal's drug-combination key, so routing goes through drug
 // postings only (a reaction-only list has no stake in which drugs

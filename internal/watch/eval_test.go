@@ -199,6 +199,9 @@ func TestHandleAuditEventChurnMarksDirty(t *testing.T) {
 	}
 
 	ev.HandleAuditEvent(audit.Event{Rule: audit.RuleChurn, Scope: "2014Q1->2014Q2"})
+	if !ev.Dirty("2014Q2") || ev.Dirty("2014Q1") {
+		t.Fatalf("Dirty(2014Q2) = %v, Dirty(2014Q1) = %v; want only the destination", ev.Dirty("2014Q2"), ev.Dirty("2014Q1"))
+	}
 	res := ev.EvaluateQuarter(context.Background(), "2014Q2", sigs)
 	// Dirty forces re-routing, but fired-state dedup still suppresses
 	// the unchanged alert.
@@ -209,6 +212,9 @@ func TestHandleAuditEventChurnMarksDirty(t *testing.T) {
 		t.Fatalf("feed has %d alerts", n)
 	}
 	// Dirty is one-shot.
+	if ev.Dirty("2014Q2") {
+		t.Fatal("Dirty(2014Q2) still true after the evaluation")
+	}
 	if res := ev.EvaluateQuarter(context.Background(), "2014Q2", sigs); res.Changed != 0 {
 		t.Fatalf("dirty mark not cleared: %+v", res)
 	}
