@@ -34,15 +34,17 @@ bench:
 
 ## fuzz: mutate the snapshot decoder (as is, then with the CRC resealed
 ## after each mutation so it reaches the section parsers), the txdb
-## support counter, the closed-set miner, then the watchlist snapshot
-## reader, each for FUZZTIME (default 30s). The decoder's seeds cover
-## valid v1/v2/v3 snapshots, truncations, CRC-breaking bit flips and
-## crafted resealed files; any input outside the three typed errors
-## fails. FuzzTIDs builds a DB and a query from the bytes and checks
+## support counter, the closed-set miner, the watchlist snapshot reader,
+## then the FAERS table readers, each for FUZZTIME (default 30s). The
+## decoder's seeds cover valid v1/v2/v3 snapshots, truncations,
+## CRC-breaking bit flips and crafted resealed files; any input outside
+## the three typed errors fails. FuzzTIDs builds a DB and a query from the bytes and checks
 ## TIDs against a linear scan. FuzzMineClosed builds a small DB, support
 ## and length bound and checks lcm against a by-definition oracle.
 ## FuzzWatchlistDecode accepts only typed errors or files that
-## round-trip through the watchlist encoder.
+## round-trip through the watchlist encoder. FuzzReadTables feeds the
+## FAERS DEMO/DRUG/REAC/OUTC readers and accepts an error or rows that
+## round-trip through the matching writer.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
@@ -50,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/txdb -run '^$$' -fuzz FuzzTIDs -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lcm -run '^$$' -fuzz FuzzMineClosed -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/watch -run '^$$' -fuzz '^FuzzWatchlistDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/faers -run '^$$' -fuzz '^FuzzReadTables$$' -fuzztime $(FUZZTIME)
 
 ## vuln: known-vulnerability scan of the module graph and stdlib
 ## call sites. The binary is not installed here (CI pins its version;

@@ -203,9 +203,9 @@ func newDeps(cfg config) (_ *deps, err error) {
 	// The registry runs with the resilience layer on: per-quarter load
 	// breakers, transient-failure retry, corrupt-snapshot quarantine,
 	// and the last-good stale cache behind graceful degradation. Every
-	// cold decode flows into the watchlist evaluator, so quarter loads
-	// and refreshes fire alerts without any polling; so does a promotion
-	// of a quarter a drift event has marked dirty.
+	// load of new quarter bytes flows into the watchlist evaluator, so
+	// quarter loads and refreshes fire alerts without any polling; so
+	// does any cold load of a quarter a drift event has marked dirty.
 	reg, err := store.OpenRegistry(dir, store.RegistryOptions{
 		Metrics:    obs.NewStoreMetrics(d.metrics),
 		Tracer:     d.tracer,

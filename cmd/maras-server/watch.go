@@ -14,12 +14,13 @@ package main
 //	                                response is the next cursor value
 //	GET    /api/watch/stats         index/feed/evaluator counters
 //
-// Evaluation is event-driven: every quarter is evaluated as the
-// registry cold-decodes it (store.RegistryOptions.OnLoad) — the mining
-// server's startup quarter included, since it is loaded through the
-// same registry — or promotes it while a drift event has it marked
-// dirty (store.RegistryOptions.Dirty), and audit drift events reach
-// the evaluator through audit.Log.OnRecord. Watchlists persist
+// Evaluation is event-driven: every quarter is evaluated when the
+// registry first loads its bytes (store.RegistryOptions.OnLoad) — the
+// mining server's startup quarter included, since it is loaded through
+// the same registry — and again on a later cold load of the same bytes
+// (re-decode or promotion) only while a drift event has it marked
+// dirty (store.RegistryOptions.Dirty); audit drift events reach the
+// evaluator through audit.Log.OnRecord. Watchlists persist
 // to a snapshot file (watch.SaveFile) on every mutation.
 
 import (
@@ -153,9 +154,9 @@ func (ws *watchStack) register(mux *http.ServeMux, mw *obs.HTTPMetrics, app func
 	mw.Handle(mux, "/api/watch/stats", obs.GzipHandler(app(ws.handleWatchStats)))
 }
 
-// onQuarterLoaded is the store registry's OnLoad hook: every cold
-// decode, and every promotion of a dirty quarter, refreshes the drug
-// vocabulary and runs a watch evaluation.
+// onQuarterLoaded is the store registry's OnLoad hook: the first load
+// of each distinct quarter file, and every cold load of a dirty
+// quarter, refreshes the drug vocabulary and runs a watch evaluation.
 func (ws *watchStack) onQuarterLoaded(ctx context.Context, label string, a *core.Analysis) {
 	ws.noteDrugs(a)
 	res := ws.ev.EvaluateAnalysis(ctx, label, a)

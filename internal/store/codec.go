@@ -48,18 +48,17 @@
 // # Decoded memory
 //
 // Decode gives the dictionary and signals sections one backing string
-// each, copied from the payload. Dictionary names, report IDs, SOCs
-// and knowledge-base fields are substrings of it. Itemsets, string
+// each, copied from the payload. Dictionary names, signal drug and
+// reaction names, report IDs, SOCs and knowledge-base fields are
+// substrings of it. Itemsets, string
 // lists, cluster levels and level rules are carved from per-decode
 // chunks, each with capacity equal to its length, so an append
 // reallocates. A decoded quarter therefore costs a few dozen
 // allocations for those values instead of one per value, and all of
-// them die together with the quarter. Signal.Drugs and
-// Signal.Reactions are the exception: trend trajectories keep them
-// after the quarter is evicted, and a substring would pin the whole
-// section, so each list and name is allocated on its own. A consumer
-// that keeps any other decoded string beyond the quarter's lifetime
-// must clone it. Reports stay caller-owned copies in every version.
+// them die together with the quarter. A consumer that keeps a decoded
+// string or list beyond the quarter's lifetime must clone it, or one
+// name pins the whole section: trend.Assemble copies the names its
+// trajectories keep. Reports stay caller-owned copies in every version.
 package store
 
 import (
@@ -857,15 +856,13 @@ func (d *dec) f64() float64 {
 
 // str reads a length-prefixed string: a substring of the section's
 // backing string when the decoder is shared, else a copy of its own.
-func (d *dec) str() string { return d.strAs(d.shared) }
-
-func (d *dec) strAs(shared bool) string {
+func (d *dec) str() string {
 	n := d.uv()
 	if !d.need(int(n)) {
 		return ""
 	}
 	var s string
-	if shared {
+	if d.shared {
 		s = d.s[d.off : d.off+int(n)]
 	} else {
 		s = string(d.b[d.off : d.off+int(n)])
@@ -891,24 +888,21 @@ func (d *dec) count(minBytes int) int {
 }
 
 // strs reads a string list; a shared decoder carves the list from its
-// chunk and its strings from the backing string.
-func (d *dec) strs() []string { return d.strsAs(d.shared) }
-
-// strsAs reads a string list, carved and backed only when shared is
-// set; otherwise the list and every string are allocated for it alone.
-func (d *dec) strsAs(shared bool) []string {
+// chunk and its strings from the backing string, any other allocates
+// the list and every string for it alone.
+func (d *dec) strs() []string {
 	n := d.count(1)
 	if n == 0 {
 		return nil
 	}
 	var out []string
-	if shared {
+	if d.shared {
 		out = carve(&d.strChunk, n, strChunkLen)
 	} else {
 		out = make([]string, n)
 	}
 	for i := range out {
-		out[i] = d.strAs(shared)
+		out[i] = d.str()
 	}
 	return out
 }
@@ -985,10 +979,8 @@ func (d *dec) signals() []core.Signal {
 		s := &out[i]
 		s.Rank = int(d.i64())
 		s.Score = d.f64()
-		// Drug and reaction names outlive the quarter in cached trend
-		// trajectories, so they must not pin the section's backing.
-		s.Drugs = d.strsAs(false)
-		s.Reactions = d.strsAs(false)
+		s.Drugs = d.strs()
+		s.Reactions = d.strs()
 		s.Support = int(d.i64())
 		s.Confidence = d.f64()
 		s.Lift = d.f64()

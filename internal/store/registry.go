@@ -58,21 +58,26 @@ type RegistryOptions struct {
 	// linked to the paying request's trace when one is active. LRU hits
 	// emit nothing; they are visible on the request event's cache dim.
 	Wide *wide.Ring
-	// OnLoad, when non-nil, is called after every successful cold load
-	// (disk decode) with the freshly rehydrated analysis — once per
-	// decode, not per LRU hit or promotion (but see Dirty), so
-	// re-serving a resident or retained quarter costs nothing extra.
-	// It runs on the loading goroutine, outside the registry lock,
-	// with the load's context (so callbacks can attach spans to the
-	// request trace that paid for the decode). Consumers reacting to
-	// quarter content changes (the watch evaluator) hang off this
-	// hook.
+	// OnLoad, when non-nil, is called after a successful cold load
+	// (disk decode or promotion) with the rehydrated analysis, once per
+	// distinct file identity: on the quarter's first load, and on the
+	// first load after its bytes changed or the registry forgot them
+	// (Save, InstallBytes, a rewrite a Refresh or load notices, a
+	// quarantine). A re-decode or promotion of the bytes last loaded
+	// calls it only when Dirty asks; an LRU hit never does. A consumer
+	// thus sees each content once, however often the quarter is
+	// evicted and brought back. It runs on the loading goroutine,
+	// outside the registry lock, with the load's context (so callbacks
+	// can attach spans to the request trace that paid for the load).
+	// Consumers reacting to quarter content changes (the watch
+	// evaluator) hang off this hook.
 	OnLoad func(ctx context.Context, label string, a *core.Analysis)
-	// Dirty, when non-nil, is asked on every promotion (see
+	// Dirty, when non-nil, is asked on every cold load of bytes the
+	// registry has already loaded (a re-decode or a promotion; see
 	// Registry.load) whether OnLoad must see label again although its
-	// bytes are unchanged. When it returns true the promotion calls
-	// OnLoad as a decode would. The watch evaluator answers true for a
-	// quarter a drift event has marked for a full re-route.
+	// bytes are unchanged. When it returns true the load calls OnLoad
+	// as a load of new bytes would. The watch evaluator answers true for
+	// a quarter a drift event has marked for a full re-route.
 	Dirty func(label string) bool
 }
 
@@ -328,9 +333,18 @@ func (r *Registry) LoadContext(ctx context.Context, label string) (*core.Analysi
 // last-good copy was decoded promotes that copy (see openResilient).
 // A promotion is not a decode: it observes neither LoadSeconds nor
 // BytesRead and records no tracer stage; it counts in Promotions and
-// marks the decode span promoted=true. It calls OnLoad only when
+// marks the decode span promoted=true.
+//
+// Decode and promotion share one OnLoad rule: OnLoad runs when the
+// file's identity differs from the one last loaded for the quarter (or
+// none is recorded: a first load, or one after forget), or when
 // RegistryOptions.Dirty says the consumer wants the unchanged analysis
-// again.
+// again. A quarter that fell out of the last-good cache therefore
+// re-decodes without re-running its consumers.
+//
+// Every successful load, LRU hits included, records the entry as the
+// quarter's last-good copy (see noteFresh), so the audit sweep and
+// trend assembly retain what they decode just as serving does.
 func (r *Registry) load(ctx context.Context, label string) (*entry, error) {
 	if !r.Has(label) {
 		return nil, fmt.Errorf("store: quarter %q not in %s", label, r.dir)
@@ -400,7 +414,8 @@ func (r *Registry) load(ctx context.Context, label string) (*entry, error) {
 			prev, seen := r.ids[label]
 			r.ids[label] = cl.id
 			r.mu.Unlock()
-			if seen && !prev.same(cl.id) {
+			known := seen && prev.same(cl.id)
+			if seen && !known {
 				// The file changed since the quarter was last loaded, so
 				// a trend assembled from the old bytes is stale.
 				r.invalidateTrend()
@@ -416,25 +431,22 @@ func (r *Registry) load(ctx context.Context, label string) (*entry, error) {
 					Duration: time.Since(start), Cache: "promoted",
 					Trace: obs.ActiveSpan(ctx).TraceID(),
 				})
-				if r.onLoad != nil && r.dirty != nil && r.dirty(label) {
-					r.onLoad(ctx, label, cl.a)
+			} else {
+				if m != nil {
+					m.LoadSeconds.Observe(time.Since(start).Seconds())
+					m.BytesRead.Add(cl.size)
 				}
-				return
+				dspan.SetInt("bytes", cl.size)
+				st.Count("signals", int64(len(cl.a.Signals)))
+				st.Count("reports", int64(cl.a.Stats.Reports))
+				st.End()
+				r.wide.Emit(wide.Event{
+					Kind: wide.KindStoreLoad, Quarter: label, Status: 200,
+					Duration: time.Since(start), Bytes: cl.size,
+					Cache: "lru_miss", Trace: obs.ActiveSpan(ctx).TraceID(),
+				})
 			}
-			if m != nil {
-				m.LoadSeconds.Observe(time.Since(start).Seconds())
-				m.BytesRead.Add(cl.size)
-			}
-			dspan.SetInt("bytes", cl.size)
-			st.Count("signals", int64(len(cl.a.Signals)))
-			st.Count("reports", int64(cl.a.Stats.Reports))
-			st.End()
-			r.wide.Emit(wide.Event{
-				Kind: wide.KindStoreLoad, Quarter: label, Status: 200,
-				Duration: time.Since(start), Bytes: cl.size,
-				Cache: "lru_miss", Trace: obs.ActiveSpan(ctx).TraceID(),
-			})
-			if r.onLoad != nil {
+			if r.onLoad != nil && (!known || r.dirty != nil && r.dirty(label)) {
 				r.onLoad(ctx, label, cl.a)
 			}
 		}, prof.LabelOp, "store_load", "quarter", label)
@@ -444,6 +456,7 @@ func (r *Registry) load(ctx context.Context, label string) (*entry, error) {
 		r.dropLocked(label, e)
 		return nil, e.err
 	}
+	r.noteFresh(label, e)
 	return e, nil
 }
 

@@ -321,13 +321,13 @@ func (r *Registry) peerFetcher() func(ctx context.Context, label string) (*core.
 // (OriginLocal), the in-memory last-good cache (OriginStale — or
 // OriginPeer when the cached copy itself came from a replica), then a
 // replica peer via the SetPeerFetch hook (OriginPeer). A fresh local
-// success repopulates the cache and clears the quarter's degraded
-// mark; on error the returned Origin is empty. Without resilience
-// options it is LoadContext with OriginLocal on success.
+// success (through any loader: see Registry.load) repopulates the cache
+// and clears the quarter's degraded mark; on error the returned Origin
+// is empty. Without resilience options it is LoadContext with
+// OriginLocal on success.
 func (r *Registry) LoadResilient(ctx context.Context, label string) (*core.Analysis, Origin, error) {
 	e, err := r.load(ctx, label)
 	if err == nil {
-		r.noteFresh(label, e)
 		return e.a, OriginLocal, nil
 	}
 	if r.res == nil {
@@ -372,10 +372,11 @@ func (r *Registry) LoadResilient(ctx context.Context, label string) (*core.Analy
 	return nil, "", err
 }
 
-// noteFresh records a successful live load: the entry's analysis,
-// quality report and file identity become the quarter's last-good
-// stale copy, and a previously degraded quarter is marked recovered on
-// the audit timeline.
+// noteFresh records a successful local load, whichever loader made it
+// (LoadResilient, LoadContext, the quality sweep, trend assembly): the
+// entry's analysis, quality report and file identity become the
+// quarter's last-good stale copy, and a previously degraded quarter is
+// marked recovered on the audit timeline.
 func (r *Registry) noteFresh(label string, e *entry) {
 	s := r.res
 	if s == nil {

@@ -10,6 +10,7 @@ package trend
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"maras/internal/core"
 	"maras/internal/faers"
@@ -220,6 +221,7 @@ func Assemble(labels []string, results []*core.Analysis) *Analysis {
 		}
 	}
 	for _, t := range traj {
+		t.Key, t.Drugs, t.Reactions = ownNames(t.Key, t.Drugs, t.Reactions)
 		a.Trajectories = append(a.Trajectories, *t)
 	}
 	sort.Slice(a.Trajectories, func(i, j int) bool {
@@ -234,4 +236,40 @@ func Assemble(labels []string, results []*core.Analysis) *Analysis {
 		a.byKey[a.Trajectories[i].Key] = i
 	}
 	return a
+}
+
+// ownNames copies a trajectory's key and names into one string and one
+// list of its own. A decoded quarter's names are substrings of its
+// snapshot section, and a trajectory outlives the quarter in the
+// store's cached assembly: without the copy, one name would keep the
+// whole section alive after the quarter is evicted.
+func ownNames(key string, drugs, reactions []string) (string, []string, []string) {
+	names := make([]string, 0, len(drugs)+len(reactions))
+	names = append(append(names, drugs...), reactions...)
+	n := len(key)
+	for _, s := range names {
+		n += len(s)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(key)
+	for _, s := range names {
+		b.WriteString(s)
+	}
+	all := b.String()
+	off := len(key)
+	for i, s := range names {
+		names[i] = all[off : off+len(s)]
+		off += len(s)
+	}
+	return all[:len(key)], clip(names[:len(drugs)]), clip(names[len(drugs):])
+}
+
+// clip returns l with its capacity cut to its length, so an append
+// reallocates instead of overwriting a neighbour; an empty list is nil.
+func clip(l []string) []string {
+	if len(l) == 0 {
+		return nil
+	}
+	return l[:len(l):len(l)]
 }
