@@ -35,8 +35,8 @@ bench:
 ## fuzz: mutate the snapshot decoder (as is, then with the CRC resealed
 ## after each mutation so it reaches the section parsers), the txdb
 ## support counter, the closed-set miner, the watchlist snapshot reader,
-## then the FAERS table readers, each for FUZZTIME (default 30s). The
-## decoder's seeds cover valid v1/v2/v3 snapshots, truncations,
+## the FAERS table readers, then the failpoint spec grammar, each for
+## FUZZTIME (default 30s). The decoder's seeds cover valid v1/v2/v3 snapshots, truncations,
 ## CRC-breaking bit flips and crafted resealed files; any input outside
 ## the three typed errors fails. FuzzTIDs builds a DB and a query from the bytes and checks
 ## TIDs against a linear scan. FuzzMineClosed builds a small DB, support
@@ -44,7 +44,9 @@ bench:
 ## FuzzWatchlistDecode accepts only typed errors or files that
 ## round-trip through the watchlist encoder. FuzzReadTables feeds the
 ## FAERS DEMO/DRUG/REAC/OUTC readers and accepts an error or rows that
-## round-trip through the matching writer.
+## round-trip through the matching writer. FuzzFailpointSpec feeds the
+## failpoint spec grammar and accepts an error or failpoints with a
+## probability in (0,1], a budget of -1 or > 0 and a delay >= 0.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/lcm -run '^$$' -fuzz FuzzMineClosed -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/watch -run '^$$' -fuzz '^FuzzWatchlistDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faers -run '^$$' -fuzz '^FuzzReadTables$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzFailpointSpec$$' -fuzztime $(FUZZTIME)
 
 ## vuln: known-vulnerability scan of the module graph and stdlib
 ## call sites. The binary is not installed here (CI pins its version;

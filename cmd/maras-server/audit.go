@@ -15,6 +15,8 @@ import (
 	"strings"
 
 	"maras/internal/audit"
+	"maras/internal/obs"
+	"maras/internal/store"
 )
 
 // handleQuality serves /api/quality/{label}: the quarter's ingest-
@@ -40,7 +42,9 @@ func (ss *storeServer) handleQuality(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDrift serves /api/drift/{from}/{to}: the signal-set diff
-// between two stored quarters over the configured top-K.
+// between two stored quarters over the configured top-K. The body is
+// built once per trend assembly (see trendMemo); the report is still
+// recorded on the audit log on every request, where repeats dedup.
 func (ss *storeServer) handleDrift(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/api/drift/"), "/")
 	from, to, ok := strings.Cut(rest, "/")
@@ -58,13 +62,38 @@ func (ss *storeServer) handleDrift(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "drift needs two distinct quarters", http.StatusBadRequest)
 		return
 	}
-	d, err := ss.reg.DriftContext(r.Context(), from, to)
+	// The span covers the assembly, as DriftContext's does.
+	ctx, span := obs.StartSpan(r.Context(), store.SpanDrift)
+	defer span.End()
+	ta, err := ss.reg.TrendAnalysisContext(ctx)
 	if err != nil {
 		ss.logger.Error("drift", "from", from, "to", to, "err", err)
 		http.Error(w, "drift report unavailable", http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, ss, "drift", d)
+	k := memoKey{route: "drift", a: from, b: to}
+	e, ok := ss.memo.get(ta, k)
+	if ok {
+		ss.auditor.RecordDrift(e.drift)
+	} else {
+		d, err := ss.reg.DriftOver(ctx, ta, from, to)
+		if err != nil {
+			ss.logger.Error("drift", "from", from, "to", to, "err", err)
+			http.Error(w, "drift report unavailable", http.StatusInternalServerError)
+			return
+		}
+		body, err := json.Marshal(d)
+		if err != nil {
+			ss.logger.Error("drift encode", "err", err)
+			http.Error(w, "internal encode error", http.StatusInternalServerError)
+			return
+		}
+		e = memoEntry{body: obs.Precompress(body), drift: d}
+		ss.memo.put(ta, k, e)
+	}
+	if err := obs.WriteEncoded(w, r, "application/json", e.body); err != nil {
+		ss.logger.Warn("drift write", "err", err)
+	}
 }
 
 // writeJSON encodes v fully before writing so a marshal failure yields

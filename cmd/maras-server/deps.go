@@ -218,7 +218,8 @@ func newDeps(cfg config) (_ *deps, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("open store: %w", err)
 	}
-	d.ss = &storeServer{reg: reg, logger: logger, auditor: d.auditor, ready: d.ready, slos: d.slos}
+	d.ss = &storeServer{reg: reg, logger: logger, auditor: d.auditor, ready: d.ready, slos: d.slos,
+		memo: &trendMemo{latest: reg.IsLatestTrend}}
 	if cfg.store == "" {
 		if err := d.mine(reg); err != nil {
 			return nil, err

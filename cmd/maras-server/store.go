@@ -54,6 +54,9 @@ type storeServer struct {
 	// routing consults its peer inventories before 404ing a label the
 	// local disk has never seen.
 	replica *replica.Node
+	// memo holds the drift and timeline bodies of the current trend
+	// assembly.
+	memo *trendMemo
 }
 
 // noteDegradation mirrors the registry's degradation state onto the
@@ -189,7 +192,8 @@ type timelinePoint struct {
 
 // handleTimeline serves /api/timeline/{drugkey} where drugkey is the
 // canonical combination key ("ASPIRIN+WARFARIN", any case or order) —
-// the surveillance question answered across every stored quarter.
+// the surveillance question answered across every stored quarter. The
+// body is built once per trend assembly (see trendMemo).
 func (ss *storeServer) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	raw := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/api/timeline/"), "/")
 	if raw == "" {
@@ -197,23 +201,42 @@ func (ss *storeServer) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := knowledge.DrugKey(strings.Split(raw, "+"))
-	labels, traj, err := ss.reg.TimelineContext(r.Context(), key)
+	ta, err := ss.reg.TrendAnalysisContext(r.Context())
 	if err != nil {
 		ss.logger.Error("timeline", "key", key, "err", err)
 		http.Error(w, "timeline unavailable", http.StatusInternalServerError)
 		return
 	}
-	if traj == nil {
-		http.Error(w, fmt.Sprintf("combination %q never signaled in %d stored quarters", key, len(labels)),
-			http.StatusNotFound)
-		return
+	k := memoKey{route: "timeline", a: key}
+	e, ok := ss.memo.get(ta, k)
+	if !ok {
+		traj := ta.Find(key)
+		if traj == nil {
+			http.Error(w, fmt.Sprintf("combination %q never signaled in %d stored quarters", key, len(ta.Quarters)),
+				http.StatusNotFound)
+			return
+		}
+		body, err := timelineJSON(traj)
+		if err != nil {
+			http.Error(w, "internal encode error", http.StatusInternalServerError)
+			return
+		}
+		e = memoEntry{body: obs.Precompress(body)}
+		ss.memo.put(ta, k, e)
 	}
+	if err := obs.WriteEncoded(w, r, "application/json", e.body); err != nil {
+		ss.logger.Warn("timeline write", "err", err)
+	}
+}
+
+// timelineJSON encodes a trajectory as /api/timeline serves it.
+func timelineJSON(traj *trend.Trajectory) ([]byte, error) {
 	points := make([]timelinePoint, len(traj.Points))
 	for i, p := range traj.Points {
 		points[i] = timelinePoint{Quarter: p.Quarter, Rank: p.Rank, Score: p.Score,
 			Support: p.Support, Confidence: p.Confidence}
 	}
-	body, err := json.Marshal(struct {
+	return json.Marshal(struct {
 		Key       string          `json:"key"`
 		Drugs     []string        `json:"drugs"`
 		Reactions []string        `json:"reactions"`
@@ -224,10 +247,4 @@ func (ss *storeServer) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		Key: traj.Key, Drugs: traj.Drugs, Reactions: traj.Reactions,
 		Class: traj.Classify(), EmergedAt: traj.EmergedAt(), Points: points,
 	})
-	if err != nil {
-		http.Error(w, "internal encode error", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
 }

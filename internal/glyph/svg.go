@@ -72,10 +72,13 @@ func (s *svg) done() string {
 	return s.b.String()
 }
 
-func escape(t string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(t)
-}
+// escaper is shared: a Replacer builds its lookup table on first use
+// and is safe for concurrent use, so escape pays only for the scan.
+// Single quotes pass through (unlike html.EscapeString): every
+// attribute this package writes is double-quoted.
+var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func escape(t string) string { return escaper.Replace(t) }
 
 // sectorPath returns the SVG path of an annular sector centered at
 // (cx,cy) spanning [a0,a1) radians (0 = 12 o'clock, clockwise) between

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"compress/gzip"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,6 +58,47 @@ func acceptsGzip(r *http.Request) bool {
 		return true
 	}
 	return false
+}
+
+// Encoded is a response body held in plain and gzip form, for bodies
+// memoised across requests: the compression is paid once, when the
+// body is built, instead of on every request that negotiates gzip.
+type Encoded struct {
+	Plain, Gzip []byte
+}
+
+// Precompress returns body with its gzip form, compressed at the level
+// GzipHandler uses.
+func Precompress(body []byte) Encoded {
+	var buf bytes.Buffer
+	zw := gzipPool.Get().(*gzip.Writer)
+	zw.Reset(&buf)
+	zw.Write(body) // a bytes.Buffer write cannot fail
+	zw.Close()
+	zw.Reset(nil)
+	gzipPool.Put(zw)
+	return Encoded{Plain: body, Gzip: buf.Bytes()}
+}
+
+// WriteEncoded writes e as a contentType response negotiated the way
+// GzipHandler negotiates: a client that accepts gzip gets e.Gzip with
+// Content-Encoding: gzip and Vary: Accept-Encoding, any other client
+// gets e.Plain. Under GzipHandler the Content-Encoding it sets makes
+// the wrapper pass the bytes through, and the Vary the wrapper already
+// added is not repeated.
+func WriteEncoded(w http.ResponseWriter, r *http.Request, contentType string, e Encoded) error {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	body := e.Plain
+	if acceptsGzip(r) {
+		if !slices.Contains(h.Values("Vary"), "Accept-Encoding") {
+			h.Add("Vary", "Accept-Encoding")
+		}
+		h.Set("Content-Encoding", "gzip")
+		body = e.Gzip
+	}
+	_, err := w.Write(body)
+	return err
 }
 
 // gzipResponseWriter defers the compress/no-compress decision to the

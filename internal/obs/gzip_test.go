@@ -114,3 +114,43 @@ func TestGzipHandlerDropsContentLength(t *testing.T) {
 		t.Errorf("Content-Length = %q survived compression", cl)
 	}
 }
+
+// TestWriteEncodedNegotiates: a precompressed body goes out as gzip,
+// with one Vary, to clients that accept it, with or without
+// GzipHandler around the writer, and as the plain bytes otherwise.
+func TestWriteEncodedNegotiates(t *testing.T) {
+	plain := []byte(strings.Repeat(`{"signal":"ASPIRIN+WARFARIN"},`, 50))
+	e := Precompress(plain)
+	write := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := WriteEncoded(w, r, "application/json", e); err != nil {
+			t.Error(err)
+		}
+	})
+	for name, h := range map[string]http.Handler{"bare": write, "under GzipHandler": GzipHandler(write)} {
+		for _, ae := range []string{"", "gzip", "deflate, gzip;q=0.5", "gzip;q=0"} {
+			rec := gzipProbe(t, h, ae)
+			gz := ae == "gzip" || ae == "deflate, gzip;q=0.5"
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("%s %q: Content-Type %q", name, ae, ct)
+			}
+			body := rec.Body.Bytes()
+			if !gz {
+				if ce := rec.Header().Get("Content-Encoding"); ce != "" || string(body) != string(plain) {
+					t.Errorf("%s %q: Content-Encoding %q, plain body %v", name, ae, ce, string(body) == string(plain))
+				}
+				continue
+			}
+			if ce, vary := rec.Header().Get("Content-Encoding"), rec.Header().Values("Vary"); ce != "gzip" || len(vary) != 1 || vary[0] != "Accept-Encoding" {
+				t.Errorf("%s %q: Content-Encoding %q, Vary %q", name, ae, ce, vary)
+				continue
+			}
+			zr, err := gzip.NewReader(rec.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := io.ReadAll(zr); err != nil || string(got) != string(plain) {
+				t.Errorf("%s %q: gunzipped body differs (%v)", name, ae, err)
+			}
+		}
+	}
+}

@@ -244,7 +244,11 @@ func labelKey(labels []Label) string {
 	return b.String()
 }
 
-func (f *family) get(labels []Label) *series {
+// get returns the series for labels, creating it on first use. mk runs
+// under the family lock and gives the series its metric when it has
+// none yet, so concurrent first uses share one metric and a reader that
+// lists the series under the lock never finds one without it.
+func (f *family) get(labels []Label, mk func(*series)) *series {
 	key := labelKey(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -256,25 +260,28 @@ func (f *family) get(labels []Label) *series {
 		f.series[key] = s
 		f.order = append(f.order, key)
 	}
+	mk(s)
 	return s
 }
 
 // Counter returns (creating on first use) the counter series of the
 // named family with the given labels.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.family(name, help, typeCounter).get(labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
+	s := r.family(name, help, typeCounter).get(labels, func(s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+	})
 	return s.c
 }
 
 // Gauge returns (creating on first use) the gauge series.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.family(name, help, typeGauge).get(labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
+	s := r.family(name, help, typeGauge).get(labels, func(s *series) {
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+	})
 	return s.g
 }
 
@@ -282,10 +289,11 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // series. A family must stay homogeneous: mixing Gauge and FloatGauge
 // series under one name renders both, so pick one per family.
 func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatGauge {
-	s := r.family(name, help, typeGauge).get(labels)
-	if s.fg == nil {
-		s.fg = &FloatGauge{}
-	}
+	s := r.family(name, help, typeGauge).get(labels, func(s *series) {
+		if s.fg == nil {
+			s.fg = &FloatGauge{}
+		}
+	})
 	return s.fg
 }
 
@@ -295,10 +303,11 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	if len(buckets) == 0 {
 		buckets = DefaultLatencyBuckets
 	}
-	s := r.family(name, help, typeHistogram).get(labels)
-	if s.h == nil {
-		s.h = newHistogram(buckets)
-	}
+	s := r.family(name, help, typeHistogram).get(labels, func(s *series) {
+		if s.h == nil {
+			s.h = newHistogram(buckets)
+		}
+	})
 	return s.h
 }
 

@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -284,4 +285,31 @@ func TestPrometheusHelpEscaping(t *testing.T) {
 		}
 	}
 	parsePrometheus(t, text)
+}
+
+// TestConcurrentFirstUseSharesOneMetric: goroutines racing to create
+// the same series all get one metric, and every update lands on it.
+// Run under -race.
+func TestConcurrentFirstUseSharesOneMetric(t *testing.T) {
+	r := NewRegistry()
+	const n = 8
+	gauges := make([]*Gauge, n)
+	var wg sync.WaitGroup
+	for i := range gauges {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			gauges[i] = r.Gauge("g", "", L("pair", "a->b")...)
+			r.Counter("c", "", L("pair", "a->b")...).Inc()
+		}(i)
+	}
+	wg.Wait()
+	for _, g := range gauges[1:] {
+		if g != gauges[0] {
+			t.Fatal("concurrent first uses created distinct gauges for one series")
+		}
+	}
+	if got := r.Counter("c", "", L("pair", "a->b")...).Value(); got != n {
+		t.Errorf("counter = %d, want %d", got, n)
+	}
 }

@@ -182,7 +182,8 @@ func parseAction(s string) (*failpoint, error) {
 	}
 	parseProb := func(f string) error {
 		p, err := strconv.ParseFloat(f, 64)
-		if err != nil || p <= 0 || p > 1 {
+		// Written so that NaN, which fails every comparison, fails it.
+		if err != nil || !(p > 0 && p <= 1) {
 			return fmt.Errorf("bad probability %q (want (0,1])", f)
 		}
 		fp.prob = p

@@ -153,6 +153,9 @@ func TestEnableBadSpecs(t *testing.T) {
 		"x=error(1,msg,extra)",
 		"x=panic(0.5,9)",
 		"x=delay(1ms",
+		"x=error(NaN)",
+		"x=delay(1ms,nan)",
+		"x=panic(-Inf)",
 	} {
 		if err := Enable(spec); err == nil {
 			t.Errorf("Enable(%q) accepted a bad spec", spec)

@@ -6,6 +6,7 @@ import (
 
 	"maras/internal/audit"
 	"maras/internal/obs"
+	"maras/internal/trend"
 )
 
 // Audit serving: the Registry is where per-quarter snapshots and the
@@ -117,16 +118,12 @@ func (r *Registry) Drift(from, to string) (*audit.DriftReport, error) {
 	return r.DriftContext(context.Background(), from, to)
 }
 
-// DriftContext assembles (or reuses) the cross-quarter trend analysis
-// and diffs quarters from and to over the auditor's top-K, recording
-// an "audit_drift" span and routing threshold breaches to the event
-// log. The quarters are conventionally adjacent but any stored pair
-// works.
+// DriftContext is TrendAnalysisContext followed by DriftOver, inside
+// an "audit_drift" span that also covers the assembly. The quarters are
+// conventionally adjacent but any stored pair works.
 func (r *Registry) DriftContext(ctx context.Context, from, to string) (*audit.DriftReport, error) {
 	ctx, span := obs.StartSpan(ctx, SpanDrift)
 	defer span.End()
-	span.SetAttr("from", from)
-	span.SetAttr("to", to)
 
 	for _, label := range []string{from, to} {
 		if !r.Has(label) {
@@ -140,6 +137,19 @@ func (r *Registry) DriftContext(ctx context.Context, from, to string) (*audit.Dr
 		span.SetAttr("error", err.Error())
 		return nil, err
 	}
+	return r.DriftOver(ctx, ta, from, to)
+}
+
+// DriftOver diffs quarters from and to of the trend assembly ta over the
+// auditor's top-K, evaluates the drift alert rules and routes threshold
+// breaches to the event log. It annotates the span active in ctx (the
+// caller's "audit_drift" span) with the pair, the churn counts and the
+// verdict. The report depends only on ta and the auditor's thresholds,
+// so a caller may keep it for as long as ta is current.
+func (r *Registry) DriftOver(ctx context.Context, ta *trend.Analysis, from, to string) (*audit.DriftReport, error) {
+	span := obs.ActiveSpan(ctx)
+	span.SetAttr("from", from)
+	span.SetAttr("to", to)
 	th := r.auditor.ActiveThresholds()
 	d, err := audit.Drift(ta, from, to, th.TopK)
 	if err != nil {

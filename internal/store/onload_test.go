@@ -8,8 +8,9 @@ import (
 	"maras/internal/core"
 )
 
-// OnLoad fires once per cold decode — not per LRU hit — and again
-// after Save invalidates the resident copy.
+// OnLoad fires once per distinct file identity loaded (plus any dirty
+// re-route) — not per LRU hit — and again after Save invalidates the
+// resident copy.
 func TestRegistryOnLoad(t *testing.T) {
 	dir := tempStore(t, 2)
 	var mu sync.Mutex

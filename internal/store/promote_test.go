@@ -87,7 +87,7 @@ func TestPromoteUnchangedQuarter(t *testing.T) {
 		t.Errorf("misses = %d, want 3 (a promotion is still an LRU miss)", got)
 	}
 	if got := onLoads(); got != 2 {
-		t.Errorf("OnLoad calls = %d, want 2 (once per decode, never on a promotion)", got)
+		t.Errorf("OnLoad calls = %d, want 2 (once per file identity, never on a promotion)", got)
 	}
 	// The promoted quarter's quality report is published as on a decode.
 	if q, err := reg.Quality("2014Q1"); err != nil || q.Label != "2014Q1" {

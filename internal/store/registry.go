@@ -122,11 +122,12 @@ type Registry struct {
 	// trendGen, so invalidation never waits for an assembly in
 	// progress. The cache is guarded by trendMu, held across the
 	// (expensive) assembly so concurrent drift/timeline requests share
-	// one computation.
+	// one computation; trendCached is also read without it by
+	// IsLatestTrend.
 	trendGen    atomic.Uint64
 	trendMu     sync.Mutex
 	trendBuilt  uint64
-	trendCached *trend.Analysis
+	trendCached atomic.Pointer[trend.Analysis]
 
 	// res is the resilience machinery (breakers, stale cache,
 	// quarantine); nil unless RegistryOptions.Resilience was set.
@@ -603,10 +604,13 @@ func (r *Registry) TrendAnalysis() (*trend.Analysis, error) {
 // The assembled analysis is cached until Save, InstallBytes, a
 // quarantine, a Refresh that changes the set or finds a rewritten
 // quarter, or a load that finds a quarter's file changed invalidates
-// it. Repeated timeline and drift queries over an
-// unchanged store therefore assemble once. The lock is held across the
-// assembly: concurrent callers share the computation instead of
-// duplicating it.
+// it. Until then every call returns the same *trend.Analysis, so
+// repeated timeline and drift queries over an unchanged store assemble
+// once, and anything derived from the assembly alone (the server's
+// encoded drift and timeline bodies) can be memoised against that
+// pointer. A replaced assembly is never returned again. The lock is
+// held across the assembly: concurrent callers share the computation
+// instead of duplicating it.
 func (r *Registry) TrendAnalysisContext(ctx context.Context) (*trend.Analysis, error) {
 	r.trendMu.Lock()
 	defer r.trendMu.Unlock()
@@ -614,8 +618,8 @@ func (r *Registry) TrendAnalysisContext(ctx context.Context) (*trend.Analysis, e
 	// lands, so reading the generation before the list means a list
 	// that moves meanwhile is never cached under the newer generation.
 	gen := r.trendGen.Load()
-	if r.trendCached != nil && r.trendBuilt == gen {
-		return r.trendCached, nil
+	if cached := r.trendCached.Load(); cached != nil && r.trendBuilt == gen {
+		return cached, nil
 	}
 	labels := r.Quarters()
 	if len(labels) == 0 {
@@ -635,8 +639,19 @@ func (r *Registry) TrendAnalysisContext(ctx context.Context) (*trend.Analysis, e
 	ta := trend.Assemble(labels, results)
 	// An invalidation during the assembly leaves trendBuilt behind
 	// trendGen, so the next call assembles again.
-	r.trendBuilt, r.trendCached = gen, ta
+	r.trendBuilt = gen
+	r.trendCached.Store(ta)
 	return ta, nil
+}
+
+// IsLatestTrend reports whether ta is the assembly TrendAnalysisContext
+// built last. It does not wait for an assembly in progress. Assemblies
+// are built one at a time and a replaced one is never returned again,
+// so once this reports false for ta it always will: a cache keyed by
+// the assembly uses it to keep a fill computed against a superseded
+// assembly out of the current one's entries.
+func (r *Registry) IsLatestTrend(ta *trend.Analysis) bool {
+	return ta != nil && r.trendCached.Load() == ta
 }
 
 // invalidateTrend marks the cached trend assembly stale. It takes no

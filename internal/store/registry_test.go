@@ -241,6 +241,40 @@ func TestRegistryTimeline(t *testing.T) {
 	}
 }
 
+// TestIsLatestTrend: the assembly TrendAnalysis returns is the latest
+// until a write makes the next call assemble anew, and a replaced one
+// is never the latest again.
+func TestIsLatestTrend(t *testing.T) {
+	reg, err := OpenRegistry(tempStore(t, 2), RegistryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.IsLatestTrend(nil) {
+		t.Error("nil is the latest assembly before any was built")
+	}
+	first, err := reg.TrendAnalysis()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := reg.TrendAnalysis(); again != first || !reg.IsLatestTrend(first) {
+		t.Fatal("an unchanged store did not keep its assembly")
+	}
+	if err := reg.Save("2014Q3", quarterAnalysis(t, 16)); err != nil {
+		t.Fatal(err)
+	}
+	// Invalidated but not rebuilt: still the latest one built.
+	if !reg.IsLatestTrend(first) {
+		t.Error("the last assembly built stopped being the latest before a new one was built")
+	}
+	second, err := reg.TrendAnalysis()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first || !reg.IsLatestTrend(second) || reg.IsLatestTrend(first) {
+		t.Errorf("after a rebuild: latest(first)=%v latest(second)=%v", reg.IsLatestTrend(first), reg.IsLatestTrend(second))
+	}
+}
+
 func TestRegistryTracerRecordsLoadNotMine(t *testing.T) {
 	dir := tempStore(t, 1)
 	tracer := obs.NewTracer(nil)
