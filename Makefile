@@ -35,7 +35,8 @@ bench:
 ## fuzz: mutate the snapshot decoder (as is, then with the CRC resealed
 ## after each mutation so it reaches the section parsers), the txdb
 ## support counter, the closed-set miner, the watchlist snapshot reader,
-## the FAERS table readers, then the failpoint spec grammar, each for
+## the FAERS table readers, the failpoint spec grammar, then the
+## /debug/events query parser, each for
 ## FUZZTIME (default 30s). The decoder's seeds cover valid v1/v2/v3 snapshots, truncations,
 ## CRC-breaking bit flips and crafted resealed files; any input outside
 ## the three typed errors fails. FuzzTIDs builds a DB and a query from the bytes and checks
@@ -47,15 +48,19 @@ bench:
 ## round-trip through the matching writer. FuzzFailpointSpec feeds the
 ## failpoint spec grammar and accepts an error or failpoints with a
 ## probability in (0,1], a budget of -1 or > 0 and a delay >= 0.
+## FuzzParseQuery feeds the wide-event query parser and accepts an
+## error or a query over known fields and aggregates with a window
+## >= 0 and a limit > 0.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeResealed$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/txdb -run '^$$' -fuzz FuzzTIDs -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lcm -run '^$$' -fuzz FuzzMineClosed -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/txdb -run '^$$' -fuzz '^FuzzTIDs$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lcm -run '^$$' -fuzz '^FuzzMineClosed$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/watch -run '^$$' -fuzz '^FuzzWatchlistDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faers -run '^$$' -fuzz '^FuzzReadTables$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzFailpointSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs/wide -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME)
 
 ## vuln: known-vulnerability scan of the module graph and stdlib
 ## call sites. The binary is not installed here (CI pins its version;

@@ -202,7 +202,7 @@ func newDeps(cfg config) (_ *deps, err error) {
 
 	// The registry runs with the resilience layer on: per-quarter load
 	// breakers, transient-failure retry, corrupt-snapshot quarantine,
-	// and the last-good stale cache behind graceful degradation. Every
+	// and the last-good copies behind graceful degradation. Every
 	// load of new quarter bytes flows into the watchlist evaluator, so
 	// quarter loads and refreshes fire alerts without any polling; so
 	// does any cold load of a quarter a drift event has marked dirty.

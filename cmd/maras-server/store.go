@@ -15,7 +15,7 @@ package main
 //	/api/drift/{from}/{to}  signal churn between two stored quarters
 //	/debug/audit            the audit event timeline (?format=json)
 //
-// Warm quarters are held in the registry's LRU, which every quarter
+// Warm quarters are held in the registry's table, which every quarter
 // request consults (a warm request is one LRU hit); there is no
 // per-quarter handler state beside it. /metrics exposes the store
 // series (load latency, open-quarter gauge, hit/miss/eviction
@@ -80,7 +80,7 @@ type quarterKey struct{}
 // quarterApp builds the per-quarter application mux once. Every
 // handler renders the quarter serveQuarter put in the request context,
 // so one mux serves every quarter and no per-quarter state outlives
-// the registry's own LRU.
+// the registry's own table.
 func quarterApp() *http.ServeMux {
 	mux := http.NewServeMux()
 	for pattern, h := range map[string]func(*server, http.ResponseWriter, *http.Request){

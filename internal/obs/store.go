@@ -1,21 +1,22 @@
 package obs
 
 // StoreMetrics instruments the snapshot store (package store): how
-// long snapshot loads take, how many quarters are held open, and how
-// the open-quarter LRU is behaving. All fields are nil-safe through
+// long snapshot loads take, how many quarters are hot, and how the
+// registry's hot window is behaving. All fields are nil-safe through
 // the usual registry types; construct with NewStoreMetrics so the
 // series exist (at zero) from the first scrape.
 type StoreMetrics struct {
 	// LoadSeconds observes the wall time of each snapshot load from
 	// disk (decode + rehydrate).
 	LoadSeconds *Histogram
-	// OpenQuarters tracks the number of quarters currently resident.
+	// OpenQuarters tracks the number of hot quarters: those whose
+	// loads are served as LRU hits.
 	OpenQuarters *Gauge
 	// Hits counts registry loads served from an already-open quarter.
 	Hits *Counter
 	// Misses counts registry loads that had to read a snapshot file.
 	Misses *Counter
-	// Evictions counts quarters dropped by the open-quarter LRU.
+	// Evictions counts quarters that left the registry's hot window.
 	Evictions *Counter
 	// BytesRead accumulates snapshot bytes read from disk.
 	BytesRead *Counter

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"maras/internal/store"
 )
 
 // InventoryHandler serves GET /sync/inventory: the node's name, its
@@ -30,7 +32,7 @@ func (n *Node) InventoryHandler() http.Handler {
 func (n *Node) SnapshotHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		label := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/sync/snapshot/"), "/")
-		if label == "" || strings.ContainsAny(label, "/\\") || strings.Contains(label, "..") {
+		if store.CheckLabel(label) != nil {
 			http.Error(w, "bad label", http.StatusBadRequest)
 			return
 		}

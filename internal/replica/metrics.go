@@ -10,7 +10,8 @@ type Metrics struct {
 	// attempted once per round).
 	SyncRounds *obs.Counter
 	// SyncErrors counts per-peer sync attempts that failed: peer
-	// unreachable, bad inventory, or a failed snapshot fetch.
+	// unreachable, bad inventory, a failed snapshot fetch, or a leaf
+	// whose label store.CheckLabel rejects.
 	SyncErrors *obs.Counter
 	// Fetches counts snapshots fetched from peers and installed.
 	Fetches *obs.Counter

@@ -299,6 +299,13 @@ func (n *Node) syncPeer(ctx context.Context, peer string, local *Tree) SyncStats
 	need := Diff(local, remote)
 	failed := false
 	for _, leaf := range need {
+		// A label that could name a path outside the store is never
+		// fetched, let alone installed.
+		if err := store.CheckLabel(leaf.Label); err != nil {
+			n.countError()
+			n.opts.Logger.Warn("replica peer advertised a bad label", "peer", peer, "err", err)
+			continue
+		}
 		data, err := n.fetchSnapshot(ctx, peer, leaf.Label)
 		if err != nil {
 			if isCorrupt(err) {

@@ -60,24 +60,29 @@ func (r *Registry) QualityContext(ctx context.Context, label string) (*audit.Qua
 }
 
 // qualityMetrics returns the cached metric-only quality report for
-// label, loading the snapshot (which publishes it) on a cache miss.
+// label, loading the snapshot (which fills its row) on a cache miss.
 func (r *Registry) qualityMetrics(ctx context.Context, label string) (*audit.QualityReport, error) {
-	r.qmu.Lock()
-	q := r.quality[label]
-	r.qmu.Unlock()
-	if q != nil {
+	if q := r.qualityOf(label); q != nil {
 		return q, nil
 	}
 	if _, err := r.LoadContext(ctx, label); err != nil {
 		return nil, err
 	}
-	r.qmu.Lock()
-	q = r.quality[label]
-	r.qmu.Unlock()
+	q := r.qualityOf(label)
 	if q == nil {
 		return nil, fmt.Errorf("store: quarter %q loaded without quality", label)
 	}
 	return q, nil
+}
+
+// qualityOf returns the quality report label's row holds, or nil.
+func (r *Registry) qualityOf(label string) *audit.QualityReport {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if w := r.rows[label]; w != nil {
+		return w.q
+	}
+	return nil
 }
 
 // trailingQuality collects the metric reports of up to n quarters

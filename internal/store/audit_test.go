@@ -37,9 +37,7 @@ func TestRegistryQuality(t *testing.T) {
 
 	// The cached metric report must stay findings-free (the returned
 	// report is a copy).
-	reg.qmu.Lock()
-	cached := reg.quality["2014Q2"]
-	reg.qmu.Unlock()
+	cached := cachedQuality(reg)["2014Q2"]
 	if cached == nil {
 		t.Fatal("quality not cached after evaluation")
 	}
@@ -68,9 +66,7 @@ func TestRegistryQualitySurvivesEviction(t *testing.T) {
 	if got := reg.OpenCount(); got > 1 {
 		t.Fatalf("open quarters = %d, want <= 1", got)
 	}
-	reg.qmu.Lock()
-	n := len(reg.quality)
-	reg.qmu.Unlock()
+	n := len(cachedQuality(reg))
 	if n != 3 {
 		t.Fatalf("quality cache held %d labels, want 3 (must survive LRU eviction)", n)
 	}

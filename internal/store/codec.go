@@ -5,8 +5,8 @@
 // the ranked signals with their full MCAC cluster structure, the
 // dictionary the clusters' item IDs are encoded against, and the raw
 // reports the signals link back to. The Registry (registry.go) manages
-// a directory of per-quarter snapshots with atomic writes, an LRU of
-// open quarters, and cross-quarter timeline queries.
+// a directory of per-quarter snapshots with atomic writes, a bounded
+// table of decoded quarters, and cross-quarter timeline queries.
 //
 // # File format (version 3)
 //

@@ -368,16 +368,12 @@ func TestPeerCopyNeverPromoted(t *testing.T) {
 
 	// Forge the worst case: a peer copy labelled with the current
 	// file's identity.
-	reg.mu.Lock()
-	id := reg.open["2014Q1"].id
-	reg.mu.Unlock()
+	id := loadedID(reg, "2014Q1")
 	if id.info == nil {
 		t.Fatal("decoded entry has no file identity")
 	}
 	mustLoad(t, reg, "2014Q2") // evict 2014Q1
-	reg.res.mu.Lock()
-	reg.res.put("2014Q1", fallbackCopy{a: peerCopy, id: id, origin: OriginPeer})
-	reg.res.mu.Unlock()
+	plantPeerCopy(reg, "2014Q1", peerCopy, id)
 	if a, _ := mustLoad(t, reg, "2014Q1"); a == peerCopy {
 		t.Fatal("peer copy promoted")
 	}
@@ -499,9 +495,7 @@ func TestRefreshForgetsRewrittenQuarters(t *testing.T) {
 	if reg.OpenCount() != 0 {
 		t.Errorf("rewritten resident quarter still open after rescan")
 	}
-	reg.qmu.Lock()
-	_, cached := reg.quality["2014Q1"]
-	reg.qmu.Unlock()
+	_, cached := cachedQuality(reg)["2014Q1"]
 	if cached {
 		t.Error("quality report of the old bytes survived the rescan")
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -33,8 +34,11 @@ const (
 
 // RegistryOptions configures a snapshot registry.
 type RegistryOptions struct {
-	// MaxOpen bounds how many quarters are held rehydrated in memory
-	// at once (LRU eviction beyond it). 0 means DefaultMaxOpen.
+	// MaxOpen bounds the hot window: how many of the most recently
+	// loaded quarters are served as LRU hits, with no file check. 0
+	// means DefaultMaxOpen. Without resilience options it also bounds
+	// the decoded copies held; with them the copies are bounded by
+	// ResilienceOptions.StaleCap and the window is clamped to it.
 	MaxOpen int
 	// Metrics, when non-nil, receives load latency, open-quarter
 	// gauge, and cache hit/miss/eviction counts.
@@ -74,27 +78,26 @@ type RegistryOptions struct {
 	OnLoad func(ctx context.Context, label string, a *core.Analysis)
 	// Dirty, when non-nil, is asked on every cold load of bytes the
 	// registry has already loaded (a re-decode or a promotion; see
-	// Registry.load) whether OnLoad must see label again although its
-	// bytes are unchanged. When it returns true the load calls OnLoad
-	// as a load of new bytes would. The watch evaluator answers true for
+	// Registry.LoadContext) whether OnLoad must see label again
+	// although its bytes are unchanged. When it returns true the load
+	// calls OnLoad as a load of new bytes would. The watch evaluator answers true for
 	// a quarter a drift event has marked for a full re-route.
 	Dirty func(label string) bool
 }
 
-// DefaultMaxOpen is the open-quarter LRU capacity when
-// RegistryOptions.MaxOpen is zero.
+// DefaultMaxOpen is the hot-window size when RegistryOptions.MaxOpen
+// is zero.
 const DefaultMaxOpen = 4
 
 // StageSnapshotLoad is the tracer stage name recorded per disk load.
 const StageSnapshotLoad = "snapshot_load"
 
 // Registry manages a directory of per-quarter snapshot files
-// (2014Q1.maras, 2014Q2.maras, ...): discovery, lazy loading with an
-// LRU of open quarters, atomic writes, and cross-quarter timeline
-// queries. It is safe for concurrent use.
+// (2014Q1.maras, 2014Q2.maras, ...): discovery, lazy loading into a
+// bounded table of decoded quarters, atomic writes, and cross-quarter
+// timeline queries. It is safe for concurrent use.
 type Registry struct {
 	dir     string
-	maxOpen int
 	metrics *obs.StoreMetrics
 	tracer  *obs.Tracer
 	onLoad  func(context.Context, string, *core.Analysis)
@@ -102,19 +105,18 @@ type Registry struct {
 	auditor *audit.Auditor
 	wide    *wide.Ring
 
-	mu       sync.Mutex
-	quarters []string          // sorted labels discovered on disk
-	open     map[string]*entry // label -> resident entry
-	lruOrder []string          // least-recent first
-	ids      map[string]fileID // label -> identity of the file last loaded
+	// maxOpen is the hot window and maxCopies the bound on decoded
+	// copies the table holds (see fitLocked); maxOpen <= maxCopies.
+	maxOpen, maxCopies int
 
-	// quality caches each quarter's metric-only quality report. The
-	// reports are tiny, so unlike the rehydrated analyses they survive
-	// LRU eviction — trailing-quarter evaluation never forces old
-	// quarters back into memory twice. Guarded by qmu (the reports are
-	// published from inside a load, outside r.mu).
-	qmu     sync.Mutex
-	quality map[string]*audit.QualityReport
+	mu       sync.Mutex
+	quarters []string        // sorted labels discovered on disk
+	rows     map[string]*row // the quarter table; a row is never removed
+	recency  []*row          // every row, least recently loaded first
+
+	// degradedRows counts the rows with the degraded mark. It changes
+	// under mu and is read without it, by Degraded on every request.
+	degradedRows atomic.Int32
 
 	// trendCached memoizes the cross-quarter trend assembly with the
 	// generation it was built at. Everything that changes the quarter
@@ -129,8 +131,8 @@ type Registry struct {
 	trendBuilt  uint64
 	trendCached atomic.Pointer[trend.Analysis]
 
-	// res is the resilience machinery (breakers, stale cache,
-	// quarantine); nil unless RegistryOptions.Resilience was set.
+	// res is the resilience machinery (breakers, quarantine); nil
+	// unless RegistryOptions.Resilience was set.
 	res *resState
 
 	// peerFetch is the replica read-failover hook (SetPeerFetch);
@@ -138,16 +140,37 @@ type Registry struct {
 	peerFetch func(context.Context, string) (*core.Analysis, error)
 }
 
-// entry is one resident (or loading) quarter. The sync.Once decouples
-// the disk read from the registry lock: concurrent loads of the same
-// quarter share one read, while loads of different quarters proceed
-// in parallel. id is the identity of the file a was decoded from; it
-// is written under Registry.mu, once, when the load succeeds.
+// row is one quarter's line in the registry's table. Every field is
+// guarded by Registry.mu.
+type row struct {
+	// load is the quarter's current load, in flight or done. A row
+	// with one is hot: later loads share it as LRU hits. Leaving the
+	// hot window, a failure or forget drops it.
+	load *entry
+	// a is the retained decoded copy, nil once the row falls past the
+	// table's bound. peer marks a copy fetched from a replica peer: it
+	// is served as OriginPeer and never promoted.
+	a    *core.Analysis
+	peer bool
+	// q and id are the quality report and the file identity of the
+	// quarter's last local load, and seen says one has finished since
+	// the row was made or last forgotten. They outlive the copy, so a
+	// re-decode of unchanged bytes still skips OnLoad.
+	q    *audit.QualityReport
+	id   fileID
+	seen bool
+	// degraded marks a quarter served from a fallback tier, until a
+	// fresh load succeeds.
+	degraded bool
+}
+
+// entry is one load of a quarter. The sync.Once decouples the disk
+// read from the registry lock: concurrent loads of the same quarter
+// share one read, while loads of different quarters proceed in
+// parallel.
 type entry struct {
 	once sync.Once
 	a    *core.Analysis
-	q    *audit.QualityReport
-	id   fileID
 	err  error
 }
 
@@ -164,15 +187,16 @@ func OpenRegistry(dir string, opts RegistryOptions) (*Registry, error) {
 		dirty:   opts.Dirty,
 		auditor: opts.Auditor,
 		wide:    opts.Wide,
-		open:    map[string]*entry{},
-		ids:     map[string]fileID{},
-		quality: map[string]*audit.QualityReport{},
+		rows:    map[string]*row{},
 	}
 	if r.maxOpen <= 0 {
 		r.maxOpen = DefaultMaxOpen
 	}
+	r.maxCopies = r.maxOpen
 	if opts.Resilience != nil {
 		r.initResilience(*opts.Resilience)
+		r.maxCopies = r.res.opts.StaleCap
+		r.maxOpen = min(r.maxOpen, r.maxCopies)
 	}
 	r.sweepOrphans()
 	if err := r.Refresh(); err != nil {
@@ -212,7 +236,7 @@ func (r *Registry) RefreshContext(ctx context.Context) error {
 	sort.Strings(labels)
 	span.SetInt("quarters", int64(len(labels)))
 	r.mu.Lock()
-	changed := !slicesEqual(r.quarters, labels)
+	changed := !slices.Equal(r.quarters, labels)
 	r.quarters = labels
 	r.mu.Unlock()
 	if changed {
@@ -235,35 +259,23 @@ func (r *Registry) RefreshContext(ctx context.Context) error {
 // compared by the file it points to, as the load's stat of the open
 // file was.
 func (r *Registry) forgetRewritten() int {
+	loaded := map[string]fileID{}
 	r.mu.Lock()
-	labels := make([]string, 0, len(r.ids))
-	ids := make([]fileID, 0, len(r.ids))
-	for l, id := range r.ids {
-		labels = append(labels, l)
-		ids = append(ids, id)
+	for l, w := range r.rows {
+		if w.seen {
+			loaded[l] = w.id
+		}
 	}
 	r.mu.Unlock()
 	n := 0
-	for i, l := range labels {
-		if fi, err := os.Stat(r.Path(l)); err == nil && ids[i].matches(fi) {
+	for l, id := range loaded {
+		if fi, err := os.Stat(r.Path(l)); err == nil && id.matches(fi) {
 			continue
 		}
 		r.forget(l)
 		n++
 	}
 	return n
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Dir returns the directory the registry serves from.
@@ -292,12 +304,7 @@ func (r *Registry) Latest() string {
 func (r *Registry) Has(label string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, q := range r.quarters {
-		if q == label {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(r.quarters, label)
 }
 
 // Path returns the snapshot file path for label.
@@ -306,9 +313,9 @@ func (r *Registry) Path(label string) string {
 }
 
 // Load returns the rehydrated analysis for label, reading it from
-// disk on first touch and serving every later request from the
-// open-quarter LRU. Serving a warm quarter does zero disk I/O and
-// zero mining.
+// disk on first touch and serving later requests from the registry's
+// table while the quarter stays hot. Serving a warm quarter does zero
+// disk I/O and zero mining.
 func (r *Registry) Load(label string) (*core.Analysis, error) {
 	return r.LoadContext(context.Background(), label)
 }
@@ -319,20 +326,12 @@ func (r *Registry) Load(label string) (*core.Analysis, error) {
 // actually performs the disk read — a nested "snapshot_decode" span,
 // so a request's trace distinguishes a warm LRU hit from a cold
 // decode.
-func (r *Registry) LoadContext(ctx context.Context, label string) (*core.Analysis, error) {
-	e, err := r.load(ctx, label)
-	if err != nil {
-		return nil, err
-	}
-	return e.a, nil
-}
-
-// load is LoadContext returning the quarter's entry, whose analysis,
-// quality report and file identity come from one load.
 //
-// An LRU miss whose file is unchanged since the quarter's retained
-// last-good copy was decoded promotes that copy (see openResilient).
-// A promotion is not a decode: it observes neither LoadSeconds nor
+// A load of a hot row (see fitLocked) is an LRU hit. Any other load is
+// a miss: it makes the row hot, and one cold load, shared by concurrent
+// misses, fills it. A miss whose file is unchanged since the row's
+// retained copy was decoded promotes that copy (see openResilient). A
+// promotion is not a decode: it observes neither LoadSeconds nor
 // BytesRead and records no tracer stage; it counts in Promotions and
 // marks the decode span promoted=true.
 //
@@ -340,35 +339,33 @@ func (r *Registry) LoadContext(ctx context.Context, label string) (*core.Analysi
 // file's identity differs from the one last loaded for the quarter (or
 // none is recorded: a first load, or one after forget), or when
 // RegistryOptions.Dirty says the consumer wants the unchanged analysis
-// again. A quarter that fell out of the last-good cache therefore
+// again. A quarter whose copy fell past the table's bound therefore
 // re-decodes without re-running its consumers.
 //
-// Every successful load, LRU hits included, records the entry as the
-// quarter's last-good copy (see noteFresh), so the audit sweep and
-// trend assembly retain what they decode just as serving does.
-func (r *Registry) load(ctx context.Context, label string) (*entry, error) {
-	if !r.Has(label) {
+// Every loader fills the same table (serving, the audit sweep, trend
+// assembly), and a successful load clears the quarter's degraded mark.
+func (r *Registry) LoadContext(ctx context.Context, label string) (*core.Analysis, error) {
+	r.mu.Lock()
+	if !slices.Contains(r.quarters, label) {
+		r.mu.Unlock()
 		return nil, fmt.Errorf("store: quarter %q not in %s", label, r.dir)
 	}
+	w := r.useLocked(label)
+	e := w.load
+	hit := e != nil
+	if !hit {
+		e = &entry{}
+		w.load = e
+		r.fitLocked()
+	}
+	recovering := w.degraded
+	r.mu.Unlock()
+
 	ctx, span := obs.StartSpan(ctx, SpanLoad)
 	defer span.End()
 	span.SetAttr("quarter", label)
-
-	r.mu.Lock()
-	e, resident := r.open[label]
-	if !resident {
-		e = &entry{}
-		r.open[label] = e
-	}
-	r.touchLocked(label)
-	evicted := r.evictLocked()
-	r.mu.Unlock()
-	if m := r.metrics; m != nil {
-		m.Evictions.Add(int64(evicted))
-	}
-
 	m := r.metrics
-	if resident {
+	if hit {
 		span.SetAttr("cache", "lru_hit")
 		if m != nil {
 			m.Hits.Inc()
@@ -401,21 +398,12 @@ func (r *Registry) load(ctx context.Context, label string) (*entry, error) {
 				})
 				return
 			}
-			e.a, e.q = cl.a, cl.q
-			if cl.q != nil {
-				r.qmu.Lock()
-				r.quality[label] = cl.q
-				r.qmu.Unlock()
-			}
-			// The identity is recorded after the quality report is
-			// published, so a rescan that forgets the quarter in between
-			// cannot leave the report behind untracked.
+			e.a = cl.a
 			r.mu.Lock()
-			e.id = cl.id
-			prev, seen := r.ids[label]
-			r.ids[label] = cl.id
+			seen, known := w.seen, w.seen && w.id.same(cl.id)
+			w.a, w.peer, w.q, w.id, w.seen = cl.a, false, cl.q, cl.id, true
+			r.fitLocked()
 			r.mu.Unlock()
-			known := seen && prev.same(cl.id)
 			if seen && !known {
 				// The file changed since the quarter was last loaded, so
 				// a trend assembled from the old bytes is stale.
@@ -453,19 +441,29 @@ func (r *Registry) load(ctx context.Context, label string) (*entry, error) {
 		}, prof.LabelOp, "store_load", "quarter", label)
 	})
 	if e.err != nil {
-		// Drop the failed entry so a repaired file can be retried.
-		r.dropLocked(label, e)
+		// Drop the failed load so a repaired file can be retried.
+		r.mu.Lock()
+		if w.load == e {
+			w.load = nil
+			r.fitLocked()
+		}
+		r.mu.Unlock()
 		return nil, e.err
 	}
-	r.noteFresh(label, e)
-	return e, nil
+	if recovering {
+		r.recovered(label, w)
+	}
+	return e.a, nil
 }
 
 // Save writes label's analysis into the store atomically
 // (write-then-rename) and makes it immediately loadable. Any resident
 // copy of the same label is invalidated so the next Load sees the new
-// bytes.
+// bytes. A label CheckLabel rejects writes nothing.
 func (r *Registry) Save(label string, a *core.Analysis) error {
+	if err := CheckLabel(label); err != nil {
+		return err
+	}
 	if err := WriteFile(r.Path(label), label, a); err != nil {
 		return err
 	}
@@ -474,12 +472,16 @@ func (r *Registry) Save(label string, a *core.Analysis) error {
 }
 
 // InstallBytes atomically installs raw snapshot bytes — fetched from
-// a replica peer — under label, verifying the envelope first so
-// corrupt peer bytes never reach disk. The write shares WriteFile's
-// temp-file pattern, so a crash mid-install leaves only an orphan the
-// next OpenRegistry sweep reclaims; on success the label is
-// immediately loadable, exactly as after Save.
+// a replica peer — under label, verifying the label and the envelope
+// first so that neither a path outside the directory nor corrupt peer
+// bytes ever reach disk. The write shares WriteFile's temp-file
+// pattern, so a crash mid-install leaves only an orphan the next
+// OpenRegistry sweep reclaims; on success the label is immediately
+// loadable, exactly as after Save.
 func (r *Registry) InstallBytes(label string, data []byte) error {
+	if err := CheckLabel(label); err != nil {
+		return err
+	}
 	if err := CheckBytes(data); err != nil {
 		return fmt.Errorf("store: installing %q: %w", label, err)
 	}
@@ -494,19 +496,22 @@ func (r *Registry) InstallBytes(label string, data []byte) error {
 	return nil
 }
 
+// CheckLabel reports whether label can name a quarter file: it must be
+// non-empty and hold no path separator and no "..", so that joining it
+// to a store directory cannot reach outside that directory.
+func CheckLabel(label string) error {
+	if label == "" || strings.ContainsAny(label, `/\`) || strings.Contains(label, "..") {
+		return fmt.Errorf("store: bad quarter label %q", label)
+	}
+	return nil
+}
+
 // noteWritten records that label's bytes on disk just changed (Save or
 // InstallBytes): cached derivations of the old bytes are forgotten, and
 // the label becomes discoverable without waiting for a rescan.
 func (r *Registry) noteWritten(label string) {
 	r.mu.Lock()
-	found := false
-	for _, q := range r.quarters {
-		if q == label {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(r.quarters, label) {
 		r.quarters = append(r.quarters, label)
 		sort.Strings(r.quarters)
 	}
@@ -515,28 +520,23 @@ func (r *Registry) noteWritten(label string) {
 	r.forget(label)
 }
 
-// forget drops everything the registry derived from label's bytes —
-// the resident analysis, the quality report, the recorded file
-// identity — and invalidates the trend assembly, so the next load
-// reads the file afresh. The last-good copy stays: it is still the
-// fallback if the new bytes fail to load, and its identity keeps it
-// from being promoted in their place.
+// forget drops what the registry derived from label's bytes — the
+// row's load, quality report and file identity — and then invalidates
+// the trend assembly, so the next load reads the file afresh and an
+// assembly that read the old copy is not kept. With resilience on the
+// row keeps its copy: it is still the fallback if the new bytes fail
+// to load, and with no identity it is never promoted in their place.
 func (r *Registry) forget(label string) {
-	r.qmu.Lock()
-	delete(r.quality, label)
-	r.qmu.Unlock()
-	r.invalidateTrend()
 	r.mu.Lock()
-	if r.open[label] != nil {
-		delete(r.open, label)
-		r.removeLRULocked(label)
+	if w := r.rows[label]; w != nil {
+		w.load, w.q, w.id, w.seen = nil, nil, fileID{}, false
+		if r.res == nil {
+			w.a = nil
+		}
+		r.fitLocked()
 	}
-	delete(r.ids, label)
-	n := int64(len(r.open))
 	r.mu.Unlock()
-	if r.metrics != nil {
-		r.metrics.OpenQuarters.Set(n)
-	}
+	r.invalidateTrend()
 }
 
 // StartRescan refreshes the directory listing every interval until ctx
@@ -591,7 +591,7 @@ func (r *Registry) TimelineContext(ctx context.Context, key string) ([]string, *
 }
 
 // TrendAnalysis assembles the full cross-quarter trend analysis from
-// the stored snapshots, loading each quarter through the LRU.
+// the stored snapshots, loading each quarter through the table.
 func (r *Registry) TrendAnalysis() (*trend.Analysis, error) {
 	return r.TrendAnalysisContext(context.Background())
 }
@@ -658,58 +658,65 @@ func (r *Registry) IsLatestTrend(ta *trend.Analysis) bool {
 // lock, so it is safe from inside a load that an assembly is waiting on.
 func (r *Registry) invalidateTrend() { r.trendGen.Add(1) }
 
-// OpenCount returns how many quarters are currently resident.
+// OpenCount returns how many quarters are hot.
 func (r *Registry) OpenCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.open)
-}
-
-// touchLocked moves label to the most-recent end of the LRU order.
-func (r *Registry) touchLocked(label string) {
-	r.removeLRULocked(label)
-	r.lruOrder = append(r.lruOrder, label)
-}
-
-func (r *Registry) removeLRULocked(label string) {
-	for i, l := range r.lruOrder {
-		if l == label {
-			r.lruOrder = append(r.lruOrder[:i], r.lruOrder[i+1:]...)
-			return
+	n := 0
+	for _, w := range r.recency {
+		if w.load != nil {
+			n++
 		}
 	}
+	return n
 }
 
-// evictLocked drops least-recent quarters until the LRU fits, and
-// returns how many it evicted. The gauge is updated here so it is
-// consistent under the lock.
-func (r *Registry) evictLocked() int {
-	evicted := 0
-	for len(r.open) > r.maxOpen && len(r.lruOrder) > 0 {
-		victim := r.lruOrder[0]
-		r.lruOrder = r.lruOrder[1:]
-		if _, ok := r.open[victim]; ok {
-			delete(r.open, victim)
-			evicted++
+// useLocked returns label's row, made if there is none, moved to the
+// most recent end of the recency order. Caller holds r.mu.
+func (r *Registry) useLocked(label string) *row {
+	w := r.rows[label]
+	if w == nil {
+		w = &row{}
+		r.rows[label] = w
+	} else if i := slices.Index(r.recency, w); i >= 0 {
+		r.recency = slices.Delete(r.recency, i, i+1)
+	}
+	r.recency = append(r.recency, w)
+	return w
+}
+
+// fitLocked holds the table to its bounds, walking the rows from the
+// most recently loaded. A row past the first maxCopies copies drops its
+// copy; a row past the first maxOpen hot rows, or one that just dropped
+// its copy, leaves the hot window. Its quality report and file identity
+// stay either way. fitLocked sets the open-quarter gauge and counts
+// every row that left the window as an eviction. Caller holds r.mu.
+func (r *Registry) fitLocked() {
+	hot, held, evicted := 0, 0, 0
+	for i := len(r.recency) - 1; i >= 0; i-- {
+		w := r.recency[i]
+		if w.a != nil {
+			if held == r.maxCopies {
+				w.a = nil
+				if w.load != nil {
+					w.load = nil
+					evicted++
+				}
+			} else {
+				held++
+			}
+		}
+		if w.load != nil {
+			if hot == r.maxOpen {
+				w.load = nil
+				evicted++
+			} else {
+				hot++
+			}
 		}
 	}
-	if r.metrics != nil {
-		r.metrics.OpenQuarters.Set(int64(len(r.open)))
-	}
-	return evicted
-}
-
-// dropLocked removes a failed entry (only if it is still the resident
-// one) so later loads retry the file.
-func (r *Registry) dropLocked(label string, failed *entry) {
-	r.mu.Lock()
-	if r.open[label] == failed {
-		delete(r.open, label)
-		r.removeLRULocked(label)
-	}
-	n := int64(len(r.open))
-	r.mu.Unlock()
-	if r.metrics != nil {
-		r.metrics.OpenQuarters.Set(n)
+	if m := r.metrics; m != nil {
+		m.OpenQuarters.Set(int64(hot))
+		m.Evictions.Add(int64(evicted))
 	}
 }

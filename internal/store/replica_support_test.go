@@ -194,10 +194,7 @@ func TestLoadResilientPeerTier(t *testing.T) {
 	if err := resilience.Enable(resilience.FPLoad + "=error"); err != nil {
 		t.Fatal(err)
 	}
-	reg.mu.Lock()
-	delete(reg.open, "2014Q1")
-	reg.removeLRULocked("2014Q1")
-	reg.mu.Unlock()
+	evict(reg, "2014Q1")
 	if _, _, err := reg.LoadResilient(ctx, "1999Q1"); err == nil {
 		t.Fatal("unknown label served somehow")
 	}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"maras/internal/audit"
 	"maras/internal/core"
@@ -21,14 +20,14 @@ import (
 // file; an operator repairs it out of band and renames it back.
 const QuarantinedExt = ".quarantined"
 
-// DefaultStaleCap bounds the last-good stale cache when
-// ResilienceOptions.StaleCap is zero.
+// DefaultStaleCap bounds the decoded copies a resilient registry
+// holds when ResilienceOptions.StaleCap is zero.
 const DefaultStaleCap = 8
 
 // Origin labels which tier of the degradation ladder answered a
-// LoadResilient call: a fresh local load, the in-memory last-good
-// cache, or a replica peer. It is the value clients see in the
-// OriginHeader on every quarter response.
+// LoadResilient call: a fresh local load, the quarter's last-good copy
+// in the registry's table, or a replica peer. It is the value clients
+// see in the OriginHeader on every quarter response.
 type Origin string
 
 const (
@@ -58,23 +57,11 @@ type ResilienceOptions struct {
 	// Breaker tunes the per-quarter circuit breakers; the zero value
 	// takes the resilience defaults.
 	Breaker resilience.BreakerConfig
-	// StaleCap bounds how many last-good analyses LoadResilient keeps
-	// for stale serving (0 means DefaultStaleCap).
+	// StaleCap bounds how many decoded copies the registry holds, hot
+	// or retained for promotion and stale serving (0 means
+	// DefaultStaleCap). RegistryOptions.MaxOpen's hot window is clamped
+	// to it.
 	StaleCap int
-}
-
-// fallbackCopy is one entry in the last-good cache. Copies cached by
-// a fresh local load carry OriginStale (that is what a later serve of
-// them is), their quality report, and the identity of the file they
-// were decoded from, all taken from one resident entry so they always
-// belong to the same decode. Copies fetched from a replica peer keep
-// OriginPeer, so the header never claims a peer's bytes were ours, and
-// have no identity.
-type fallbackCopy struct {
-	a      *core.Analysis
-	q      *audit.QualityReport
-	id     fileID
-	origin Origin
 }
 
 // resState is a registry's resilience machinery; nil means the
@@ -82,55 +69,6 @@ type fallbackCopy struct {
 type resState struct {
 	opts     ResilienceOptions
 	breakers *resilience.BreakerSet
-
-	mu       sync.Mutex
-	stale    map[string]fallbackCopy
-	order    []string        // stale keys, least-recent first
-	degraded map[string]bool // labels currently served from a fallback tier
-}
-
-// put inserts or refreshes a copy in the bounded last-good cache,
-// which evicts the least recently used label beyond StaleCap. Caller
-// holds s.mu.
-func (s *resState) put(label string, fc fallbackCopy) {
-	if _, ok := s.stale[label]; ok {
-		s.touch(label)
-	} else {
-		s.order = append(s.order, label)
-		for len(s.order) > s.opts.StaleCap {
-			victim := s.order[0]
-			s.order = s.order[1:]
-			delete(s.stale, victim)
-		}
-	}
-	s.stale[label] = fc
-}
-
-// touch moves label to the most-recent end of s.order. Caller holds
-// s.mu.
-func (s *resState) touch(label string) {
-	for i, l := range s.order {
-		if l == label {
-			copy(s.order[i:], s.order[i+1:])
-			s.order[len(s.order)-1] = label
-			return
-		}
-	}
-}
-
-// promotable returns label's retained copy if it was decoded from the
-// file id identifies, refreshing its recency; otherwise the zero
-// value. A peer's copy never qualifies: its bytes were never read from
-// this file.
-func (s *resState) promotable(label string, id fileID) fallbackCopy {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fc := s.stale[label]
-	if fc.origin != OriginStale || !fc.id.same(id) {
-		return fallbackCopy{}
-	}
-	s.touch(label)
-	return fc
 }
 
 // initResilience wires the resilience machinery into r from opts.
@@ -138,11 +76,7 @@ func (r *Registry) initResilience(opts ResilienceOptions) {
 	if opts.StaleCap <= 0 {
 		opts.StaleCap = DefaultStaleCap
 	}
-	s := &resState{
-		opts:     opts,
-		stale:    map[string]fallbackCopy{},
-		degraded: map[string]bool{},
-	}
+	s := &resState{opts: opts}
 	s.breakers = resilience.NewBreakerSet(opts.Breaker, func(key string, from, to resilience.BreakerState) {
 		if m := r.metrics; m != nil && m.BreakersOpen != nil {
 			m.BreakersOpen.Set(int64(s.breakers.OpenCount()))
@@ -181,7 +115,7 @@ func classifyLoad(err error) resilience.Class {
 
 // coldLoad is what one cold load produced: the analysis and quality
 // report, the identity of the file they came from, the bytes decoded,
-// and whether they were promoted from the last-good cache instead.
+// and whether they were promoted from the row's retained copy instead.
 type coldLoad struct {
 	a        *core.Analysis
 	q        *audit.QualityReport
@@ -196,21 +130,27 @@ type coldLoad struct {
 // circuit breaker with transient-failure retry; a corrupt decode trips
 // the breaker immediately and — when opted in — quarantines the file.
 //
-// With resilience on, a load whose file still has the identity of the
-// quarter's retained last-good copy promotes that copy instead of
-// decoding: the check runs after both failpoints, under the breaker
+// With resilience on, a load whose file still has the identity the
+// row's retained local copy was decoded from promotes that copy instead
+// of decoding: the check runs after both failpoints, under the breaker
 // and the retry, so faults play out exactly as they do for a decode.
 func (r *Registry) openResilient(ctx context.Context, label, path string, span *obs.Span) (coldLoad, error) {
 	loadOnce := func(context.Context) (coldLoad, error) {
 		if err := resilience.Inject(resilience.FPLoad); err != nil {
 			return coldLoad{}, fmt.Errorf("store: %s: %w", path, err)
 		}
-		var kept fallbackCopy
+		var kept coldLoad
 		var current func(fileID) bool
 		if r.res != nil {
 			current = func(id fileID) bool {
-				kept = r.res.promotable(label, id)
-				return kept.a != nil
+				r.mu.Lock()
+				defer r.mu.Unlock()
+				w := r.rows[label]
+				if w.a == nil || w.peer || !w.id.same(id) {
+					return false
+				}
+				kept = coldLoad{a: w.a, q: w.q, id: id, promoted: true}
+				return true
 			}
 		}
 		snap, id, err := openFile(path, current)
@@ -218,7 +158,7 @@ func (r *Registry) openResilient(ctx context.Context, label, path string, span *
 		case err != nil:
 			return coldLoad{}, err
 		case snap == nil:
-			return coldLoad{a: kept.a, q: kept.q, id: id, promoted: true}, nil
+			return kept, nil
 		}
 		return coldLoad{a: snap.Analysis, q: snap.Quality, id: id, size: snap.Size}, nil
 	}
@@ -302,92 +242,87 @@ func (r *Registry) quarantine(label, path string, cause error) {
 // SetPeerFetch installs the replica read-failover hook: a function
 // that fetches label's analysis from any healthy peer (verified
 // bytes, decoded in memory). LoadResilient consults it as the last
-// rung of the degradation ladder, after the live load and the
-// last-good cache have both failed. Wire it before serving starts.
+// rung of the degradation ladder, after the live load and the table's
+// copy have both failed. Wire it before serving starts.
 func (r *Registry) SetPeerFetch(fetch func(ctx context.Context, label string) (*core.Analysis, error)) {
 	r.mu.Lock()
 	r.peerFetch = fetch
 	r.mu.Unlock()
 }
 
-func (r *Registry) peerFetcher() func(ctx context.Context, label string) (*core.Analysis, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.peerFetch
-}
-
 // LoadResilient is LoadContext with graceful degradation, answering
 // from the first tier of the ladder that can: the live local load
-// (OriginLocal), the in-memory last-good cache (OriginStale — or
-// OriginPeer when the cached copy itself came from a replica), then a
-// replica peer via the SetPeerFetch hook (OriginPeer). A fresh local
-// success (through any loader: see Registry.load) repopulates the cache
-// and clears the quarter's degraded mark; on error the returned Origin
-// is empty. Without resilience options it is LoadContext with
-// OriginLocal on success.
+// (OriginLocal), the quarter's copy in the registry's table
+// (OriginStale — or OriginPeer when that copy came from a replica),
+// then a replica peer via the SetPeerFetch hook (OriginPeer), whose
+// copy the table keeps in turn. A fresh local success (through any
+// loader: see LoadContext) refills the table and clears the quarter's
+// degraded mark; on error the returned Origin is empty. Without
+// resilience options it is LoadContext with OriginLocal on success.
 func (r *Registry) LoadResilient(ctx context.Context, label string) (*core.Analysis, Origin, error) {
-	e, err := r.load(ctx, label)
+	a, err := r.LoadContext(ctx, label)
 	if err == nil {
-		return e.a, OriginLocal, nil
+		return a, OriginLocal, nil
 	}
 	if r.res == nil {
 		return nil, "", err
 	}
-	if fc := r.fallbackFor(label); fc.a != nil {
-		if m := r.metrics; m != nil {
-			switch {
-			case fc.origin == OriginPeer && m.PeerServes != nil:
-				m.PeerServes.Inc()
-			case fc.origin != OriginPeer && m.StaleServes != nil:
-				m.StaleServes.Inc()
-			}
-		}
-		if span := obs.ActiveSpan(ctx); span != nil {
-			span.SetAttr("origin", string(fc.origin))
-			if fc.origin == OriginStale {
-				span.SetAttr("stale", "true")
-			}
-		}
-		r.markDegraded(label, fc.origin, err)
-		return fc.a, fc.origin, nil
+	r.mu.Lock()
+	var peer bool
+	if w := r.rows[label]; w != nil && w.a != nil {
+		a, peer = w.a, w.peer
+		r.useLocked(label) // a serve keeps the copy recent
 	}
-	if fetch := r.peerFetcher(); fetch != nil {
-		pa, perr := fetch(ctx, label)
-		if perr == nil && pa != nil {
-			if m := r.metrics; m != nil && m.PeerServes != nil {
-				m.PeerServes.Inc()
+	fetch := r.peerFetch
+	r.mu.Unlock()
+	if a == nil && fetch != nil {
+		if pa, perr := fetch(ctx, label); perr == nil && pa != nil {
+			a, peer = pa, true
+			r.mu.Lock()
+			// A hot row holds a fresh local copy; keep that one.
+			if w := r.useLocked(label); w.load == nil {
+				w.a, w.peer = pa, true
+				r.fitLocked()
 			}
-			if span := obs.ActiveSpan(ctx); span != nil {
-				span.SetAttr("origin", string(OriginPeer))
-			}
-			if s := r.res; s != nil {
-				s.mu.Lock()
-				s.put(label, fallbackCopy{a: pa, origin: OriginPeer})
-				s.mu.Unlock()
-			}
-			r.markDegraded(label, OriginPeer, err)
-			return pa, OriginPeer, nil
+			r.mu.Unlock()
 		}
 	}
-	return nil, "", err
+	if a == nil {
+		return nil, "", err
+	}
+	origin := OriginStale
+	if peer {
+		origin = OriginPeer
+	}
+	if m := r.metrics; m != nil {
+		switch {
+		case peer && m.PeerServes != nil:
+			m.PeerServes.Inc()
+		case !peer && m.StaleServes != nil:
+			m.StaleServes.Inc()
+		}
+	}
+	if span := obs.ActiveSpan(ctx); span != nil {
+		span.SetAttr("origin", string(origin))
+		if !peer {
+			span.SetAttr("stale", "true")
+		}
+	}
+	r.markDegraded(label, origin, err)
+	return a, origin, nil
 }
 
-// noteFresh records a successful local load, whichever loader made it
-// (LoadResilient, LoadContext, the quality sweep, trend assembly): the
-// entry's analysis, quality report and file identity become the
-// quarter's last-good stale copy, and a previously degraded quarter is
-// marked recovered on the audit timeline.
-func (r *Registry) noteFresh(label string, e *entry) {
-	s := r.res
-	if s == nil {
-		return
+// recovered clears w's degraded mark after a fresh local load and, if
+// it was set, records the quarter's recovery on the audit timeline.
+func (r *Registry) recovered(label string, w *row) {
+	r.mu.Lock()
+	was := w.degraded
+	if was {
+		w.degraded = false
+		r.degradedRows.Add(-1)
 	}
-	s.mu.Lock()
-	s.put(label, fallbackCopy{a: e.a, q: e.q, id: e.id, origin: OriginStale})
-	recovered := s.degraded[label]
-	delete(s.degraded, label)
-	s.mu.Unlock()
-	if recovered {
+	r.mu.Unlock()
+	if was {
 		r.auditor.ForgetEvent("store_stale/" + label)
 		r.auditor.RecordEvent(audit.Event{
 			Rule:     "store_degraded",
@@ -398,28 +333,18 @@ func (r *Registry) noteFresh(label string, e *entry) {
 	}
 }
 
-// fallbackFor returns label's cached last-good copy, refreshing its
-// LRU position; the zero value means no copy.
-func (r *Registry) fallbackFor(label string) fallbackCopy {
-	s := r.res
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fc := s.stale[label]
-	if fc.a != nil {
-		s.touch(label)
-	}
-	return fc
-}
-
 // markDegraded flags label as served from a fallback tier and records
 // one audit event per degradation episode (cleared by the next fresh
 // load).
 func (r *Registry) markDegraded(label string, origin Origin, cause error) {
-	s := r.res
-	s.mu.Lock()
-	first := !s.degraded[label]
-	s.degraded[label] = true
-	s.mu.Unlock()
+	r.mu.Lock()
+	w := r.rows[label]
+	first := !w.degraded
+	if first {
+		w.degraded = true
+		r.degradedRows.Add(1)
+	}
+	r.mu.Unlock()
 	if first {
 		msg := "serving last-good stale snapshot: " + cause.Error()
 		if origin == OriginPeer {
@@ -434,31 +359,27 @@ func (r *Registry) markDegraded(label string, origin Origin, cause error) {
 	}
 }
 
-// HasStale reports whether label has a cached last-good copy — i.e.
-// whether LoadResilient could still answer for it even if the snapshot
-// vanished from disk (quarantined, deleted).
+// HasStale reports whether label has a decoded copy in the table —
+// i.e. whether LoadResilient could still answer for it even if the
+// snapshot vanished from disk (quarantined, deleted).
 func (r *Registry) HasStale(label string) bool {
-	s := r.res
-	if s == nil {
+	if r.res == nil {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stale[label].a != nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	w := r.rows[label]
+	return w != nil && w.a != nil
 }
 
 // Degraded reports whether the registry is currently limping: any
 // quarter served stale or any load breaker not closed. Always false
 // without resilience options.
 func (r *Registry) Degraded() bool {
-	s := r.res
-	if s == nil {
+	if r.res == nil {
 		return false
 	}
-	s.mu.Lock()
-	n := len(s.degraded)
-	s.mu.Unlock()
-	return n > 0 || s.breakers.OpenCount() > 0
+	return r.degradedRows.Load() > 0 || r.res.breakers.OpenCount() > 0
 }
 
 // BreakerStates snapshots the per-quarter load-breaker states; empty

@@ -152,10 +152,7 @@ func TestBreakerOpensAndServesStale(t *testing.T) {
 	if a, origin, err := reg.LoadResilient(ctx, "2014Q1"); err != nil || origin != OriginLocal || a == nil {
 		t.Fatalf("warm load: origin=%v err=%v", origin, err)
 	}
-	reg.mu.Lock()
-	delete(reg.open, "2014Q1")
-	reg.removeLRULocked("2014Q1")
-	reg.mu.Unlock()
+	evict(reg, "2014Q1")
 
 	// Every disk attempt now fails; retries exhaust, the breaker trips,
 	// and LoadResilient degrades to the last-good copy.
@@ -264,9 +261,7 @@ func TestStaleCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reg.res.mu.Lock()
-	n := len(reg.res.stale)
-	reg.res.mu.Unlock()
+	n := heldCopies(reg)
 	if n != 2 {
 		t.Fatalf("stale cache holds %d entries, cap 2", n)
 	}
