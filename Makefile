@@ -35,8 +35,8 @@ bench:
 ## fuzz: mutate the snapshot decoder (as is, then with the CRC resealed
 ## after each mutation so it reaches the section parsers), the txdb
 ## support counter, the closed-set miner, the watchlist snapshot reader,
-## the FAERS table readers, the failpoint spec grammar, then the
-## /debug/events query parser, each for
+## the FAERS table readers, the failpoint spec grammar, the
+## /debug/events query parser, then the replica inventory decoder, each for
 ## FUZZTIME (default 30s). The decoder's seeds cover valid v1/v2/v3 snapshots, truncations,
 ## CRC-breaking bit flips and crafted resealed files; any input outside
 ## the three typed errors fails. FuzzTIDs builds a DB and a query from the bytes and checks
@@ -50,7 +50,10 @@ bench:
 ## probability in (0,1], a budget of -1 or > 0 and a delay >= 0.
 ## FuzzParseQuery feeds the wide-event query parser and accepts an
 ## error or a query over known fields and aggregates with a window
-## >= 0 and a limit > 0.
+## >= 0 and a limit > 0. FuzzInventory feeds a peer's /sync/inventory
+## payload through the decoder, the merkle build and the diff against a
+## fixed local tree, and accepts an error or a diff that names only
+## advertised leaves the local tree lacks or loses to.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
@@ -61,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/faers -run '^$$' -fuzz '^FuzzReadTables$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzFailpointSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/wide -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/replica -run '^$$' -fuzz '^FuzzInventory$$' -fuzztime $(FUZZTIME)
 
 ## vuln: known-vulnerability scan of the module graph and stdlib
 ## call sites. The binary is not installed here (CI pins its version;

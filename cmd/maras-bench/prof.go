@@ -155,7 +155,7 @@ func runProf(cfg benchConfig) error {
 			art.Trigger.ArtifactID, art.Trigger.CRCOK, art.Trigger.ParseOK))
 	}
 
-	fmt.Println("\nShape check: pipeline stages run under pprof.Do, so nearly every CPU sample taken")
+	fmt.Println("\nShape check: pipeline stages run under obs.Do, so nearly every CPU sample taken")
 	fmt.Println("while mining carries a stage= label; the capture loop's duty cycle keeps its cost")
 	fmt.Println("inside measurement noise; and an SLO burn fires the audit subscriber, whose capture")
 	fmt.Println("lands in the on-disk ring tagged with the burning rule and survives a CRC re-check.")
@@ -209,10 +209,10 @@ func profAttribution(q *faers.Quarter, opts core.Options, art *profArtifact) err
 	a.Iterations = iters
 	a.ProfileMillis = elapsed.Milliseconds()
 	a.TotalWeight = stats.TotalWeight
-	a.StageFraction = stats.Fraction(prof.LabelStage)
+	a.StageFraction = stats.Fraction(obs.LabelStage)
 	a.Stages = map[string]float64{}
 	if stats.TotalWeight > 0 {
-		for stage, w := range stats.ByKeyValue[prof.LabelStage] {
+		for stage, w := range stats.ByKeyValue[obs.LabelStage] {
 			a.Stages[stage] = float64(w) / float64(stats.TotalWeight)
 		}
 	}

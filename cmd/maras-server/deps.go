@@ -25,6 +25,14 @@ import (
 	"maras/internal/store"
 )
 
+// The runtime watchdog's thresholds: the sampler warns and counts in
+// maras_watchdog_trips_total when goroutines exceed
+// watchdogMaxGoroutines or a GC pause exceeds watchdogMaxGCPause.
+const (
+	watchdogMaxGoroutines = 10000
+	watchdogMaxGCPause    = 250 * time.Millisecond
+)
+
 // deps is every subsystem one server process runs, built by newDeps
 // from the flag values and torn down by Close. Optional subsystems
 // are nil when their flag disables them; every consumer tolerates
@@ -162,8 +170,8 @@ func newDeps(cfg config) (_ *deps, err error) {
 	if cfg.runtimeSample > 0 {
 		d.sampler = obs.NewRuntimeSampler(d.metrics, obs.RuntimeSamplerOptions{
 			Interval:      cfg.runtimeSample,
-			MaxGoroutines: cfg.wdGoroutines,
-			MaxGCPause:    cfg.wdGCPause,
+			MaxGoroutines: watchdogMaxGoroutines,
+			MaxGCPause:    watchdogMaxGCPause,
 			Logger:        logger,
 			OnViolation:   d.auditor.RecordWatchdog,
 		})
@@ -208,7 +216,6 @@ func newDeps(cfg config) (_ *deps, err error) {
 	// does any cold load of a quarter a drift event has marked dirty.
 	reg, err := store.OpenRegistry(dir, store.RegistryOptions{
 		Metrics:    obs.NewStoreMetrics(d.metrics),
-		Tracer:     d.tracer,
 		Auditor:    d.auditor,
 		OnLoad:     d.ws.onQuarterLoaded,
 		Dirty:      d.ws.ev.Dirty,
@@ -328,7 +335,7 @@ func (d *deps) mine(reg *store.Registry) error {
 		trace = obs.NewTrace("startup")
 		ctx, root = trace.StartRoot(ctx, "startup mine "+cfg.quarter)
 	}
-	a, err := core.RunQuarterContext(ctx, q, opts)
+	a, err := core.RunContext(ctx, q.Reports(), opts)
 	if root != nil {
 		root.End()
 		d.journal.Add(trace.Snapshot())

@@ -97,8 +97,6 @@ type config struct {
 	wideCap, wideSample int
 
 	runtimeSample time.Duration
-	wdGoroutines  int64
-	wdGCPause     time.Duration
 
 	auditTopK                     int
 	auditChurnWarn, auditDropWarn float64
@@ -143,8 +141,6 @@ func parseConfig(fs *flag.FlagSet, args []string) (config, error) {
 	fs.IntVar(&c.wideSample, "wide-sample", 1, "keep every Nth wide event (1 keeps all)")
 
 	fs.DurationVar(&c.runtimeSample, "runtime-sample", obs.DefaultSampleInterval, "runtime health sampling interval (0 disables the sampler)")
-	fs.Int64Var(&c.wdGoroutines, "watchdog-max-goroutines", 10000, "watchdog: warn and count when goroutines exceed this (0 disables)")
-	fs.DurationVar(&c.wdGCPause, "watchdog-max-gc-pause", 250*time.Millisecond, "watchdog: warn and count when a GC pause exceeds this (0 disables)")
 
 	fs.IntVar(&c.auditTopK, "audit-topk", 25, "audit: rank cutoff for drift comparison (negative = all signals)")
 	fs.Float64Var(&c.auditChurnWarn, "audit-churn-warn", 0.5, "audit: warn when the top-K churn rate between quarters reaches this")

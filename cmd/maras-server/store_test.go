@@ -87,8 +87,8 @@ func TestStoreModeQuartersEndpoint(t *testing.T) {
 }
 
 // TestStoreModeWarmSignalsZeroMining is the acceptance check: serving
-// /api/signals from the store must never invoke the miner — the only
-// pipeline stage a serving process records is snapshot_load.
+// /api/signals from the store must never invoke the miner — a serving
+// process records no pipeline stage at all.
 func TestStoreModeWarmSignalsZeroMining(t *testing.T) {
 	h, d := storeHandler(t, tempStoreDir(t, 2))
 	for i := 0; i < 3; i++ {
@@ -107,20 +107,42 @@ func TestStoreModeWarmSignalsZeroMining(t *testing.T) {
 			t.Fatalf("request %d: payload %+v", i, out)
 		}
 	}
-	recs := d.tracer.Records()
-	loads := 0
-	for _, r := range recs {
+	for _, r := range d.tracer.Records() {
 		if r.Name == core.StageMine {
 			t.Fatal("store mode ran the miner")
 		}
-		if r.Name == store.StageSnapshotLoad {
-			loads++
+		t.Errorf("store mode recorded stage %q", r.Name)
+	}
+	// One cold load for the default quarter; the two warm requests
+	// decode nothing.
+	if n := snapshotDecodes(d); n != 1 {
+		t.Errorf("snapshot decodes = %d, want 1 (warm requests must not re-read)", n)
+	}
+}
+
+// snapshotDecodes is how many snapshot files d's registry decoded: the
+// count of its load-latency histogram, which promotions do not observe.
+func snapshotDecodes(d *deps) int64 {
+	return d.metrics.Histogram("maras_store_snapshot_load_seconds", "", nil).Count()
+}
+
+// TestStoreModeDecodesKeepNoStageRecords: cold decodes are observed by
+// the load histogram, the snapshot_decode span and the store_load wide
+// event; none of them leaves a stage record on the process tracer,
+// which would otherwise grow for the life of the server.
+func TestStoreModeDecodesKeepNoStageRecords(t *testing.T) {
+	n := store.DefaultMaxOpen + 2
+	h, d := storeHandler(t, tempStoreDir(t, n))
+	for q := 1; q <= n; q++ {
+		if rec := getMux(t, h, fmt.Sprintf("/q/2014Q%d/api/signals", q)); rec.Code != http.StatusOK {
+			t.Fatalf("2014Q%d = %d", q, rec.Code)
 		}
 	}
-	// One cold load for the default quarter; the two warm requests add
-	// no stages at all.
-	if loads != 1 {
-		t.Errorf("snapshot_load stages = %d, want 1 (warm requests must not re-read)", loads)
+	if got := snapshotDecodes(d); got != int64(n) {
+		t.Fatalf("snapshot decodes = %d, want %d", got, n)
+	}
+	if recs := d.tracer.Records(); len(recs) != 0 {
+		t.Errorf("%d cold decodes left %d stage records: %+v", n, len(recs), recs)
 	}
 }
 
@@ -457,14 +479,8 @@ func TestQuarterRoutingKeepsLRURecency(t *testing.T) {
 		get(q)
 		get(1)
 	}
-	loads := 0
-	for _, r := range d.tracer.Records() {
-		if r.Name == store.StageSnapshotLoad {
-			loads++
-		}
-	}
-	if loads != 5 {
-		t.Errorf("snapshot_load stages = %d, want 5 (the hot quarter must not be evicted)", loads)
+	if loads := snapshotDecodes(d); loads != 5 {
+		t.Errorf("snapshot decodes = %d, want 5 (the hot quarter must not be evicted)", loads)
 	}
 }
 

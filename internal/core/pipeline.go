@@ -10,7 +10,9 @@
 // workers (package par); the other stages are serial, and the output
 // does not depend on the worker count. FP-Growth runs only when
 // Options.CountRules asks for the full frequent-itemset space of
-// Fig 5.1.
+// Fig 5.1. Each stage is instrumented by one obs.Do call, which gives
+// it a live "stage:<name>" span, a pprof stage=<name> label and a
+// record on Options.Tracer with its domain counters.
 package core
 
 import (
@@ -30,7 +32,6 @@ import (
 	"maras/internal/mcac"
 	"maras/internal/meddra"
 	"maras/internal/obs"
-	"maras/internal/obs/prof"
 	"maras/internal/par"
 	"maras/internal/rank"
 	"maras/internal/resilience"
@@ -216,17 +217,14 @@ func EncodeReports(reports []faers.Report, opts Options) (*txdb.DB, cleaning.Sta
 	return encodeReports(context.Background(), reports, opts)
 }
 
-// encodeReports is EncodeReports with a context for pprof stage
-// labels: CPU samples taken inside a stage carry stage=<name> (see
-// internal/obs/prof), which is how the capture scheduler and
-// maras-bench -exp prof attribute mining cycles per stage.
+// encodeReports is EncodeReports under ctx: each stage runs as one
+// obs.Do unit (see run).
 func encodeReports(ctx context.Context, reports []faers.Report, opts Options) (*txdb.DB, cleaning.Stats, error) {
 	var (
 		cleaned []faers.Report
 		cstats  cleaning.Stats
 	)
-	st := opts.Tracer.StartStage(StageClean)
-	prof.DoStage(ctx, StageClean, func() {
+	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageClean, func(_ context.Context, st *obs.Stage) {
 		if opts.ExpeditedOnly {
 			reports = faers.FilterExpedited(reports)
 		}
@@ -241,22 +239,17 @@ func encodeReports(ctx context.Context, reports []faers.Report, opts Options) (*
 			reports = narrowed
 		}
 		cleaned, cstats = cleaning.Clean(reports, opts.Cleaning)
-	})
-	st.Count("reports_in", int64(cstats.ReportsIn))
-	st.Count("reports_out", int64(cstats.ReportsOut))
-	st.Count("duplicates_removed", int64(cstats.DuplicateReports))
-	st.Count("spellings_fixed", int64(cstats.DrugSpellingsFixed+cstats.ReacSpellingsFixed))
-	st.End()
+		st.Count("reports_in", int64(cstats.ReportsIn))
+		st.Count("reports_out", int64(cstats.ReportsOut))
+		st.Count("duplicates_removed", int64(cstats.DuplicateReports))
+		st.Count("spellings_fixed", int64(cstats.DrugSpellingsFixed+cstats.ReacSpellingsFixed))
+	}, obs.LabelStage, StageClean)
 	if len(cleaned) == 0 {
 		return nil, cstats, fmt.Errorf("core: no usable reports after cleaning (in=%d)", cstats.ReportsIn)
 	}
-	st = opts.Tracer.StartStage(StageEncode)
-	var (
-		dict *types.Dictionary
-		db   *txdb.DB
-	)
-	prof.DoStage(ctx, StageEncode, func() {
-		dict = types.NewDictionary()
+	var db *txdb.DB
+	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageEncode, func(_ context.Context, st *obs.Stage) {
+		dict := types.NewDictionary()
 		db = txdb.New(dict)
 		for _, r := range cleaned {
 			items := make(types.Itemset, 0, len(r.Drugs)+len(r.Reactions))
@@ -269,10 +262,9 @@ func encodeReports(ctx context.Context, reports []faers.Report, opts Options) (*
 			db.Add(r.PrimaryID, items)
 		}
 		db.Freeze()
-	})
-	st.Count("transactions", int64(db.Len()))
-	st.Count("dictionary_items", int64(dict.Len()))
-	st.End()
+		st.Count("transactions", int64(db.Len()))
+		st.Count("dictionary_items", int64(dict.Len()))
+	}, obs.LabelStage, StageEncode)
 	return db, cstats, nil
 }
 
@@ -281,9 +273,10 @@ func Run(reports []faers.Report, opts Options) (*Analysis, error) {
 	return run(context.Background(), reports, opts)
 }
 
-// run is the pipeline body. Every stage executes under a pprof
-// stage=<name> label so continuous-profiling captures can say which
-// stage the cycles went to.
+// run is the pipeline body. Every stage is one obs.Do unit: a live
+// "stage:<name>" child of ctx's active span, a pprof stage=<name>
+// label so continuous-profiling captures can say which stage the
+// cycles went to, and a record on opts.Tracer.
 func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, error) {
 	if opts.MinSupport < 1 {
 		opts.MinSupport = 1
@@ -303,70 +296,58 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 
 	// Mine the closed itemsets the rule base is built from (Lemma
 	// 3.4.2) directly, without materializing the frequent set.
-	st := opts.Tracer.StartStage(StageMine)
 	var closed []fpgrowth.FrequentSet
-	prof.DoStage(ctx, StageMine, func() {
+	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageMine, func(_ context.Context, st *obs.Stage) {
 		closed = lcm.MineClosed(db, lcm.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
-	})
-	st.Count("closed_itemsets", int64(len(closed)))
-	st.End()
+		st.Count("closed_itemsets", int64(len(closed)))
+	}, obs.LabelStage, StageMine)
 
 	// Fig 5.1 sizes the rule spaces over every frequent itemset, the
 	// only use of the full frequent set.
 	var counts Counts
 	if opts.CountRules {
-		st = opts.Tracer.StartStage(StageClosure)
-		var frequent []fpgrowth.FrequentSet
-		prof.DoStage(ctx, StageClosure, func() {
-			frequent = fpgrowth.Mine(db, fpgrowth.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
+		obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageClosure, func(_ context.Context, st *obs.Stage) {
+			frequent := fpgrowth.Mine(db, fpgrowth.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
 			counts.TotalRules = assoc.CountTraditionalRules(frequent)
 			counts.FilteredRules = assoc.CountDrugADRRules(dict, frequent)
-		})
-		st.Count("frequent_itemsets", int64(len(frequent)))
-		st.Count("itemsets_dropped", int64(len(frequent)-len(closed)))
-		st.End()
+			st.Count("frequent_itemsets", int64(len(frequent)))
+			st.Count("itemsets_dropped", int64(len(frequent)-len(closed)))
+		}, obs.LabelStage, StageClosure)
 	}
 
 	// One memo of exact supports serves rule generation and every
 	// cluster (read-only once clusters fan out); it lives only as long
 	// as this run.
 	ev := assoc.NewEvaluator(db)
-	st = opts.Tracer.StartStage(StageRules)
 	var targets []assoc.Rule
-	prof.DoStage(ctx, StageRules, func() {
+	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageRules, func(_ context.Context, st *obs.Stage) {
 		targets = assoc.FromItemsets(ev, closed, assoc.GenOptions{
 			MinDrugs: opts.MinDrugs,
 			MaxDrugs: opts.MaxDrugs,
 		})
-	})
-	st.Count("rules_kept", int64(len(targets)))
-	st.End()
+		st.Count("rules_kept", int64(len(targets)))
+	}, obs.LabelStage, StageRules)
 
-	st = opts.Tracer.StartStage(StageCluster)
 	var clusters []mcac.Cluster
-	prof.DoStage(ctx, StageCluster, func() {
+	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageCluster, func(_ context.Context, st *obs.Stage) {
 		clusters = mcac.BuildAll(ev, targets)
-	})
+		st.Count("clusters_built", int64(len(clusters)))
+	}, obs.LabelStage, StageCluster)
 	counts.MCACs = len(clusters)
-	st.Count("clusters_built", int64(len(clusters)))
-	st.End()
 
-	st = opts.Tracer.StartStage(StageRank)
 	var ranked []rank.Ranked
-	prof.DoStage(ctx, StageRank, func() {
+	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageRank, func(_ context.Context, st *obs.Stage) {
 		ranked = rank.Rank(clusters, opts.Method, rank.Options{Theta: opts.Theta, Decay: opts.Decay})
-	})
-	st.Count("clusters_ranked", int64(len(ranked)))
-	if opts.TopK > 0 && len(ranked) > opts.TopK {
-		ranked = ranked[:opts.TopK]
-	}
-	st.Count("signals_kept", int64(len(ranked)))
-	st.End()
+		st.Count("clusters_ranked", int64(len(ranked)))
+		if opts.TopK > 0 && len(ranked) > opts.TopK {
+			ranked = ranked[:opts.TopK]
+		}
+		st.Count("signals_kept", int64(len(ranked)))
+	}, obs.LabelStage, StageRank)
 
-	st = opts.Tracer.StartStage(StageLink)
-	signals := make([]Signal, len(ranked))
-	known := 0
-	prof.DoStage(ctx, StageLink, func() {
+	var signals []Signal
+	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageLink, func(_ context.Context, st *obs.Stage) {
+		signals = make([]Signal, len(ranked))
 		l := newLinker(db, reports, opts.Knowledge)
 		// Every signal is validated and linked on its own, so they are
 		// linked on a pool of GOMAXPROCS workers, each with its own
@@ -376,16 +357,16 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 		par.Do(len(ranked), workers, func(w, i int) {
 			signals[i], tidBufs[w] = l.link(i, ranked[i], tidBufs[w])
 		})
+		known := 0
 		for i := range signals {
 			if signals[i].Known != nil {
 				known++
 			}
 		}
-	})
-	st.Count("signals", int64(len(signals)))
-	st.Count("known", int64(known))
-	st.Count("novel", int64(len(signals)-known))
-	st.End()
+		st.Count("signals", int64(len(signals)))
+		st.Count("known", int64(known))
+		st.Count("novel", int64(len(signals)-known))
+	}, obs.LabelStage, StageLink)
 
 	return &Analysis{
 		Stats:    db.Stats(),
@@ -488,38 +469,20 @@ func RunQuarter(q *faers.Quarter, opts Options) (*Analysis, error) {
 	return Run(q.Reports(), opts)
 }
 
-// RunContext is Run with request-scoped span bridging: when ctx
-// carries an active trace span (see obs.StartSpan), the run's stage
-// trace is attached to it as child spans named "stage:<name>", so a
-// mining-backed request (or a traced startup mine) is explainable in
-// the same journal as store-backed serving. A tracer is supplied
-// automatically when the caller did not set one; a context without an
-// active span behaves exactly like Run.
+// RunContext is Run under ctx. Every stage runs as one obs.Do unit,
+// so when ctx carries an active trace span (see obs.StartSpan) each
+// stage is a live "stage:<name>" child of it, with real start times,
+// and a run that fails mid-pipeline still shows the stages it
+// completed. A mining-backed request (or a traced startup mine) is
+// thus explainable in the same journal as store-backed serving. Ahead
+// of the pipeline sits the core/mine failpoint.
 func RunContext(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, error) {
 	// The core/mine failpoint sits ahead of the pipeline so chaos runs
 	// can stall or fail a quarter's mining without touching real data.
 	if err := resilience.Inject(resilience.FPMine); err != nil {
 		return nil, fmt.Errorf("core: mining aborted: %w", err)
 	}
-	span := obs.ActiveSpan(ctx)
-	if span != nil && opts.Tracer == nil {
-		opts.Tracer = obs.NewTracer(nil)
-	}
-	// The caller may reuse a tracer across runs; bridge only the
-	// stages this run adds.
-	base := opts.Tracer.Len()
-	a, err := run(ctx, reports, opts)
-	if err == nil && span != nil {
-		if recs := opts.Tracer.Records(); base < len(recs) {
-			obs.AttachStageRecords(ctx, recs[base:])
-		}
-	}
-	return a, err
-}
-
-// RunQuarterContext is RunQuarter with span bridging (see RunContext).
-func RunQuarterContext(ctx context.Context, q *faers.Quarter, opts Options) (*Analysis, error) {
-	return RunContext(ctx, q.Reports(), opts)
+	return run(ctx, reports, opts)
 }
 
 // FilterSignals returns the signals mentioning the given drug or

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"context"
+	"runtime/pprof"
+	"slices"
+	"strings"
 	"testing"
 
 	"maras/internal/obs"
@@ -133,27 +138,113 @@ func TestRunNilTracerUnchanged(t *testing.T) {
 	}
 }
 
-// BenchmarkNilTracerPipelineHooks guards the hot path: the stage
-// hooks as threaded through the pipeline must be free when no tracer
-// is configured.
+// BenchmarkNilTracerPipelineHooks guards the hot path: a stage as the
+// pipeline runs it, with no tracer configured and no active span,
+// costs only the pprof label it runs under.
 func BenchmarkNilTracerPipelineHooks(b *testing.B) {
 	var opts Options // Tracer nil, as in every untraced run
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		st := opts.Tracer.StartStage(StageMine)
-		st.Count("closed_itemsets", int64(i))
-		st.End()
+		obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageMine, func(_ context.Context, st *obs.Stage) {
+			st.Count("closed_itemsets", int64(i))
+		}, obs.LabelStage, StageMine)
 	}
 }
 
+// TestNilTracerHooksZeroAlloc: with a nil tracer and no active span, a
+// pipeline stage allocates exactly what a bare pprof.Do with the same
+// label does, and counting on the nil stage it is handed is free.
 func TestNilTracerHooksZeroAlloc(t *testing.T) {
 	var opts Options
-	allocs := testing.AllocsPerRun(200, func() {
-		st := opts.Tracer.StartStage(StageMine)
-		st.Count("closed_itemsets", 1)
-		st.End()
+	ctx := context.Background()
+	bare := testing.AllocsPerRun(200, func() {
+		pprof.Do(ctx, pprof.Labels(obs.LabelStage, StageMine), func(context.Context) {})
 	})
-	if allocs != 0 {
-		t.Errorf("nil tracer pipeline hooks allocate %.1f per op, want 0", allocs)
+	stage := testing.AllocsPerRun(200, func() {
+		obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageMine, func(_ context.Context, st *obs.Stage) {
+			st.Count("closed_itemsets", 1)
+		}, obs.LabelStage, StageMine)
+	})
+	if stage != bare {
+		t.Errorf("untraced stage allocates %.1f per op, bare pprof.Do %.1f", stage, bare)
+	}
+	var st *obs.Stage
+	if allocs := testing.AllocsPerRun(200, func() { st.Count("closed_itemsets", 1) }); allocs != 0 {
+		t.Errorf("nil stage Count allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestRunContextFailedRunKeepsCompletedStages: stage spans are opened
+// live, so a run that fails after clean (no usable reports) still
+// shows the clean stage under the root.
+func TestRunContextFailedRunKeepsCompletedStages(t *testing.T) {
+	opts := NewOptions()
+	tr := obs.NewTrace("failed")
+	ctx, root := tr.StartRoot(context.Background(), "mine")
+	if _, err := RunContext(ctx, nil, opts); err == nil {
+		t.Fatal("a run over no reports succeeded")
+	}
+	root.End()
+	rec := tr.Snapshot()
+	var names []string
+	rootID := -1
+	for _, s := range rec.Spans {
+		if s.Parent == -1 {
+			rootID = s.ID
+		}
+	}
+	for _, s := range rec.Spans {
+		if s.Parent == rootID {
+			names = append(names, s.Name)
+		}
+	}
+	if want := []string{obs.StageSpanPrefix + StageClean}; !slices.Equal(names, want) {
+		t.Errorf("spans under the root of a failed run = %v, want %v", names, want)
+	}
+}
+
+// TestRunContextStageSpansOrdered: under an active root the stage
+// spans run in StageOrder, back to back without overlapping, and lie
+// inside the root span.
+func TestRunContextStageSpansOrdered(t *testing.T) {
+	opts := NewOptions()
+	opts.MinSupport = 3
+	opts.CountRules = true
+	tr := obs.NewTrace("ordered")
+	ctx, root := tr.StartRoot(context.Background(), "mine")
+	if _, err := RunContext(ctx, handReports(), opts); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	rec := tr.Snapshot()
+	var rootSpan obs.SpanRecord
+	var stages []obs.SpanRecord
+	for _, s := range rec.Spans {
+		switch {
+		case s.Parent == -1:
+			rootSpan = s
+		case strings.HasPrefix(s.Name, obs.StageSpanPrefix):
+			stages = append(stages, s)
+		}
+	}
+	slices.SortFunc(stages, func(a, b obs.SpanRecord) int { return cmp.Compare(a.StartNS, b.StartNS) })
+	var names []string
+	for i, s := range stages {
+		names = append(names, strings.TrimPrefix(s.Name, obs.StageSpanPrefix))
+		if s.Parent != rootSpan.ID {
+			t.Errorf("%s parented to %d, want root %d", s.Name, s.Parent, rootSpan.ID)
+		}
+		if s.StartNS < rootSpan.StartNS || s.StartNS+s.DurationNS > rootSpan.StartNS+rootSpan.DurationNS {
+			t.Errorf("%s [%d, +%d] outside the root [%d, +%d]",
+				s.Name, s.StartNS, s.DurationNS, rootSpan.StartNS, rootSpan.DurationNS)
+		}
+		if i > 0 && s.StartNS < stages[i-1].StartNS+stages[i-1].DurationNS {
+			t.Errorf("%s starts at %d, before %s ends at %d", s.Name, s.StartNS,
+				stages[i-1].Name, stages[i-1].StartNS+stages[i-1].DurationNS)
+		}
+	}
+	if want := StageOrder(); !slices.Equal(names, want) {
+		t.Errorf("stage spans in start order = %v, want %v", names, want)
 	}
 }

@@ -257,8 +257,7 @@ func (m *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 		// whether from an attached operator or the continuous-capture
 		// scheduler — attribute request cycles per route. The label set
 		// is tiny and pprof.Do is a few map writes; this is always on.
-		// (runtime/pprof directly, not obs/prof: prof imports obs.)
-		rpprof.Do(r.Context(), rpprof.Labels("route", route), func(ctx context.Context) {
+		rpprof.Do(r.Context(), rpprof.Labels(LabelRoute, route), func(ctx context.Context) {
 			next.ServeHTTP(rec, r.WithContext(ctx))
 		})
 	})

@@ -8,6 +8,8 @@ import (
 	"runtime/pprof"
 	"testing"
 	"time"
+
+	"maras/internal/obs"
 )
 
 // Minimal pprof protobuf encoder for deterministic parser tests.
@@ -144,8 +146,8 @@ func TestParseCPULabelsTruncated(t *testing.T) {
 }
 
 // TestParseCPULabelsLiveProfile round-trips a real runtime profile:
-// spin under a stage label, record, and confirm the parser attributes
-// the samples. Sampling is environment dependent, so an unlucky empty
+// spin as an obs.Do unit under a stage label, record, and confirm the
+// parser attributes the samples. Sampling is environment dependent, so an unlucky empty
 // profile retries and finally skips rather than flaking.
 func TestParseCPULabelsLiveProfile(t *testing.T) {
 	for attempt := 0; attempt < 3; attempt++ {
@@ -154,7 +156,7 @@ func TestParseCPULabelsLiveProfile(t *testing.T) {
 			t.Skipf("cpu profile unavailable: %v", err)
 		}
 		stop := time.Now().Add(250 * time.Millisecond)
-		DoStage(context.Background(), "spin", func() {
+		obs.Do(context.Background(), nil, "spin", func(context.Context, *obs.Stage) {
 			x := 0.0
 			for time.Now().Before(stop) {
 				for i := 0; i < 10_000; i++ {
@@ -162,7 +164,7 @@ func TestParseCPULabelsLiveProfile(t *testing.T) {
 				}
 			}
 			_ = x
-		})
+		}, obs.LabelStage, "spin")
 		pprof.StopCPUProfile()
 
 		stats, err := ParseCPULabels(buf.Bytes())
@@ -172,7 +174,7 @@ func TestParseCPULabelsLiveProfile(t *testing.T) {
 		if stats.TotalWeight == 0 {
 			continue // no samples landed; retry
 		}
-		if stats.ByKey[LabelStage] == 0 {
+		if stats.ByKey[obs.LabelStage] == 0 {
 			t.Fatalf("no stage-labeled samples in live profile: %+v", stats.ByKey)
 		}
 		return

@@ -14,10 +14,11 @@ import (
 // question: for this one request, where did the time go — router,
 // snapshot load, LRU miss, decode, render? A Span is carried through
 // context.Context; completed requests assemble into a Trace that
-// lands in the Journal (ring buffer, /debug/traces). The disabled
-// path — a context with no active span — is allocation-free, so every
-// layer threads StartSpan unconditionally, exactly like the nil
-// *Tracer convention.
+// lands in the Journal (ring buffer, /debug/traces). Do opens one for
+// every unit of work it runs, so a stage that has a record also has a
+// live span when a trace is active. The disabled path — a context with
+// no active span — is allocation-free, so every layer threads
+// StartSpan unconditionally, exactly like the nil *Tracer convention.
 
 // activeSpanKey carries the in-flight *Span through a context.
 type activeSpanKey struct{}
@@ -152,51 +153,6 @@ func (s *Span) End() {
 func ActiveSpan(ctx context.Context) *Span {
 	s, _ := ctx.Value(activeSpanKey{}).(*Span)
 	return s
-}
-
-// addCompleted appends an already-finished span (used when bridging
-// stage-tracer records, which carry durations but were not started
-// through StartSpan).
-func (t *Trace) addCompleted(parent int, name string, start time.Time, dur time.Duration, attrs map[string]string) {
-	t.mu.Lock()
-	id := t.nextID
-	t.nextID++
-	t.spans = append(t.spans, SpanRecord{
-		ID:         id,
-		Parent:     parent,
-		Name:       name,
-		StartNS:    start.Sub(t.start).Nanoseconds(),
-		DurationNS: int64(dur),
-		Attrs:      attrs,
-	})
-	t.mu.Unlock()
-}
-
-// AttachStageRecords bridges a pipeline stage trace into the active
-// span of ctx: each StageRecord becomes a completed child span named
-// "stage:<name>" carrying the stage's allocation volume and domain
-// counters as attributes. The stages ran back-to-back, so their spans
-// are laid out end-aligned at the current time. A ctx without an
-// active span is a no-op, so callers bridge unconditionally.
-func AttachStageRecords(ctx context.Context, recs []StageRecord) {
-	parent := ActiveSpan(ctx)
-	if parent == nil || len(recs) == 0 {
-		return
-	}
-	var total time.Duration
-	for _, r := range recs {
-		total += r.Duration()
-	}
-	start := time.Now().Add(-total)
-	for _, r := range recs {
-		attrs := make(map[string]string, len(r.Counters)+1)
-		attrs["alloc_bytes"] = strconv.FormatUint(r.AllocBytes, 10)
-		for k, v := range r.Counters {
-			attrs[k] = strconv.FormatInt(v, 10)
-		}
-		parent.tr.addCompleted(parent.id, "stage:"+r.Name, start, r.Duration(), attrs)
-		start = start.Add(r.Duration())
-	}
 }
 
 // TraceRecord is a completed, immutable view of a trace as stored in

@@ -92,45 +92,6 @@ func TestDisabledSpanZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestAttachStageRecords(t *testing.T) {
-	tr := NewTrace("mine-1")
-	ctx, root := tr.StartRoot(context.Background(), "startup mine 2014Q1")
-	recs := []StageRecord{
-		{Name: "clean", Seq: 1, DurationNS: int64(2 * time.Millisecond), AllocBytes: 1024,
-			Counters: map[string]int64{"reports_in": 100}},
-		{Name: "mine", Seq: 2, DurationNS: int64(5 * time.Millisecond)},
-	}
-	AttachStageRecords(ctx, recs)
-	root.End()
-
-	rec := tr.Snapshot()
-	byName := map[string]SpanRecord{}
-	for _, s := range rec.Spans {
-		byName[s.Name] = s
-	}
-	clean, ok := byName["stage:clean"]
-	if !ok {
-		t.Fatalf("stage:clean span missing; have %v", rec.Spans)
-	}
-	mine, ok := byName["stage:mine"]
-	if !ok {
-		t.Fatal("stage:mine span missing")
-	}
-	rootID := byName["startup mine 2014Q1"].ID
-	if clean.Parent != rootID || mine.Parent != rootID {
-		t.Errorf("stage spans not parented to root: %d %d vs %d", clean.Parent, mine.Parent, rootID)
-	}
-	if clean.Attrs["reports_in"] != "100" || clean.Attrs["alloc_bytes"] != "1024" {
-		t.Errorf("stage counters not bridged: %v", clean.Attrs)
-	}
-	// Back-to-back layout: clean ends where mine begins.
-	if got := clean.StartNS + clean.DurationNS; got != mine.StartNS {
-		t.Errorf("stages not end-aligned: clean ends %d, mine starts %d", got, mine.StartNS)
-	}
-	// Attaching on an untraced context is a silent no-op.
-	AttachStageRecords(context.Background(), recs)
-}
-
 func TestSnapshotWithoutRootUsesSpanExtent(t *testing.T) {
 	tr := NewTrace("partial")
 	ctx, _ := tr.StartRoot(context.Background(), "never ended")

@@ -1,26 +1,45 @@
 // Package obs is the observability substrate of the MARAS system:
-// a per-stage pipeline tracer, request-scoped span tracing with a
-// ring-buffer trace journal (/debug/traces), a dependency-free
-// metrics registry with a hand-written Prometheus text renderer and
-// expvar bridge, HTTP server middleware (request logging with
-// request IDs, latency histograms, status counters, panic recovery,
-// root spans), liveness/readiness probes, a runtime health sampler
-// with a watchdog, and pprof wiring. Everything is standard library
-// only (log/slog, expvar, net/http/pprof, runtime/metrics), matching
-// the repo's zero-dependency rule.
+// Do, the one instrumentation call a unit of work (a pipeline stage,
+// a snapshot decode, a watch evaluation) runs under, which yields its
+// span, its pprof labels and its stage record together;
+// request-scoped span tracing with a ring-buffer trace journal
+// (/debug/traces), a dependency-free metrics registry with a
+// hand-written Prometheus text renderer and expvar bridge, HTTP server
+// middleware (request logging with request IDs, latency histograms,
+// status counters, panic recovery, root spans), liveness/readiness
+// probes, a runtime health sampler with a watchdog, and pprof wiring.
+// Everything is standard library only (log/slog, expvar,
+// net/http/pprof, runtime/metrics), matching the repo's
+// zero-dependency rule.
 package obs
 
 import (
-	"encoding/json"
-	"io"
+	"context"
 	"log/slog"
 	"runtime/metrics"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"time"
 )
 
+// The pprof label keys units of work run under: pipeline stages carry
+// stage=<name>, the other hot paths op=<name> (op=store_load for a
+// snapshot decode, op=watch_eval for a watchlist evaluation pass), and
+// HTTP requests route=<pattern>.
+const (
+	LabelStage = "stage"
+	LabelOp    = "op"
+	LabelRoute = "route"
+)
+
+// StageSpanPrefix starts the span name of a pipeline stage
+// (stage:clean, stage:mine, ...). The stage record Do appends drops
+// it, so records carry the bare stage name.
+const StageSpanPrefix = "stage:"
+
 // heapAllocsMetric is the cumulative heap allocation counter sampled
-// around each stage to attribute allocation volume per stage.
+// around each unit of work to attribute its allocation volume.
 const heapAllocsMetric = "/gc/heap/allocs:bytes"
 
 // StageRecord is one completed pipeline stage: what it was called,
@@ -37,65 +56,43 @@ type StageRecord struct {
 // Duration returns the stage wall time as a time.Duration.
 func (r StageRecord) Duration() time.Duration { return time.Duration(r.DurationNS) }
 
-// Tracer collects per-stage records of one pipeline run. A nil
-// *Tracer is fully usable and free: every method no-ops without
-// allocating, so the pipeline threads it unconditionally.
-//
-// Stages are expected to be sequential (the pipeline is a straight
-// line), but the tracer is safe for concurrent use.
+// Tracer collects a record of every unit of work Do runs with it. A
+// nil *Tracer records nothing and costs nothing, so the pipeline
+// threads it unconditionally. It is safe for concurrent use.
 type Tracer struct {
 	mu     sync.Mutex
 	stages []StageRecord
 	logger *slog.Logger
-	sample [1]metrics.Sample
 }
 
 // NewTracer returns a tracer. logger may be nil; when set, every
 // completed stage is logged at Debug level.
 func NewTracer(logger *slog.Logger) *Tracer {
-	t := &Tracer{logger: logger}
-	t.sample[0].Name = heapAllocsMetric
-	return t
+	return &Tracer{logger: logger}
 }
 
-// Stage is an in-flight pipeline stage started by StartStage. A nil
-// *Stage no-ops on every method.
+// Stage is the unit of work in flight inside Do. Its counters land in
+// the stage record and, as attributes, on the span. Do hands fn a nil
+// *Stage when nothing observes the work (no tracer, no active span);
+// Count then no-ops without allocating.
 type Stage struct {
-	t        *Tracer
-	name     string
-	start    time.Time
-	startAlc uint64
 	counters map[string]int64
+	// sample reads the heap allocation counter at both ends of the
+	// unit; metrics.Read lets its argument escape, so a buffer kept in
+	// the already heap-allocated Stage saves an allocation per read.
+	sample [1]metrics.Sample
 }
 
-// readAllocs samples cumulative heap allocation bytes.
-func (t *Tracer) readAllocs() uint64 {
-	t.mu.Lock()
-	metrics.Read(t.sample[:])
-	v := t.sample[0].Value
-	t.mu.Unlock()
-	if v.Kind() == metrics.KindUint64 {
+// heapAllocs samples cumulative heap allocation bytes.
+func (s *Stage) heapAllocs() uint64 {
+	metrics.Read(s.sample[:])
+	if v := s.sample[0].Value; v.Kind() == metrics.KindUint64 {
 		return v.Uint64()
 	}
 	return 0
 }
 
-// StartStage begins a named stage. Call End on the returned stage
-// when the work completes. On a nil tracer it returns nil, which is
-// safe to use.
-func (t *Tracer) StartStage(name string) *Stage {
-	if t == nil {
-		return nil
-	}
-	return &Stage{
-		t:        t,
-		name:     name,
-		startAlc: t.readAllocs(),
-		start:    time.Now(),
-	}
-}
-
-// Count adds n to a named stage counter (reports_in, rules_kept, ...).
+// Count adds n to a named counter (reports_in, rules_kept, ...).
 func (s *Stage) Count(name string, n int64) {
 	if s == nil {
 		return
@@ -106,50 +103,77 @@ func (s *Stage) Count(name string, n int64) {
 	s.counters[name] += n
 }
 
-// End finalizes the stage and appends its record to the tracer.
-func (s *Stage) End() {
-	if s == nil {
+// Do runs fn as one unit of work named name. In one call it opens a
+// live child span of ctx's active span, runs fn under the pprof label
+// pairs in labels (key, value, ...) so CPU samples taken while fn runs
+// attribute to the work, and, on a non-nil tracer, appends a
+// StageRecord named name less StageSpanPrefix, with wall time,
+// allocation volume and the counters fn set. The counters and the
+// allocation volume (alloc_bytes) also become span attributes. fn
+// receives the context carrying the span and the labels.
+//
+// With a nil tracer and no active span Do allocates exactly what
+// pprof.Do with the same labels does.
+func Do(ctx context.Context, t *Tracer, name string, fn func(context.Context, *Stage), labels ...string) {
+	ctx, span := StartSpan(ctx, name)
+	var (
+		st       *Stage
+		start    time.Time
+		startAlc uint64
+	)
+	if t != nil || span != nil {
+		st = &Stage{sample: [1]metrics.Sample{{Name: heapAllocsMetric}}}
+		startAlc = st.heapAllocs()
+		start = time.Now()
+	}
+	pprof.Do(ctx, pprof.Labels(labels...), func(ctx context.Context) { fn(ctx, st) })
+	if st == nil {
 		return
 	}
-	dur := time.Since(s.start)
-	endAlc := s.t.readAllocs()
+	dur := time.Since(start)
 	var alloc uint64
-	if endAlc > s.startAlc {
-		alloc = endAlc - s.startAlc
+	if endAlc := st.heapAllocs(); endAlc > startAlc {
+		alloc = endAlc - startAlc
 	}
-	s.t.mu.Lock()
-	rec := StageRecord{
-		Name:       s.name,
-		Seq:        len(s.t.stages) + 1,
+	if span != nil {
+		span.SetInt("alloc_bytes", int64(alloc))
+		for k, v := range st.counters {
+			span.SetInt(k, v)
+		}
+		span.End()
+	}
+	t.record(strings.TrimPrefix(name, StageSpanPrefix), dur, alloc, st.counters)
+}
+
+// record appends one completed stage and logs it at Debug level.
+func (t *Tracer) record(name string, dur time.Duration, alloc uint64, counters map[string]int64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.stages = append(t.stages, StageRecord{
+		Name:       name,
+		Seq:        len(t.stages) + 1,
 		DurationNS: int64(dur),
 		AllocBytes: alloc,
-		Counters:   s.counters,
-	}
-	s.t.stages = append(s.t.stages, rec)
-	logger := s.t.logger
-	s.t.mu.Unlock()
-	if logger != nil {
+		Counters:   counters,
+	})
+	t.mu.Unlock()
+	if t.logger != nil {
 		attrs := []any{
-			slog.String("stage", s.name),
+			slog.String("stage", name),
 			slog.Duration("duration", dur),
 			slog.Uint64("alloc_bytes", alloc),
 		}
-		for k, v := range s.counters {
+		for k, v := range counters {
 			attrs = append(attrs, slog.Int64(k, v))
 		}
-		logger.Debug("pipeline stage", attrs...)
+		t.logger.Debug("pipeline stage", attrs...)
 	}
 }
 
 // Len returns how many stages have completed. Nil tracers report 0.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.stages)
-}
+func (t *Tracer) Len() int { return len(t.Records()) }
 
 // Records returns a copy of the completed stage records in order.
 // Nil tracers return nil.
@@ -164,17 +188,6 @@ func (t *Tracer) Records() []StageRecord {
 	return out
 }
 
-// Reset discards all recorded stages so the tracer can observe
-// another run.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.stages = t.stages[:0]
-	t.mu.Unlock()
-}
-
 // TotalDuration sums the wall time of all recorded stages.
 func (t *Tracer) TotalDuration() time.Duration {
 	var tot time.Duration
@@ -182,15 +195,4 @@ func (t *Tracer) TotalDuration() time.Duration {
 		tot += r.Duration()
 	}
 	return tot
-}
-
-// WriteJSON writes the stage records as an indented JSON array.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	recs := t.Records()
-	if recs == nil {
-		recs = []StageRecord{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
 }

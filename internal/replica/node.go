@@ -391,9 +391,19 @@ func (n *Node) fetchInventory(ctx context.Context, peer string) (*Inventory, err
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
 		return nil, fmt.Errorf("replica: inventory from %s: HTTP %d", peer, resp.StatusCode)
 	}
-	var inv Inventory
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxInventoryBytes)).Decode(&inv); err != nil {
+	inv, err := decodeInventory(resp.Body)
+	if err != nil {
 		return nil, fmt.Errorf("replica: decoding inventory from %s: %w", peer, err)
+	}
+	return inv, nil
+}
+
+// decodeInventory reads one /sync/inventory payload from a peer,
+// reading at most maxInventoryBytes of r.
+func decodeInventory(r io.Reader) (*Inventory, error) {
+	var inv Inventory
+	if err := json.NewDecoder(io.LimitReader(r, maxInventoryBytes)).Decode(&inv); err != nil {
+		return nil, err
 	}
 	return &inv, nil
 }

@@ -17,7 +17,6 @@ import (
 	"maras/internal/audit"
 	"maras/internal/core"
 	"maras/internal/obs"
-	"maras/internal/obs/prof"
 	"maras/internal/obs/wide"
 	"maras/internal/trend"
 )
@@ -43,10 +42,6 @@ type RegistryOptions struct {
 	// Metrics, when non-nil, receives load latency, open-quarter
 	// gauge, and cache hit/miss/eviction counts.
 	Metrics *obs.StoreMetrics
-	// Tracer, when non-nil, records a "snapshot_load" stage per disk
-	// load — the counterpart of the mining stages, so a serving
-	// process can prove a warm quarter involved zero mining.
-	Tracer *obs.Tracer
 	// Auditor, when non-nil, supplies the thresholds for quality and
 	// drift evaluation (QualityContext/DriftContext) and receives
 	// their findings as audit events. A nil auditor evaluates with
@@ -71,8 +66,9 @@ type RegistryOptions struct {
 	// calls it only when Dirty asks; an LRU hit never does. A consumer
 	// thus sees each content once, however often the quarter is
 	// evicted and brought back. It runs on the loading goroutine,
-	// outside the registry lock, with the load's context (so callbacks
-	// can attach spans to the request trace that paid for the load).
+	// outside the registry lock, with the decode's context (so
+	// callbacks attach spans under the snapshot_decode span of the
+	// request trace that paid for the load).
 	// Consumers reacting to quarter content changes (the watch
 	// evaluator) hang off this hook.
 	OnLoad func(ctx context.Context, label string, a *core.Analysis)
@@ -89,9 +85,6 @@ type RegistryOptions struct {
 // is zero.
 const DefaultMaxOpen = 4
 
-// StageSnapshotLoad is the tracer stage name recorded per disk load.
-const StageSnapshotLoad = "snapshot_load"
-
 // Registry manages a directory of per-quarter snapshot files
 // (2014Q1.maras, 2014Q2.maras, ...): discovery, lazy loading into a
 // bounded table of decoded quarters, atomic writes, and cross-quarter
@@ -99,7 +92,6 @@ const StageSnapshotLoad = "snapshot_load"
 type Registry struct {
 	dir     string
 	metrics *obs.StoreMetrics
-	tracer  *obs.Tracer
 	onLoad  func(context.Context, string, *core.Analysis)
 	dirty   func(string) bool
 	auditor *audit.Auditor
@@ -182,7 +174,6 @@ func OpenRegistry(dir string, opts RegistryOptions) (*Registry, error) {
 		dir:     dir,
 		maxOpen: opts.MaxOpen,
 		metrics: opts.Metrics,
-		tracer:  opts.Tracer,
 		onLoad:  opts.OnLoad,
 		dirty:   opts.Dirty,
 		auditor: opts.Auditor,
@@ -332,8 +323,8 @@ func (r *Registry) Load(label string) (*core.Analysis, error) {
 // misses, fills it. A miss whose file is unchanged since the row's
 // retained copy was decoded promotes that copy (see openResilient). A
 // promotion is not a decode: it observes neither LoadSeconds nor
-// BytesRead and records no tracer stage; it counts in Promotions and
-// marks the decode span promoted=true.
+// BytesRead; it counts in Promotions and marks the decode span
+// promoted=true.
 //
 // Decode and promotion share one OnLoad rule: OnLoad runs when the
 // file's identity differs from the one last loaded for the quarter (or
@@ -378,23 +369,20 @@ func (r *Registry) LoadContext(ctx context.Context, label string) (*core.Analysi
 	}
 
 	e.once.Do(func() {
-		// The decode runs under op=store_load so continuous-profiling
+		// The decode is one obs.Do unit: a snapshot_decode span under
+		// the load's, run under op=store_load so continuous-profiling
 		// captures attribute cold-load CPU (CRC sweep + snapshot
 		// decode) separately from request handling.
-		prof.Do(ctx, func(ctx context.Context) {
-			st := r.tracer.StartStage(StageSnapshotLoad)
-			_, dspan := obs.StartSpan(ctx, SpanDecode)
-			defer dspan.End()
+		obs.Do(ctx, nil, SpanDecode, func(dctx context.Context, st *obs.Stage) {
+			dspan := obs.ActiveSpan(dctx)
 			start := time.Now()
-			path := r.Path(label)
-			cl, err := r.openResilient(ctx, label, path, dspan)
+			cl, err := r.openResilient(dctx, label, r.Path(label), dspan)
 			if err != nil {
 				e.err = err
 				dspan.SetAttr("error", err.Error())
-				st.End()
 				r.wide.Emit(wide.Event{
 					Kind: wide.KindStoreLoad, Quarter: label, Status: 500,
-					Duration: time.Since(start), Trace: obs.ActiveSpan(ctx).TraceID(),
+					Duration: time.Since(start), Trace: dspan.TraceID(),
 				})
 				return
 			}
@@ -409,7 +397,7 @@ func (r *Registry) LoadContext(ctx context.Context, label string) (*core.Analysi
 				// a trend assembled from the old bytes is stale.
 				r.invalidateTrend()
 			}
-			dspan.SetInt("signals", int64(len(cl.a.Signals)))
+			st.Count("signals", int64(len(cl.a.Signals)))
 			if cl.promoted {
 				if m != nil && m.Promotions != nil {
 					m.Promotions.Inc()
@@ -418,27 +406,24 @@ func (r *Registry) LoadContext(ctx context.Context, label string) (*core.Analysi
 				r.wide.Emit(wide.Event{
 					Kind: wide.KindStoreLoad, Quarter: label, Status: 200,
 					Duration: time.Since(start), Cache: "promoted",
-					Trace: obs.ActiveSpan(ctx).TraceID(),
+					Trace: dspan.TraceID(),
 				})
 			} else {
 				if m != nil {
 					m.LoadSeconds.Observe(time.Since(start).Seconds())
 					m.BytesRead.Add(cl.size)
 				}
-				dspan.SetInt("bytes", cl.size)
-				st.Count("signals", int64(len(cl.a.Signals)))
-				st.Count("reports", int64(cl.a.Stats.Reports))
-				st.End()
+				st.Count("bytes", cl.size)
 				r.wide.Emit(wide.Event{
 					Kind: wide.KindStoreLoad, Quarter: label, Status: 200,
 					Duration: time.Since(start), Bytes: cl.size,
-					Cache: "lru_miss", Trace: obs.ActiveSpan(ctx).TraceID(),
+					Cache: "lru_miss", Trace: dspan.TraceID(),
 				})
 			}
 			if r.onLoad != nil && (!known || r.dirty != nil && r.dirty(label)) {
-				r.onLoad(ctx, label, cl.a)
+				r.onLoad(dctx, label, cl.a)
 			}
-		}, prof.LabelOp, "store_load", "quarter", label)
+		}, obs.LabelOp, "store_load", "quarter", label)
 	})
 	if e.err != nil {
 		// Drop the failed load so a repaired file can be retried.

@@ -275,23 +275,31 @@ func TestIsLatestTrend(t *testing.T) {
 	}
 }
 
+// TestRegistryTracerRecordsLoadNotMine: a cold load decodes the
+// quarter once (the load histogram counts it), a warm one not at all,
+// and neither runs the miner: the loads' trace holds no pipeline
+// stage span.
 func TestRegistryTracerRecordsLoadNotMine(t *testing.T) {
 	dir := tempStore(t, 1)
-	tracer := obs.NewTracer(nil)
-	reg, err := OpenRegistry(dir, RegistryOptions{Tracer: tracer})
+	m := obs.NewStoreMetrics(obs.NewRegistry())
+	reg, err := OpenRegistry(dir, RegistryOptions{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Load("2014Q1"); err != nil {
-		t.Fatal(err)
+	tr := obs.NewTrace("serve")
+	ctx, root := tr.StartRoot(context.Background(), "GET /")
+	for i := 0; i < 2; i++ {
+		if _, err := reg.LoadContext(ctx, "2014Q1"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	recs := tracer.Records()
-	if len(recs) != 1 || recs[0].Name != StageSnapshotLoad {
-		t.Fatalf("trace = %+v, want one %s stage", recs, StageSnapshotLoad)
+	root.End()
+	if got := m.LoadSeconds.Count(); got != 1 {
+		t.Fatalf("decodes = %d, want 1", got)
 	}
-	for _, r := range recs {
-		if r.Name == core.StageMine {
-			t.Fatal("serving a warm quarter ran the miner")
+	for _, s := range tr.Snapshot().Spans {
+		if strings.HasPrefix(s.Name, obs.StageSpanPrefix) {
+			t.Fatalf("serving a warm quarter ran pipeline stage %s", s.Name)
 		}
 	}
 }

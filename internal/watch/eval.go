@@ -10,7 +10,6 @@ import (
 	"maras/internal/audit"
 	"maras/internal/knowledge"
 	"maras/internal/obs"
-	"maras/internal/obs/prof"
 	"maras/internal/obs/wide"
 )
 
@@ -132,21 +131,27 @@ type sigView struct {
 // and pushes qualified alerts to the feeds. Safe for concurrent use;
 // passes are serialized.
 func (ev *Evaluator) EvaluateQuarter(ctx context.Context, label string, sigs []Signal) Result {
-	_, sp := obs.StartSpan(ctx, SpanEvaluate)
-	sp.SetAttr("quarter", label)
-	start := ev.now()
-
-	// op=watch_eval labels the routing pass for continuous-profiling
-	// captures — at 1M lists this is a hot path worth attributing.
 	var (
-		res  Result
-		slow bool
+		res   Result
+		slow  bool
+		trace string
 	)
-	ev.mu.Lock()
-	prof.Do(ctx, func(context.Context) {
+	// The pass is one obs.Do unit: a watch_evaluate span, run under
+	// op=watch_eval for continuous-profiling captures — at 1M lists
+	// this is a hot path worth attributing.
+	obs.Do(ctx, nil, SpanEvaluate, func(ctx context.Context, st *obs.Stage) {
+		sp := obs.ActiveSpan(ctx)
+		sp.SetAttr("quarter", label)
+		trace = sp.TraceID()
+		start := ev.now()
+		ev.mu.Lock()
 		res, slow = ev.evaluateLocked(label, sigs, start)
-	}, prof.LabelOp, "watch_eval", "quarter", label)
-	ev.mu.Unlock()
+		ev.mu.Unlock()
+		st.Count("signals", int64(res.Signals))
+		st.Count("changed", int64(res.Changed))
+		st.Count("candidates", int64(res.Candidates))
+		st.Count("alerts", int64(res.Alerts))
+	}, obs.LabelOp, "watch_eval", "quarter", label)
 
 	if m := ev.opts.Metrics; m != nil {
 		m.Evaluations.Inc()
@@ -157,15 +162,10 @@ func (ev *Evaluator) EvaluateQuarter(ctx context.Context, label string, sigs []S
 		m.EvalSeconds.Observe(res.DurationMS / 1000)
 		m.SyncIndex(ev.opts.Index.Stats())
 	}
-	sp.SetInt("signals", int64(res.Signals))
-	sp.SetInt("changed", int64(res.Changed))
-	sp.SetInt("candidates", int64(res.Candidates))
-	sp.SetInt("alerts", int64(res.Alerts))
-	sp.End()
 	ev.opts.Wide.Emit(wide.Event{
 		Kind: wide.KindWatchEval, Quarter: label, Status: 200,
 		Duration: time.Duration(res.DurationMS * float64(time.Millisecond)),
-		Trace:    sp.TraceID(),
+		Trace:    trace,
 	})
 
 	// Audit the budget breach after releasing ev.mu: Record invokes
