@@ -24,8 +24,13 @@ vet:
 test:
 	$(GO) test ./...
 
+## race: the whole suite under the race detector, then the packages
+## whose stages fan out over package par again at one worker (par.Do
+## runs inline) and at four (workers run concurrently even on a
+## two-core machine).
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,4 ./internal/cleaning ./internal/assoc ./internal/lcm ./internal/core
 
 ## bench: the paper-artifact benchmarks (one iteration each; see
 ## EXPERIMENTS.md for targeted -bench invocations).
@@ -36,7 +41,8 @@ bench:
 ## after each mutation so it reaches the section parsers), the txdb
 ## support counter, the closed-set miner, the watchlist snapshot reader,
 ## the FAERS table readers, the failpoint spec grammar, the
-## /debug/events query parser, then the replica inventory decoder, each for
+## /debug/events query parser, the replica inventory decoder, then
+## report cleaning, each for
 ## FUZZTIME (default 30s). The decoder's seeds cover valid v1/v2/v3 snapshots, truncations,
 ## CRC-breaking bit flips and crafted resealed files; any input outside
 ## the three typed errors fails. FuzzTIDs builds a DB and a query from the bytes and checks
@@ -54,6 +60,10 @@ bench:
 ## payload through the decoder, the merkle build and the diff against a
 ## fixed local tree, and accepts an error or a diff that names only
 ## advertised leaves the local tree lacks or loses to.
+## FuzzClean builds small report sets (near-miss spellings, repeats,
+## shared case IDs, names that normalize to nothing) and requires
+## cleaning on one and on four workers to return the same reports and
+## stats as the per-occurrence reference.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
@@ -65,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzFailpointSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/wide -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replica -run '^$$' -fuzz '^FuzzInventory$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cleaning -run '^$$' -fuzz '^FuzzClean$$' -fuzztime $(FUZZTIME)
 
 ## vuln: known-vulnerability scan of the module graph and stdlib
 ## call sites. The binary is not installed here (CI pins its version;

@@ -27,6 +27,7 @@ import (
 	"maras/internal/synth"
 	"maras/internal/trend"
 	"maras/internal/txdb"
+	"maras/internal/types"
 )
 
 const (
@@ -192,7 +193,7 @@ func BenchmarkFigs4_GlyphRendering(b *testing.B) {
 
 // benchClosed mines the benchmark quarter's closed itemsets the way
 // the pipeline does (LCM under the pipeline's length cap).
-func benchClosed(b *testing.B, db *txdb.DB) []fpgrowth.FrequentSet {
+func benchClosed(b *testing.B, db *txdb.DB) []types.FrequentSet {
 	b.Helper()
 	closed := lcm.MineClosed(db, lcm.Options{MinSupport: benchMinSup, MaxLen: 10})
 	if len(closed) == 0 {

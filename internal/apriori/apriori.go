@@ -9,7 +9,6 @@ package apriori
 import (
 	"sort"
 
-	"maras/internal/fpgrowth"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -24,11 +23,11 @@ type Options struct {
 // Mine enumerates all frequent itemsets of db under opts using the
 // level-wise Apriori algorithm. Results match fpgrowth.Mine exactly
 // (the test suite enforces it); only the cost model differs.
-func Mine(db *txdb.DB, opts Options) []fpgrowth.FrequentSet {
+func Mine(db *txdb.DB, opts Options) []types.FrequentSet {
 	if opts.MinSupport < 1 {
 		opts.MinSupport = 1
 	}
-	var out []fpgrowth.FrequentSet
+	var out []types.FrequentSet
 
 	// L1: frequent single items.
 	freq := make(map[types.Item]int)
@@ -41,7 +40,7 @@ func Mine(db *txdb.DB, opts Options) []fpgrowth.FrequentSet {
 	for it, c := range freq {
 		if c >= opts.MinSupport {
 			level = append(level, types.Itemset{it})
-			out = append(out, fpgrowth.FrequentSet{Items: types.Itemset{it}, Support: c})
+			out = append(out, types.FrequentSet{Items: types.Itemset{it}, Support: c})
 		}
 	}
 	sortSets(level)
@@ -67,7 +66,7 @@ func Mine(db *txdb.DB, opts Options) []fpgrowth.FrequentSet {
 			// generate already pruned, so survivors are frequent.
 			_ = prevKeys
 			level = append(level, c)
-			out = append(out, fpgrowth.FrequentSet{Items: c, Support: counts[i]})
+			out = append(out, types.FrequentSet{Items: c, Support: counts[i]})
 		}
 		sortSets(level)
 	}

@@ -36,7 +36,7 @@ func buildDB(t testing.TB, txs [][]int) *txdb.DB {
 	return db
 }
 
-func asMap(sets []fpgrowth.FrequentSet) map[string]int {
+func asMap(sets []types.FrequentSet) map[string]int {
 	m := make(map[string]int, len(sets))
 	for _, fs := range sets {
 		m[fs.Items.Key()] = fs.Support

@@ -43,6 +43,24 @@ func (e *Evaluator) Fork() *Evaluator {
 	return &Evaluator{db: e.db, base: e.memo, memo: make(map[string]int)}
 }
 
+// absorb merges the memos of forks of e into e's own, once none of
+// them runs, so e then answers from memory everything they counted.
+// Forks that were never made (nil) are skipped.
+func (e *Evaluator) absorb(forks []*Evaluator) {
+	for _, f := range forks {
+		if f == nil {
+			continue
+		}
+		if len(e.memo) == 0 {
+			e.memo = f.memo
+			continue
+		}
+		for k, s := range f.memo {
+			e.memo[k] = s
+		}
+	}
+}
+
 // DB returns the database the Evaluator counts against.
 func (e *Evaluator) DB() *txdb.DB { return e.db }
 

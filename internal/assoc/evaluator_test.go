@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"maras/internal/fpgrowth"
@@ -162,6 +163,60 @@ func TestFromItemsetsSeedsMemo(t *testing.T) {
 		if sup, ok := ev.memo[key]; !ok || sup != r.Support {
 			t.Errorf("%s: memo has %d (present %v), want %d", r.Key(), sup, ok, r.Support)
 		}
+	}
+}
+
+// Rule generation on four workers must return the rules one worker
+// returns, in the same order, and leave the same supports in ev's
+// memo, whether ev starts empty or already holds counts.
+func TestFromItemsetsSameAcrossWorkers(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		opts   GenOptions
+		seeded bool
+	}{
+		{"all", GenOptions{MinDrugs: 1}, false},
+		{"multi-drug", GenOptions{MinDrugs: 2}, false},
+		{"bounded", GenOptions{MinDrugs: 2, MaxDrugs: 3}, false},
+		{"min-confidence", GenOptions{MinDrugs: 1, MinConfidence: 0.5}, false},
+		{"seeded memo", GenOptions{MinDrugs: 2}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			for trial := 0; trial < 5; trial++ {
+				db, drugs, reacs := randomDB(rng, 6+rng.Intn(4), 2+rng.Intn(3), 40+rng.Intn(40), 0.3+0.3*rng.Float64())
+				closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 2})
+				var seed [][2]types.Itemset
+				if c.seeded {
+					for i := 0; i < 10; i++ {
+						seed = append(seed, [2]types.Itemset{randomSubset(rng, drugs), randomSubset(rng, reacs)})
+					}
+				}
+				gen := func(workers int) ([]Rule, *Evaluator) {
+					ev := NewEvaluator(db)
+					for _, q := range seed {
+						ev.Evaluate(q[0], q[1])
+					}
+					return fromItemsets(ev, closed, c.opts, workers), ev
+				}
+				serial, sev := gen(1)
+				parallel, pev := gen(4)
+				if c.opts.MinConfidence == 0 && len(serial) < 16 {
+					t.Fatalf("trial %d: %d rules, too few to split over four workers", trial, len(serial))
+				}
+				if len(parallel) != len(serial) {
+					t.Fatalf("trial %d: %d rules on four workers, %d on one", trial, len(parallel), len(serial))
+				}
+				for i := range serial {
+					if !sameMeasures(serial[i], parallel[i]) {
+						t.Fatalf("trial %d rule %d: four workers %+v, one %+v", trial, i, parallel[i], serial[i])
+					}
+				}
+				if !reflect.DeepEqual(pev.memo, sev.memo) {
+					t.Fatalf("trial %d: memo holds %d supports after four workers, %d after one", trial, len(pev.memo), len(sev.memo))
+				}
+			}
+		})
 	}
 }
 

@@ -1,9 +1,11 @@
 package assoc
 
 import (
-	"sort"
+	"cmp"
+	"runtime"
+	"strings"
 
-	"maras/internal/fpgrowth"
+	"maras/internal/par"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -28,30 +30,91 @@ type GenOptions struct {
 // association. Itemsets without both domains are skipped.
 //
 // Measures are exact: a rule's support is its itemset's mined count,
-// and the antecedent and consequent supports come from ev. Results are
-// sorted by descending support, then key, for determinism.
-func FromItemsets(ev *Evaluator, sets []fpgrowth.FrequentSet, opts GenOptions) []Rule {
+// and the antecedent and consequent supports come from ev, whose memo
+// holds every support counted here when FromItemsets returns. Results
+// are sorted by descending support, then key, for determinism. The
+// kept itemsets are evaluated, and the rules sorted, on a pool of
+// GOMAXPROCS workers (package par); the rules do not depend on the
+// worker count.
+func FromItemsets(ev *Evaluator, sets []types.FrequentSet, opts GenOptions) []Rule {
+	return fromItemsets(ev, sets, opts, runtime.GOMAXPROCS(0))
+}
+
+// keptSet is an itemset that passes the domain filter: its index in
+// the input, its drug count, and where its halves start in the shared
+// backing.
+type keptSet struct{ set, drugs, off int }
+
+// fromItemsets is FromItemsets on at most workers goroutines. Each
+// worker evaluates through its own fork of ev, and the forks' memos are
+// merged into ev's at the end.
+func fromItemsets(ev *Evaluator, sets []types.FrequentSet, opts GenOptions, workers int) []Rule {
 	if opts.MinDrugs < 1 {
 		opts.MinDrugs = 1
 	}
 	dict := ev.DB().Dict()
-	rules := make([]Rule, 0, len(sets))
-	for _, fs := range sets {
-		drugs, reacs := dict.SplitDomains(fs.Items)
-		if len(drugs) < opts.MinDrugs || len(reacs) == 0 {
+	// Filter by domain counts first, so only kept itemsets are split.
+	var kept []keptSet
+	total := 0
+	for i := range sets {
+		items := sets[i].Items
+		drugs := 0
+		for _, it := range items {
+			if dict.IsDrug(it) {
+				drugs++
+			}
+		}
+		if drugs < opts.MinDrugs || drugs == len(items) || (opts.MaxDrugs > 0 && drugs > opts.MaxDrugs) {
 			continue
 		}
-		if opts.MaxDrugs > 0 && len(drugs) > opts.MaxDrugs {
-			continue
-		}
-		r := ev.evaluateComplete(drugs, reacs, fs.Items, fs.Support)
-		if r.Confidence < opts.MinConfidence {
-			continue
-		}
-		rules = append(rules, r)
+		kept = append(kept, keptSet{set: i, drugs: drugs, off: total})
+		total += len(items)
 	}
-	sortRules(rules)
-	return rules
+
+	// Every kept itemset's drugs and reactions are carved, capacity
+	// capped, from one backing array.
+	backing := make(types.Itemset, total)
+	rules := make([]Rule, len(kept))
+	keys := make([]string, len(kept))
+	evaluate := func(e *Evaluator, k int) {
+		ks, fs := kept[k], &sets[kept[k].set]
+		drugs := backing[ks.off : ks.off : ks.off+ks.drugs]
+		reacs := backing[ks.off+ks.drugs : ks.off+ks.drugs : ks.off+len(fs.Items)]
+		for _, it := range fs.Items {
+			if dict.IsDrug(it) {
+				drugs = append(drugs, it)
+			} else {
+				reacs = append(reacs, it)
+			}
+		}
+		rules[k] = e.evaluateComplete(drugs, reacs, fs.Items, fs.Support)
+		keys[k] = rules[k].Key()
+	}
+	if par.Workers(len(kept), workers) == 1 {
+		for k := range kept {
+			evaluate(ev, k)
+		}
+	} else {
+		forks := make([]*Evaluator, par.Workers(len(kept), workers))
+		par.DoRuns(len(kept), workers, func(w, lo, hi int) {
+			if forks[w] == nil {
+				forks[w] = ev.Fork()
+			}
+			for k := lo; k < hi; k++ {
+				evaluate(forks[w], k)
+			}
+		})
+		ev.absorb(forks)
+	}
+
+	n := 0
+	for k := range rules {
+		if rules[k].Confidence >= opts.MinConfidence {
+			rules[n], keys[n] = rules[k], keys[k]
+			n++
+		}
+	}
+	return sortRules(rules[:n], keys[:n], workers)
 }
 
 // AllPartitions materializes the *filtered* drug→ADR rule space at
@@ -62,10 +125,13 @@ func FromItemsets(ev *Evaluator, sets []fpgrowth.FrequentSet, opts GenOptions) [
 // to demonstrate the partial-rule problem, not for production use.
 //
 // Deduplicated across itemsets; measures evaluated exactly.
-func AllPartitions(db *txdb.DB, sets []fpgrowth.FrequentSet, maxAnt int) []Rule {
+func AllPartitions(db *txdb.DB, sets []types.FrequentSet, maxAnt int) []Rule {
 	dict := db.Dict()
 	seen := make(map[string]bool)
-	var rules []Rule
+	var (
+		rules []Rule
+		keys  []string
+	)
 	for _, fs := range sets {
 		drugs, reacs := dict.SplitDomains(fs.Items)
 		if len(drugs) == 0 || len(reacs) == 0 {
@@ -81,6 +147,7 @@ func AllPartitions(db *txdb.DB, sets []fpgrowth.FrequentSet, maxAnt int) []Rule 
 			}
 			seen[key] = true
 			rules = append(rules, Evaluate(db, a.Clone(), b.Clone()))
+			keys = append(keys, key)
 		}
 		// Every non-empty subset pair; drug sets and reaction sets are
 		// small per itemset, so the double power-set walk is bounded.
@@ -90,38 +157,40 @@ func AllPartitions(db *txdb.DB, sets []fpgrowth.FrequentSet, maxAnt int) []Rule 
 			})
 		})
 	}
-	sortRules(rules)
-	return rules
+	return sortRules(rules, keys, 1)
 }
 
-// sortRules orders rules by descending support, then key. Keys are
-// built once per rule rather than once per comparison.
-func sortRules(rules []Rule) {
-	keys := make([]string, len(rules))
+// ruleOrder is what the rule order reads of rule i: its support and
+// key.
+type ruleOrder struct {
+	support int
+	key     string
+	i       int
+}
+
+// compareRules orders by descending support, then key. Distinct rules
+// have distinct keys, so it is a total order.
+func compareRules(a, b ruleOrder) int {
+	if a.support != b.support {
+		return cmp.Compare(b.support, a.support)
+	}
+	return strings.Compare(a.key, b.key)
+}
+
+// sortRules returns rules ordered by descending support, then key
+// (keys[i] is rules[i].Key(), built once per rule rather than once per
+// comparison), sorting on up to workers goroutines.
+func sortRules(rules []Rule, keys []string, workers int) []Rule {
+	order := make([]ruleOrder, len(rules))
 	for i := range rules {
-		keys[i] = rules[i].Key()
+		order[i] = ruleOrder{rules[i].Support, keys[i], i}
 	}
-	sort.Sort(bySupportKey{rules, keys})
-}
-
-// bySupportKey sorts rules and their precomputed keys together.
-type bySupportKey struct {
-	rules []Rule
-	keys  []string
-}
-
-func (b bySupportKey) Len() int { return len(b.rules) }
-
-func (b bySupportKey) Less(i, j int) bool {
-	if b.rules[i].Support != b.rules[j].Support {
-		return b.rules[i].Support > b.rules[j].Support
+	order = par.SortFunc(order, compareRules, workers)
+	out := make([]Rule, len(rules))
+	for j, o := range order {
+		out[j] = rules[o.i]
 	}
-	return b.keys[i] < b.keys[j]
-}
-
-func (b bySupportKey) Swap(i, j int) {
-	b.rules[i], b.rules[j] = b.rules[j], b.rules[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	return out
 }
 
 // subsetsIncludingFull visits every non-empty subset of s, including
@@ -139,7 +208,7 @@ func subsetsIncludingFull(s types.Itemset, fn func(types.Itemset)) {
 // evaluating measures. Each itemset with at least one drug and one
 // reaction yields exactly one rule, and distinct itemsets yield
 // distinct (antecedent, consequent) pairs, so this is a pure count.
-func CountDrugADRRules(dict *types.Dictionary, sets []fpgrowth.FrequentSet) int {
+func CountDrugADRRules(dict *types.Dictionary, sets []types.FrequentSet) int {
 	n := 0
 	for _, fs := range sets {
 		hasDrug, hasReac := false, false
@@ -160,7 +229,7 @@ func CountDrugADRRules(dict *types.Dictionary, sets []fpgrowth.FrequentSet) int 
 // CountAllPartitionRules returns how many distinct drug→ADR rules
 // AllPartitions would generate, without materializing or evaluating
 // them.
-func CountAllPartitionRules(db *txdb.DB, sets []fpgrowth.FrequentSet) int {
+func CountAllPartitionRules(db *txdb.DB, sets []types.FrequentSet) int {
 	dict := db.Dict()
 	seen := make(map[string]bool)
 	for _, fs := range sets {
@@ -187,7 +256,7 @@ func CountAllPartitionRules(db *txdb.DB, sets []fpgrowth.FrequentSet) int {
 // Rules from different itemsets are distinct by construction (the
 // complete itemset A ∪ B identifies its generator), so no
 // deduplication is needed.
-func CountTraditionalRules(sets []fpgrowth.FrequentSet) int {
+func CountTraditionalRules(sets []types.FrequentSet) int {
 	total := 0
 	for _, fs := range sets {
 		k := uint(len(fs.Items))

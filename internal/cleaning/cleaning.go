@@ -13,10 +13,12 @@
 package cleaning
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 
 	"maras/internal/faers"
+	"maras/internal/par"
 )
 
 // Options tunes the cleaning passes.
@@ -218,7 +220,8 @@ func (r *dpRows) distance(a, b string) int {
 
 // Corrector snaps rare spellings to canonical vocabulary entries. It
 // reuses its edit-distance rows across calls, so it is not safe for
-// concurrent use.
+// concurrent use; Clean gives each worker its own rows over one shared
+// vocabulary.
 type Corrector struct {
 	opts Options
 	// canon maps the first two letters to canonical names with that
@@ -255,6 +258,12 @@ func NewCorrector(counts map[string]int, opts Options) *Corrector {
 	return c
 }
 
+// fork returns a Corrector over c's vocabulary with edit-distance rows
+// of its own, so it can correct on another goroutine while c does.
+func (c *Corrector) fork() *Corrector {
+	return &Corrector{opts: c.opts, canon: c.canon, counts: c.counts}
+}
+
 func prefixKey(name string) string {
 	if len(name) < 2 {
 		return name
@@ -288,6 +297,14 @@ func (c *Corrector) Correct(name string) (string, bool) {
 		if abs(len(e.name)-len(name)) > maxDist {
 			continue
 		}
+		if maxDist == 1 {
+			// name is not canonical, so no entry is 0 edits away, and
+			// the first entry 1 edit away is the most frequent one.
+			if oneEdit(name, e.name) {
+				return e.name, true
+			}
+			continue
+		}
 		d := c.rows.distance(name, e.name)
 		if d < bestDist || (d == bestDist && e.count > bestCount) {
 			best, bestDist, bestCount = e.name, d, e.count
@@ -297,6 +314,30 @@ func (c *Corrector) Correct(name string) (string, bool) {
 		return best, true
 	}
 	return name, false
+}
+
+// oneEdit reports whether EditDistance(a, b) <= 1 — a and b are at
+// most one insertion, deletion, substitution or adjacent transposition
+// apart — in linear time.
+func oneEdit(a, b string) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(b)-len(a) > 1 {
+		return false
+	}
+	i := 0
+	for i < len(a) && a[i] == b[i] {
+		i++
+	}
+	switch {
+	case len(a) != len(b):
+		return a[i:] == b[i+1:]
+	case i == len(a):
+		return true
+	}
+	return a[i+1:] == b[i+1:] ||
+		i+1 < len(a) && a[i] == b[i+1] && a[i+1] == b[i] && a[i+2:] == b[i+2:]
 }
 
 func abs(x int) int {
@@ -309,74 +350,69 @@ func abs(x int) int {
 // Clean runs the full cleaning pipeline over reports and returns the
 // cleaned reports plus statistics. Reports left without at least one
 // drug and one reaction are dropped: they cannot contribute to any
-// drug→ADR association.
+// drug→ADR association. Normalization, correction and within-report
+// dedup run on a pool of GOMAXPROCS workers (package par); the output
+// does not depend on the worker count.
 func Clean(reports []faers.Report, opts Options) ([]faers.Report, Stats) {
-	opts = opts.normalized()
-	var st Stats
-	st.ReportsIn = len(reports)
+	return clean(reports, opts, runtime.GOMAXPROCS(0))
+}
 
-	// Pass 1: normalize strings, count name frequencies. Names repeat
-	// across reports, so each distinct raw string is normalized once.
-	normDrug := memoize(NormalizeDrug)
-	normReac := memoize(NormalizeReaction)
+// clean is Clean on at most workers goroutines.
+func clean(reports []faers.Report, opts Options, workers int) ([]faers.Report, Stats) {
+	opts = opts.normalized()
 	norm := make([]faers.Report, len(reports))
-	drugCounts := make(map[string]int)
-	reacCounts := make(map[string]int)
-	for i, r := range reports {
-		n := r
-		n.Drugs = make([]string, 0, len(r.Drugs))
-		n.Reactions = make([]string, 0, len(r.Reactions))
-		for _, d := range r.Drugs {
-			if nd := normDrug(d); nd != "" {
-				n.Drugs = append(n.Drugs, nd)
-				drugCounts[nd]++
-			}
+
+	// Pass 1: normalize strings, count name frequencies, in runs of
+	// reports. Names repeat across reports, so each worker normalizes
+	// and counts per distinct raw string; the counts are merged by
+	// summing.
+	tallies := make([]*tally, par.Workers(len(reports), workers))
+	par.DoRuns(len(reports), workers, func(w, lo, hi int) {
+		if tallies[w] == nil {
+			tallies[w] = newTally()
 		}
-		for _, a := range r.Reactions {
-			if na := normReac(a); na != "" {
-				n.Reactions = append(n.Reactions, na)
-				reacCounts[na]++
-			}
-		}
-		norm[i] = n
-	}
+		tallies[w].normalize(reports[lo:hi], norm[lo:hi])
+	})
+	drugCounts, reacCounts := mergeCounts(tallies)
 
 	// Pass 2: spelling correction against the observed vocabulary,
 	// once per distinct name; the stats still count occurrences.
+	var drugFixes, reacFixes map[string]string
 	if opts.SpellCorrect {
-		drugFixes := corrections(drugCounts, opts)
-		reacFixes := corrections(reacCounts, opts)
-		for i := range norm {
-			for j, d := range norm[i].Drugs {
-				if fixed, ok := drugFixes[d]; ok {
-					norm[i].Drugs[j] = fixed
-					st.DrugSpellingsFixed++
-				}
-			}
-			for j, a := range norm[i].Reactions {
-				if fixed, ok := reacFixes[a]; ok {
-					norm[i].Reactions[j] = fixed
-					st.ReacSpellingsFixed++
-				}
-			}
-		}
+		drugFixes = corrections(drugCounts, opts, workers)
+		reacFixes = corrections(reacCounts, opts, workers)
 	}
 
-	// Pass 3: within-report dedup + cross-report duplicate drop.
-	// Cross-report duplicates are keyed by case ID only: the same
-	// case reported through multiple channels or versions shares a
-	// caseid, while distinct patients legitimately produce identical
-	// drug/reaction content.
-	seenCase := make(map[string]bool)
-	out := make([]faers.Report, 0, len(norm))
-	for _, r := range norm {
-		before := len(r.Drugs)
-		r.Drugs = dedupSorted(r.Drugs)
-		st.WithinReportDupDrugs += before - len(r.Drugs)
-		before = len(r.Reactions)
-		r.Reactions = dedupSorted(r.Reactions)
-		st.WithinReportDupReacs += before - len(r.Reactions)
+	// Pass 3: corrections and within-report dedup, report by report.
+	sums := make([]Stats, par.Workers(len(norm), workers))
+	par.DoRuns(len(norm), workers, func(w, lo, hi int) {
+		var st Stats
+		for i := lo; i < hi; i++ {
+			r := &norm[i]
+			st.DrugSpellingsFixed += applyFixes(r.Drugs, drugFixes)
+			st.ReacSpellingsFixed += applyFixes(r.Reactions, reacFixes)
+			before := len(r.Drugs)
+			r.Drugs = dedupSorted(r.Drugs)
+			st.WithinReportDupDrugs += before - len(r.Drugs)
+			before = len(r.Reactions)
+			r.Reactions = dedupSorted(r.Reactions)
+			st.WithinReportDupReacs += before - len(r.Reactions)
+		}
+		sums[w].add(st)
+	})
+	st := Stats{ReportsIn: len(reports)}
+	for _, s := range sums {
+		st.add(s)
+	}
 
+	// Cross-report duplicate drop, in input order, compacting norm in
+	// place. Duplicates are keyed by case ID only: the same case
+	// reported through multiple channels or versions shares a caseid,
+	// while distinct patients legitimately produce identical
+	// drug/reaction content.
+	seenCase := make(map[string]bool, len(norm))
+	out := norm[:0]
+	for _, r := range norm {
 		if len(r.Drugs) == 0 || len(r.Reactions) == 0 {
 			st.EmptyReports++
 			continue
@@ -394,30 +430,151 @@ func Clean(reports []faers.Report, opts Options) ([]faers.Report, Stats) {
 	return out, st
 }
 
-// memoize caches f's result per distinct argument.
-func memoize(f func(string) string) func(string) string {
-	seen := make(map[string]string)
-	return func(s string) string {
-		v, ok := seen[s]
-		if !ok {
-			v = f(s)
-			seen[s] = v
-		}
-		return v
+// add sums the counters of o into s.
+func (s *Stats) add(o Stats) {
+	s.ReportsIn += o.ReportsIn
+	s.ReportsOut += o.ReportsOut
+	s.DuplicateReports += o.DuplicateReports
+	s.EmptyReports += o.EmptyReports
+	s.DrugSpellingsFixed += o.DrugSpellingsFixed
+	s.ReacSpellingsFixed += o.ReacSpellingsFixed
+	s.WithinReportDupDrugs += o.WithinReportDupDrugs
+	s.WithinReportDupReacs += o.WithinReportDupReacs
+}
+
+// tally is one worker's normalization pass over drug and reaction
+// names.
+type tally struct{ drugs, reacs nameTally }
+
+func newTally() *tally {
+	return &tally{
+		drugs: nameTally{normalize: NormalizeDrug, index: make(map[string]int32)},
+		reacs: nameTally{normalize: NormalizeReaction, index: make(map[string]int32)},
 	}
 }
 
+// nameTally memoizes one domain's normalization: every distinct raw
+// name it has seen has an entry with its normalized form and its
+// occurrences, so an occurrence costs one map lookup.
+type nameTally struct {
+	normalize func(string) string
+	index     map[string]int32 // raw name → entries index
+	entries   []nameCount
+}
+
+type nameCount struct {
+	norm string
+	n    int
+}
+
+// add counts one occurrence of raw and returns its normalized form.
+func (t *nameTally) add(raw string) string {
+	i, ok := t.index[raw]
+	if !ok {
+		i = int32(len(t.entries))
+		t.entries = append(t.entries, nameCount{norm: t.normalize(raw)})
+		t.index[raw] = i
+	}
+	t.entries[i].n++
+	return t.entries[i].norm
+}
+
+// countInto adds the occurrences of each normalized name to counts,
+// skipping names that normalize to nothing.
+func (t *nameTally) countInto(counts map[string]int) {
+	for _, e := range t.entries {
+		if e.norm != "" {
+			counts[e.norm] += e.n
+		}
+	}
+}
+
+// normalize writes the normalized form of each report of in to the
+// same position of out, dropping names that normalize to nothing. The
+// run's name lists are carved, capacity capped, from one backing
+// array.
+func (t *tally) normalize(in, out []faers.Report) {
+	size := 0
+	for i := range in {
+		size += len(in[i].Drugs) + len(in[i].Reactions)
+	}
+	names := make([]string, size)
+	for i, r := range in {
+		n := r
+		n.Drugs, names = names[:0:len(r.Drugs)], names[len(r.Drugs):]
+		for _, d := range r.Drugs {
+			if nd := t.drugs.add(d); nd != "" {
+				n.Drugs = append(n.Drugs, nd)
+			}
+		}
+		n.Reactions, names = names[:0:len(r.Reactions)], names[len(r.Reactions):]
+		for _, a := range r.Reactions {
+			if na := t.reacs.add(a); na != "" {
+				n.Reactions = append(n.Reactions, na)
+			}
+		}
+		out[i] = n
+	}
+}
+
+// mergeCounts sums the workers' occurrences of each normalized name.
+// Workers that took no run made no tally.
+func mergeCounts(tallies []*tally) (drugs, reacs map[string]int) {
+	drugs, reacs = make(map[string]int), make(map[string]int)
+	for _, t := range tallies {
+		if t != nil {
+			t.drugs.countInto(drugs)
+			t.reacs.countInto(reacs)
+		}
+	}
+	return drugs, reacs
+}
+
 // corrections runs the corrector built from counts once per distinct
-// name and returns the names it changes, with their corrections.
-func corrections(counts map[string]int, opts Options) map[string]string {
+// name, on at most workers goroutines with edit-distance rows of their
+// own, and returns the names it changes, with their corrections.
+func corrections(counts map[string]int, opts Options, workers int) map[string]string {
 	c := NewCorrector(counts, opts)
-	fixes := make(map[string]string)
+	names := make([]string, 0, len(counts))
 	for name := range counts {
-		if fixed, changed := c.Correct(name); changed {
-			fixes[name] = fixed
+		names = append(names, name)
+	}
+	fixed := make([]string, len(names)) // "" where the name stays
+	cs := make([]*Corrector, par.Workers(len(names), workers))
+	cs[0] = c
+	par.DoRuns(len(names), workers, func(w, lo, hi int) {
+		if cs[w] == nil {
+			cs[w] = c.fork()
+		}
+		for i := lo; i < hi; i++ {
+			if f, changed := cs[w].Correct(names[i]); changed {
+				fixed[i] = f
+			}
+		}
+	})
+	fixes := make(map[string]string)
+	for i, f := range fixed {
+		if f != "" {
+			fixes[names[i]] = f
 		}
 	}
 	return fixes
+}
+
+// applyFixes replaces each name that fixes corrects, in place, and
+// returns how many it replaced.
+func applyFixes(names []string, fixes map[string]string) int {
+	if len(fixes) == 0 {
+		return 0
+	}
+	n := 0
+	for j, name := range names {
+		if fixed, ok := fixes[name]; ok {
+			names[j] = fixed
+			n++
+		}
+	}
+	return n
 }
 
 // dedupSorted sorts and deduplicates a string slice in place.

@@ -82,6 +82,24 @@ func TestEditDistanceSymmetric(t *testing.T) {
 	}
 }
 
+// oneEdit must agree with EditDistance(a, b) <= 1 on every pair of
+// strings of up to four letters over a three-letter alphabet.
+func TestOneEditMatchesEditDistance(t *testing.T) {
+	words := []string{""}
+	for n := 0; n < len(words) && len(words[n]) < 4; n++ {
+		for _, c := range "abc" {
+			words = append(words, words[n]+string(c))
+		}
+	}
+	for _, a := range words {
+		for _, b := range words {
+			if got, want := oneEdit(a, b), EditDistance(a, b) <= 1; got != want {
+				t.Fatalf("oneEdit(%q, %q) = %v, EditDistance %d", a, b, got, EditDistance(a, b))
+			}
+		}
+	}
+}
+
 func TestEditDistanceTriangleIneq(t *testing.T) {
 	f := func(a, b, c string) bool {
 		trim := func(s string) string {

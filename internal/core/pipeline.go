@@ -4,13 +4,15 @@
 // multi-level contextual cluster construction, exclusiveness ranking,
 // knowledge-base validation, and linking every signal back to the raw
 // reports that support it. Rule generation fills one run-scoped memo
-// of exact supports (assoc.Evaluator); cluster construction reads it,
+// of exact supports (assoc.Evaluator), counting through one fork per
+// worker whose memos it merges back; cluster construction reads it,
 // through one read-only fork per worker when it runs in parallel.
-// Mining, cluster construction and linking fan out over GOMAXPROCS
-// workers (package par); the other stages are serial, and the output
-// does not depend on the worker count. FP-Growth runs only when
-// Options.CountRules asks for the full frequent-itemset space of
-// Fig 5.1. Each stage is instrumented by one obs.Do call, which gives
+// Cleaning, mining, rule generation, cluster construction and linking
+// fan out over GOMAXPROCS workers (package par); encoding (the
+// dictionary issues IDs in first-seen order) and ranking are serial,
+// and the output does not depend on the worker count. FP-Growth runs
+// only when Options.CountRules asks for the full frequent-itemset space
+// of Fig 5.1. Each stage is instrumented by one obs.Do call, which gives
 // it a live "stage:<name>" span, a pprof stage=<name> label and a
 // record on Options.Tracer with its domain counters.
 package core
@@ -296,7 +298,7 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 
 	// Mine the closed itemsets the rule base is built from (Lemma
 	// 3.4.2) directly, without materializing the frequent set.
-	var closed []fpgrowth.FrequentSet
+	var closed []types.FrequentSet
 	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageMine, func(_ context.Context, st *obs.Stage) {
 		closed = lcm.MineClosed(db, lcm.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
 		st.Count("closed_itemsets", int64(len(closed)))

@@ -14,6 +14,7 @@ import (
 	"maras/internal/obs"
 	"maras/internal/rank"
 	"maras/internal/synth"
+	"maras/internal/types"
 )
 
 // handReports builds a tiny corpus with one strong interaction
@@ -333,10 +334,13 @@ func TestRunOnSyntheticQuarter(t *testing.T) {
 	}
 }
 
-// TestRunSameSignalsAcrossGOMAXPROCS: mining, cluster construction and
-// linking fan out over GOMAXPROCS workers; one worker and four must
-// give the same signals — clusters and their level order, report
-// links, organ classes and knowledge matches.
+// TestRunSameSignalsAcrossGOMAXPROCS: cleaning, mining, rule
+// generation, cluster construction and linking fan out over GOMAXPROCS
+// workers; one worker and four must give the same signals — clusters
+// and their level order, report links, organ classes and knowledge
+// matches — and the same statistics, rule-space counts and dictionary.
+// A dictionary issued in another order could leave the signals equal
+// while renumbering every item.
 func TestRunSameSignalsAcrossGOMAXPROCS(t *testing.T) {
 	sc := synth.DefaultConfig("2014Q1", 3)
 	sc.Reports = 2500
@@ -347,15 +351,16 @@ func TestRunSameSignalsAcrossGOMAXPROCS(t *testing.T) {
 	reports := q.Reports()
 	opts := NewOptions()
 	opts.TopK = 0
-	run := func(procs int) []Signal {
+	run := func(procs int) *Analysis {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		a, err := Run(reports, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a.Signals
+		return a
 	}
-	serial, parallel := run(1), run(4)
+	sa, pa := run(1), run(4)
+	serial, parallel := sa.Signals, pa.Signals
 	if len(serial) == 0 {
 		t.Fatal("no signals")
 	}
@@ -377,6 +382,30 @@ func TestRunSameSignalsAcrossGOMAXPROCS(t *testing.T) {
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i], parallel[i]) {
 			t.Fatalf("signal %d differs:\nGOMAXPROCS=1 %+v\nGOMAXPROCS=4 %+v", i, serial[i], parallel[i])
+		}
+	}
+
+	c := sa.Cleaning
+	if c.DrugSpellingsFixed+c.ReacSpellingsFixed == 0 || c.WithinReportDupDrugs+c.WithinReportDupReacs == 0 {
+		t.Fatalf("cleaning stats %+v: want spelling fixes and within-report duplicates", c)
+	}
+	if pa.Cleaning != sa.Cleaning {
+		t.Errorf("cleaning stats differ:\nGOMAXPROCS=1 %+v\nGOMAXPROCS=4 %+v", sa.Cleaning, pa.Cleaning)
+	}
+	if pa.Stats != sa.Stats {
+		t.Errorf("database stats differ:\nGOMAXPROCS=1 %+v\nGOMAXPROCS=4 %+v", sa.Stats, pa.Stats)
+	}
+	if pa.Counts != sa.Counts {
+		t.Errorf("counts differ:\nGOMAXPROCS=1 %+v\nGOMAXPROCS=4 %+v", sa.Counts, pa.Counts)
+	}
+	sd, pd := sa.Dict(), pa.Dict()
+	if pd.Len() != sd.Len() {
+		t.Fatalf("dictionary has %d items at GOMAXPROCS=4, %d at GOMAXPROCS=1", pd.Len(), sd.Len())
+	}
+	for it := range types.Item(sd.Len()) {
+		if pd.Name(it) != sd.Name(it) || pd.Domain(it) != sd.Domain(it) {
+			t.Fatalf("item %d is %q (%v) at GOMAXPROCS=4, %q (%v) at GOMAXPROCS=1",
+				it, pd.Name(it), pd.Domain(it), sd.Name(it), sd.Domain(it))
 		}
 	}
 }

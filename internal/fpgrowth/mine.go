@@ -7,12 +7,6 @@ import (
 	"maras/internal/types"
 )
 
-// FrequentSet is a mined itemset with its absolute support.
-type FrequentSet struct {
-	Items   types.Itemset
-	Support int
-}
-
 // Options tunes the miner.
 type Options struct {
 	// MinSupport is the absolute minimum support (count of reports).
@@ -33,10 +27,10 @@ func (o Options) normalized() Options {
 
 // Mine enumerates every frequent itemset in db under opts, in no
 // particular order.
-func Mine(db *txdb.DB, opts Options) []FrequentSet {
+func Mine(db *txdb.DB, opts Options) []types.FrequentSet {
 	opts = opts.normalized()
-	var out []FrequentSet
-	MineFunc(db, opts, func(fs FrequentSet) bool {
+	var out []types.FrequentSet
+	MineFunc(db, opts, func(fs types.FrequentSet) bool {
 		out = append(out, fs)
 		return true
 	})
@@ -46,7 +40,7 @@ func Mine(db *txdb.DB, opts Options) []FrequentSet {
 // MineFunc streams every frequent itemset to fn; returning false stops
 // the mining early. The itemset passed to fn is freshly allocated and
 // may be retained.
-func MineFunc(db *txdb.DB, opts Options, fn func(FrequentSet) bool) {
+func MineFunc(db *txdb.DB, opts Options, fn func(types.FrequentSet) bool) {
 	opts = opts.normalized()
 	t, _ := buildInitial(db, opts.MinSupport)
 	var suffix types.Itemset
@@ -56,7 +50,7 @@ func MineFunc(db *txdb.DB, opts Options, fn func(FrequentSet) bool) {
 // mineTree is the FP-Growth recursion: for each frequent item in t
 // (least-frequent first), emit suffix+item and recurse into the
 // conditional tree.
-func mineTree(t *tree, suffix types.Itemset, opts Options, fn func(FrequentSet) bool) bool {
+func mineTree(t *tree, suffix types.Itemset, opts Options, fn func(types.FrequentSet) bool) bool {
 	if opts.MaxLen > 0 && len(suffix) >= opts.MaxLen {
 		return true
 	}
@@ -69,7 +63,7 @@ func mineTree(t *tree, suffix types.Itemset, opts Options, fn func(FrequentSet) 
 	}
 	for _, it := range t.items() {
 		ext := suffix.Union(types.Itemset{it})
-		if !fn(FrequentSet{Items: ext, Support: t.counts[it]}) {
+		if !fn(types.FrequentSet{Items: ext, Support: t.counts[it]}) {
 			return false
 		}
 		if opts.MaxLen > 0 && len(ext) >= opts.MaxLen {
@@ -88,7 +82,7 @@ func mineTree(t *tree, suffix types.Itemset, opts Options, fn func(FrequentSet) 
 
 // mineSinglePath emits every non-empty combination of the single-path
 // items (filtered to frequent ones) unioned with suffix.
-func mineSinglePath(items []types.Item, counts []int, suffix types.Itemset, opts Options, fn func(FrequentSet) bool) bool {
+func mineSinglePath(items []types.Item, counts []int, suffix types.Itemset, opts Options, fn func(types.FrequentSet) bool) bool {
 	// Keep only items meeting minsup; counts along a path are
 	// non-increasing, so a prefix survives.
 	n := 0
@@ -117,7 +111,7 @@ func mineSinglePath(items []types.Item, counts []int, suffix types.Itemset, opts
 		if opts.MaxLen > 0 && len(ext) > opts.MaxLen {
 			continue
 		}
-		if !fn(FrequentSet{Items: ext, Support: sup}) {
+		if !fn(types.FrequentSet{Items: ext, Support: sup}) {
 			return false
 		}
 	}
@@ -128,7 +122,7 @@ func mineSinglePath(items []types.Item, counts []int, suffix types.Itemset, opts
 // with no proper superset of equal support (Definition 3.4.1). The
 // result is deterministic: sorted by descending support, then by
 // ascending length, then lexicographic items.
-func MineClosed(db *txdb.DB, opts Options) []FrequentSet {
+func MineClosed(db *txdb.DB, opts Options) []types.FrequentSet {
 	all := Mine(db, opts)
 	closed := FilterClosed(all)
 	sort.Slice(closed, func(i, j int) bool {
@@ -157,16 +151,16 @@ func MineClosed(db *txdb.DB, opts Options) []FrequentSet {
 // group candidates by support, and within a bucket test subset
 // containment longest-first. Only supersets with *equal* support can
 // subsume (a proper superset can never have higher support).
-func FilterClosed(sets []FrequentSet) []FrequentSet {
-	bySupport := make(map[int][]FrequentSet)
+func FilterClosed(sets []types.FrequentSet) []types.FrequentSet {
+	bySupport := make(map[int][]types.FrequentSet)
 	for _, fs := range sets {
 		bySupport[fs.Support] = append(bySupport[fs.Support], fs)
 	}
-	var out []FrequentSet
+	var out []types.FrequentSet
 	for _, bucket := range bySupport {
 		// Longest first: an itemset can only be subsumed by a longer one.
 		sort.Slice(bucket, func(i, j int) bool { return len(bucket[i].Items) > len(bucket[j].Items) })
-		kept := make([]FrequentSet, 0, len(bucket))
+		kept := make([]types.FrequentSet, 0, len(bucket))
 		for _, fs := range bucket {
 			subsumed := false
 			for _, k := range kept {

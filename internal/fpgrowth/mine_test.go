@@ -238,7 +238,7 @@ func TestMineFuncEarlyStop(t *testing.T) {
 		{1, 2, 3},
 	})
 	n := 0
-	MineFunc(db, Options{MinSupport: 1}, func(FrequentSet) bool {
+	MineFunc(db, Options{MinSupport: 1}, func(types.FrequentSet) bool {
 		n++
 		return n < 2
 	})

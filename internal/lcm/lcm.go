@@ -13,7 +13,9 @@
 // count scan, on the original transactions, and stops as soon as it
 // knows the node passes. The root's branches are independent, so
 // they are mined on a pool of GOMAXPROCS workers (package par), each
-// with its own scratch; the final sort fixes the order.
+// with its own scratch. The same pool sorts the output in runs, which
+// are then merged; the order is total, so the result does not depend
+// on the worker count.
 //
 // It is the production miner: the pipeline (package core) takes its
 // closed sets from MineClosed. Package fpgrowth's mine-then-filter
@@ -26,7 +28,6 @@ import (
 	"runtime"
 	"slices"
 
-	"maras/internal/fpgrowth"
 	"maras/internal/par"
 	"maras/internal/txdb"
 	"maras/internal/types"
@@ -48,13 +49,13 @@ type Options struct {
 // MineClosed enumerates all closed frequent itemsets of db. The
 // result order matches fpgrowth.MineClosed (support desc, then
 // length, then lexicographic) for interchangeability.
-func MineClosed(db *txdb.DB, opts Options) []fpgrowth.FrequentSet {
+func MineClosed(db *txdb.DB, opts Options) []types.FrequentSet {
 	return mineClosed(db, opts, runtime.GOMAXPROCS(0))
 }
 
 // mineClosed is MineClosed on at most workers goroutines; one worker
 // mines serially on the calling goroutine.
-func mineClosed(db *txdb.DB, opts Options, workers int) []fpgrowth.FrequentSet {
+func mineClosed(db *txdb.DB, opts Options, workers int) []types.FrequentSet {
 	if opts.MinSupport < 1 {
 		opts.MinSupport = 1
 	}
@@ -88,21 +89,25 @@ func mineClosed(db *txdb.DB, opts Options, workers int) []fpgrowth.FrequentSet {
 		for _, x := range ws {
 			total += len(x.out)
 		}
-		out = make([]fpgrowth.FrequentSet, 0, total)
+		out = make([]types.FrequentSet, 0, total)
 		for _, x := range ws {
 			out = append(out, x.out...)
 		}
 	}
-	slices.SortFunc(out, func(a, b fpgrowth.FrequentSet) int {
-		if a.Support != b.Support {
-			return cmp.Compare(b.Support, a.Support)
-		}
-		if len(a.Items) != len(b.Items) {
-			return cmp.Compare(len(a.Items), len(b.Items))
-		}
-		return slices.Compare(a.Items, b.Items)
-	})
-	return out
+	return par.SortFunc(out, compareSets, workers)
+}
+
+// compareSets is the result order: support descending, then length,
+// then lexicographic. Distinct itemsets never compare equal, so it is a
+// total order on a result and the sorted output is unique.
+func compareSets(a, b types.FrequentSet) int {
+	if a.Support != b.Support {
+		return cmp.Compare(b.Support, a.Support)
+	}
+	if len(a.Items) != len(b.Items) {
+		return cmp.Compare(len(a.Items), len(b.Items))
+	}
+	return slices.Compare(a.Items, b.Items)
 }
 
 // candidate is an extension item of a node with its occurrences: the
@@ -137,7 +142,7 @@ type worker struct {
 	extra   []types.Item
 	levels  []level
 	chunk   []types.Item
-	out     []fpgrowth.FrequentSet
+	out     []types.FrequentSet
 }
 
 func newWorker(db *txdb.DB, opts Options) *worker {
@@ -385,7 +390,7 @@ func (w *worker) unmark(closure types.Itemset, d int32) {
 // as its closure, so no subset is emitted twice.
 func (w *worker) emit(c types.Itemset, n int) {
 	if w.opts.MaxLen == 0 || len(c) <= w.opts.MaxLen {
-		w.out = append(w.out, fpgrowth.FrequentSet{Items: c, Support: n})
+		w.out = append(w.out, types.FrequentSet{Items: c, Support: n})
 		return
 	}
 	w.boundedSubsets(c, n, make(types.Itemset, 0, w.opts.MaxLen), 0, nil)
@@ -400,7 +405,7 @@ func (w *worker) emit(c types.Itemset, n int) {
 func (w *worker) boundedSubsets(c types.Itemset, n int, prefix types.Itemset, from int, prefixTids []txdb.TID) {
 	if len(prefix) == w.opts.MaxLen {
 		if len(prefixTids) == n {
-			w.out = append(w.out, fpgrowth.FrequentSet{Items: append(w.itemset(len(prefix)), prefix...), Support: n})
+			w.out = append(w.out, types.FrequentSet{Items: append(w.itemset(len(prefix)), prefix...), Support: n})
 		}
 		return
 	}

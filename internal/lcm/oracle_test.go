@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"maras/internal/fpgrowth"
 	"maras/internal/types"
 )
 
@@ -106,7 +105,7 @@ func checkAgainstOracle(t *testing.T, label string, txs [][]int, nItems, minsup,
 }
 
 // resultLess is the documented result order of MineClosed.
-func resultLess(a, b fpgrowth.FrequentSet) bool {
+func resultLess(a, b types.FrequentSet) bool {
 	if a.Support != b.Support {
 		return a.Support > b.Support
 	}

@@ -165,11 +165,6 @@ func BuildAll(ev *assoc.Evaluator, targets []assoc.Rule) []Cluster {
 	return buildAll(ev, targets, runtime.GOMAXPROCS(0))
 }
 
-// chunksPerWorker is how many runs of neighbouring targets each worker
-// takes on average: more balance the load, fewer keep more of the memo
-// hits that neighbours share.
-const chunksPerWorker = 4
-
 // buildAll is BuildAll on at most workers goroutines.
 func buildAll(ev *assoc.Evaluator, targets []assoc.Rule, workers int) []Cluster {
 	multi := make([]int, 0, len(targets)) // indices of multi-drug targets
@@ -200,13 +195,12 @@ func buildAll(ev *assoc.Evaluator, targets []assoc.Rule, workers int) []Cluster 
 		}
 		return slices.Compare(ra.Antecedent, rb.Antecedent)
 	})
-	chunks := min(len(order), workers*chunksPerWorker)
-	evs := make([]*assoc.Evaluator, par.Workers(chunks, workers))
-	par.Do(chunks, workers, func(w, c int) {
+	evs := make([]*assoc.Evaluator, par.Workers(len(order), workers))
+	par.DoRuns(len(order), workers, func(w, lo, hi int) {
 		if evs[w] == nil {
 			evs[w] = ev.Fork()
 		}
-		for _, k := range order[c*len(order)/chunks : (c+1)*len(order)/chunks] {
+		for _, k := range order[lo:hi] {
 			out[k] = Build(evs[w], targets[multi[k]])
 		}
 	})

@@ -1,11 +1,14 @@
 // Package par is the pipeline's one fan-out primitive: a fixed pool of
-// workers that claims indices of an index space one at a time. Every
-// parallel stage (LCM root branches, MCAC construction, signal
-// linking) runs on it, so scheduling, per-worker scratch and the
-// serial fallback are decided in one place.
+// workers that claims indices of an index space one at a time, or runs
+// of neighbouring indices, and a sort built on it. Every parallel stage
+// (cleaning, LCM root branches and its output sort, rule generation and
+// its sort, MCAC construction, signal linking) runs on it, so
+// scheduling, per-worker scratch and the serial fallback are decided in
+// one place.
 package par
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -48,4 +51,78 @@ func Do(n, workers int, fn func(w, i int)) {
 	}
 	drain(0)
 	wg.Wait()
+}
+
+// runsPerWorker is how many runs DoRuns hands each worker on average:
+// more balance uneven runs, fewer keep more of what neighbouring
+// indices share in a worker's scratch.
+const runsPerWorker = 4
+
+// DoRuns calls fn(w, lo, hi) for consecutive runs [lo, hi) that
+// together cover [0, n) exactly once, through Do, so w is below
+// Workers(n, workers) and one worker's calls never overlap. With one
+// worker it makes the single call fn(0, 0, n) (none for n = 0); with
+// more, it cuts up to runsPerWorker runs per worker.
+func DoRuns(n, workers int, fn func(w, lo, hi int)) {
+	runs := min(n, 1)
+	if workers > 1 {
+		runs = min(n, workers*runsPerWorker)
+	}
+	Do(runs, workers, func(w, r int) {
+		fn(w, r*n/runs, (r+1)*n/runs)
+	})
+}
+
+// SortFunc sorts s by cmp on up to workers goroutines: it cuts s into
+// one equal run per worker, sorts the runs in parallel, then merges
+// neighbouring runs pairwise, each round's merges in parallel, until
+// one run is left. cmp must be a total order under which no two
+// elements of s compare equal; the result is then the one a single
+// sort gives, whatever the worker count. It returns the sorted
+// elements, which lie in s itself or in a new slice of the same
+// length; with one worker it sorts s in place.
+func SortFunc[E any](s []E, cmp func(a, b E) int, workers int) []E {
+	k := Workers(len(s), workers)
+	// bounds[r] is where run r starts; the last entry closes the last run.
+	bounds := make([]int, k+1)
+	for r := range bounds {
+		bounds[r] = r * len(s) / k
+	}
+	Do(k, workers, func(_, r int) {
+		slices.SortFunc(s[bounds[r]:bounds[r+1]], cmp)
+	})
+	if k == 1 {
+		return s
+	}
+	src, dst := s, make([]E, len(s))
+	for len(bounds) > 2 {
+		runs := len(bounds) - 1
+		Do((runs+1)/2, workers, func(_, p int) {
+			lo, mid := bounds[2*p], bounds[min(2*p+1, runs)]
+			hi := bounds[min(2*p+2, runs)]
+			merge(dst[lo:hi], src[lo:mid], src[mid:hi], cmp)
+		})
+		next := bounds[:0]
+		for r := 0; r < runs; r += 2 {
+			next = append(next, bounds[r])
+		}
+		bounds = append(next, bounds[runs])
+		src, dst = dst, src
+	}
+	return src
+}
+
+// merge merges the sorted runs a and b into dst, which holds exactly
+// len(a)+len(b) elements.
+func merge[E any](dst, a, b []E, cmp func(a, b E) int) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && cmp(a[i], b[j]) < 0) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
 }

@@ -1,7 +1,10 @@
 package par
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync/atomic"
 	"testing"
 )
@@ -81,5 +84,64 @@ func TestDoOneWorkerInline(t *testing.T) {
 	}
 	if len(order) != 5 {
 		t.Fatalf("inline visited %d indices, want 5", len(order))
+	}
+}
+
+// TestDoRunsCoversEachIndexOnce: the runs are non-empty, lie in
+// [0, n), come from a worker in range, and cover every index once; one
+// worker gets the whole range in a single call, and n = 0 makes none.
+func TestDoRunsCoversEachIndexOnce(t *testing.T) {
+	for _, c := range []struct{ n, workers, calls int }{
+		{0, 1, 0}, {0, 4, 0}, {5, 1, 1}, {3, 4, 3}, {1000, 1, 1}, {1000, 4, 4 * runsPerWorker}, {1000, 3, 3 * runsPerWorker},
+	} {
+		visits := make([]atomic.Int32, c.n)
+		var calls atomic.Int32
+		k := Workers(c.n, c.workers)
+		DoRuns(c.n, c.workers, func(w, lo, hi int) {
+			calls.Add(1)
+			if w < 0 || w >= k {
+				t.Errorf("n=%d workers=%d: worker %d outside [0, %d)", c.n, c.workers, w, k)
+			}
+			if lo < 0 || lo >= hi || hi > c.n {
+				t.Errorf("n=%d workers=%d: run [%d, %d)", c.n, c.workers, lo, hi)
+				return
+			}
+			for i := lo; i < hi; i++ {
+				visits[i].Add(1)
+			}
+		})
+		if got := int(calls.Load()); got != c.calls {
+			t.Errorf("n=%d workers=%d: %d runs, want %d", c.n, c.workers, got, c.calls)
+		}
+		for i := range visits {
+			if got := visits[i].Load(); got != 1 {
+				t.Errorf("n=%d workers=%d: index %d visited %d times", c.n, c.workers, i, got)
+			}
+		}
+	}
+}
+
+// TestSortFuncAnyWorkerCount sorts the same distinct elements on one to
+// five workers, odd run counts included, and expects exactly the order
+// a single sort gives.
+func TestSortFuncAnyWorkerCount(t *testing.T) {
+	type elem struct {
+		key   int
+		label string
+	}
+	cmp := func(a, b elem) int { return a.key - b.key }
+	rng := rand.New(rand.NewSource(7))
+	s := make([]elem, 500)
+	for i, k := range rng.Perm(len(s)) {
+		s[i] = elem{k, strconv.Itoa(k)}
+	}
+	for _, n := range []int{0, 1, 2, 7, len(s)} {
+		want := slices.Clone(s[:n])
+		slices.SortFunc(want, cmp)
+		for workers := 1; workers <= 5; workers++ {
+			if got := SortFunc(slices.Clone(s[:n]), cmp, workers); !slices.Equal(got, want) {
+				t.Fatalf("n=%d workers=%d: order differs from a single sort", n, workers)
+			}
+		}
 	}
 }

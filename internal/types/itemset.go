@@ -12,6 +12,14 @@ import (
 // ordering itself) before passing them on.
 type Itemset []Item
 
+// FrequentSet is a mined itemset with its absolute support, the unit
+// every miner (LCM, FP-Growth, Apriori) emits and rule generation
+// consumes.
+type FrequentSet struct {
+	Items   Itemset
+	Support int
+}
+
 // NewItemset copies items into a normalized (sorted, deduplicated)
 // itemset.
 func NewItemset(items ...Item) Itemset {
