@@ -41,8 +41,8 @@ bench:
 ## after each mutation so it reaches the section parsers), the txdb
 ## support counter, the closed-set miner, the watchlist snapshot reader,
 ## the FAERS table readers, the failpoint spec grammar, the
-## /debug/events query parser, the replica inventory decoder, then
-## report cleaning, each for
+## /debug/events query parser, the replica inventory decoder, report
+## cleaning, the snapshot manifest reader, then the whole pipeline, each for
 ## FUZZTIME (default 30s). The decoder's seeds cover valid v1/v2/v3 snapshots, truncations,
 ## CRC-breaking bit flips and crafted resealed files; any input outside
 ## the three typed errors fails. FuzzTIDs builds a DB and a query from the bytes and checks
@@ -63,7 +63,12 @@ bench:
 ## FuzzClean builds small report sets (near-miss spellings, repeats,
 ## shared case IDs, names that normalize to nothing) and requires
 ## cleaning on one and on four workers to return the same reports and
-## stats as the per-occurrence reference.
+## stats as the per-occurrence reference. FuzzReadManifest writes the
+## bytes to a file and accepts a typed or I/O error, or a manifest that
+## agrees with Decode on every file CheckBytes and Decode accept.
+## FuzzRunMatchesOracle builds small report sets (8 drugs, 6 reactions)
+## and run options and holds core.Run, on one and four procs, to the
+## by-definition whole-pipeline oracle.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
@@ -76,6 +81,8 @@ fuzz:
 	$(GO) test ./internal/obs/wide -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replica -run '^$$' -fuzz '^FuzzInventory$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cleaning -run '^$$' -fuzz '^FuzzClean$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRunMatchesOracle$$' -fuzztime $(FUZZTIME)
 
 ## vuln: known-vulnerability scan of the module graph and stdlib
 ## call sites. The binary is not installed here (CI pins its version;

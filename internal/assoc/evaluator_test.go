@@ -7,7 +7,7 @@ import (
 	"reflect"
 	"testing"
 
-	"maras/internal/fpgrowth"
+	"maras/internal/lcm"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -82,7 +82,7 @@ func TestFromItemsetsMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
 		db, _, _ := randomDB(rng, 5, 3, 40, 0.4)
-		closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 2})
+		closed := lcm.MineClosed(db, lcm.Options{MinSupport: 2})
 		rules := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 1})
 		if len(rules) == 0 {
 			t.Fatalf("trial %d: no rules", trial)
@@ -155,7 +155,7 @@ func TestEvaluatorMemo(t *testing.T) {
 // support, so a contextual rule asking for it later is a memo hit.
 func TestFromItemsetsSeedsMemo(t *testing.T) {
 	db, _ := fixture(t)
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: 1})
 	ev := NewEvaluator(db)
 	rules := FromItemsets(ev, closed, GenOptions{MinDrugs: 2})
 	for _, r := range rules {
@@ -185,7 +185,7 @@ func TestFromItemsetsSameAcrossWorkers(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			for trial := 0; trial < 5; trial++ {
 				db, drugs, reacs := randomDB(rng, 6+rng.Intn(4), 2+rng.Intn(3), 40+rng.Intn(40), 0.3+0.3*rng.Float64())
-				closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 2})
+				closed := lcm.MineClosed(db, lcm.Options{MinSupport: 2})
 				var seed [][2]types.Itemset
 				if c.seeded {
 					for i := 0; i < 10; i++ {
@@ -228,7 +228,7 @@ func TestEvaluatorForkMatchesEvaluate(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		db, drugs, reacs := randomDB(rng, 3+rng.Intn(6), 1+rng.Intn(4), 10+rng.Intn(60), 0.2+0.5*rng.Float64())
 		ev := NewEvaluator(db)
-		FromItemsets(ev, fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 2}), GenOptions{MinDrugs: 1})
+		FromItemsets(ev, lcm.MineClosed(db, lcm.Options{MinSupport: 2}), GenOptions{MinDrugs: 1})
 		for i := 0; i < 20; i++ {
 			ev.Evaluate(randomSubset(rng, drugs), randomSubset(rng, reacs))
 		}

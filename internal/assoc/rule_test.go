@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"maras/internal/fpgrowth"
+	"maras/internal/lcm"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -163,7 +164,7 @@ func TestClassifyUnsupported(t *testing.T) {
 // a supported (explicit or implicit) association.
 func TestClosedItemsetsAreSupported(t *testing.T) {
 	db, _ := fixture(t)
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: 1})
 	for _, fs := range closed {
 		drugs, reacs := db.Dict().SplitDomains(fs.Items)
 		if len(drugs) == 0 || len(reacs) == 0 {
@@ -177,7 +178,7 @@ func TestClosedItemsetsAreSupported(t *testing.T) {
 
 func TestFromItemsetsFiltersDomains(t *testing.T) {
 	db, m := fixture(t)
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: 1})
 	rules := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 2})
 	if len(rules) == 0 {
 		t.Fatal("no rules generated")
@@ -228,7 +229,7 @@ func TestFromItemsetsMinConfidence(t *testing.T) {
 	db.Add("r3", types.NewItemset(d1, a2))
 	db.Add("r4", types.NewItemset(d2, a2))
 	db.Freeze()
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: 1})
 	all := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 1})
 	high := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 1, MinConfidence: 0.9})
 	if len(high) >= len(all) {
@@ -243,7 +244,7 @@ func TestFromItemsetsMinConfidence(t *testing.T) {
 
 func TestFromItemsetsMaxDrugs(t *testing.T) {
 	db, _ := fixture(t)
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: 1})
 	rules := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 1, MaxDrugs: 2})
 	for _, r := range rules {
 		if len(r.Antecedent) > 2 {
@@ -255,7 +256,7 @@ func TestFromItemsetsMaxDrugs(t *testing.T) {
 func TestAllPartitionsBlowup(t *testing.T) {
 	db, _ := fixture(t)
 	all := fpgrowth.Mine(db, fpgrowth.Options{MinSupport: 1})
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 1})
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: 1})
 
 	total := AllPartitions(db, all, 0)
 	filtered := FromItemsets(NewEvaluator(db), closed, GenOptions{MinDrugs: 2})

@@ -9,7 +9,7 @@ import (
 
 	"maras/internal/assoc"
 	"maras/internal/faers"
-	"maras/internal/fpgrowth"
+	"maras/internal/lcm"
 	"maras/internal/mcac"
 	"maras/internal/rank"
 	"maras/internal/synth"
@@ -17,10 +17,12 @@ import (
 	"maras/internal/types"
 )
 
-// referenceRanking computes the ranked clusters of a run from
-// independent parts: the mine-then-filter closed miner, every rule
-// measure counted afresh with assoc.Evaluate, and each cluster's
-// context built subset by subset without a shared support memo.
+// referenceRanking computes the ranked clusters of a run naively, for
+// corpora too large for the oracle's 2^n enumeration: the closed sets
+// of lcm.MineClosed (held to a by-definition oracle by FuzzMineClosed),
+// every rule measure counted afresh with assoc.Evaluate, and each
+// cluster's context built subset by subset without a shared support
+// memo.
 func referenceRanking(t *testing.T, reports []faers.Report, opts Options) (*txdb.DB, []rank.Ranked) {
 	t.Helper()
 	db, _, err := EncodeReports(reports, opts)
@@ -28,7 +30,7 @@ func referenceRanking(t *testing.T, reports []faers.Report, opts Options) (*txdb
 		t.Fatal(err)
 	}
 	dict := db.Dict()
-	closed := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
 
 	var targets []assoc.Rule
 	for _, fs := range closed {
@@ -171,13 +173,12 @@ func TestRunMatchesReferenceOnSyntheticQuarter(t *testing.T) {
 	}
 }
 
-// TestRunMatchesReferenceRandom repeats the comparison on small random
-// corpora of long reports, where closed sets routinely exceed the
-// length cap and the bounded closed subsets carry the rule base.
+// TestRunMatchesReferenceRandom holds the pipeline to the
+// by-definition oracle on small random corpora of long reports, where
+// closed sets routinely exceed the length cap and the bounded closed
+// subsets carry the rule base, under both exclusiveness measures and
+// θ ∈ {0, 0.5, 1}.
 func TestRunMatchesReferenceRandom(t *testing.T) {
-	drugs := []string{"ASPIRIN", "WARFARIN", "METFORMIN", "LISINOPRIL", "SIMVASTATIN",
-		"OMEPRAZOLE", "AMLODIPINE", "IBUPROFEN", "DIGOXIN", "PREDNISONE"}
-	reacs := []string{"Nausea", "Rash", "Headache", "Dizziness", "Haemorrhage", "Fatigue"}
 	rng := rand.New(rand.NewSource(5))
 	capped, signals := 0, 0
 	for trial := 0; trial < 25; trial++ {
@@ -189,12 +190,12 @@ func TestRunMatchesReferenceRandom(t *testing.T) {
 				CaseID:     fmt.Sprintf("C%d", i),
 				ReportCode: "EXP",
 			}
-			for _, d := range drugs {
+			for _, d := range oracleDrugs {
 				if rng.Float64() < density {
 					r.Drugs = append(r.Drugs, d)
 				}
 			}
-			for _, x := range reacs {
+			for _, x := range oracleReactions {
 				if rng.Float64() < density {
 					r.Reactions = append(r.Reactions, x)
 				}
@@ -205,8 +206,14 @@ func TestRunMatchesReferenceRandom(t *testing.T) {
 		opts.MinSupport = 1 + rng.Intn(3)
 		opts.MaxItems = []int{0, 3, 4, 5, 10}[rng.Intn(5)]
 		opts.TopK = 0
-		label := fmt.Sprintf("trial %d (minsup=%d maxItems=%d)", trial, opts.MinSupport, opts.MaxItems)
-		signals += checkAgainstReference(t, label, reports, opts)
+		for _, method := range []rank.Method{rank.ByExclusivenessConf, rank.ByExclusivenessLift} {
+			for _, theta := range []float64{0, 0.5, 1} {
+				opts.Method, opts.Theta = method, theta
+				label := fmt.Sprintf("trial %d (minsup=%d maxItems=%d %v θ=%v)",
+					trial, opts.MinSupport, opts.MaxItems, method, theta)
+				signals += checkAgainstOracle(t, label, reports, opts)
+			}
+		}
 		if opts.MaxItems > 0 && longestClosed(t, reports, opts) > opts.MaxItems {
 			capped++
 		}
@@ -225,7 +232,7 @@ func longestClosed(t *testing.T, reports []faers.Report, opts Options) int {
 		t.Fatal(err)
 	}
 	longest := 0
-	for _, fs := range fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: opts.MinSupport}) {
+	for _, fs := range lcm.MineClosed(db, lcm.Options{MinSupport: opts.MinSupport}) {
 		longest = max(longest, len(fs.Items))
 	}
 	return longest

@@ -12,7 +12,9 @@
 // dictionary issues IDs in first-seen order) and ranking are serial,
 // and the output does not depend on the worker count. FP-Growth runs
 // only when Options.CountRules asks for the full frequent-itemset space
-// of Fig 5.1. Each stage is instrumented by one obs.Do call, which gives
+// of Fig 5.1. The tests hold Run to a by-definition oracle of the
+// whole pipeline: closure as intent(extent(S)) over every itemset,
+// every context X ⊊ A, and Formula 3.5 summed term by term. Each stage is instrumented by one obs.Do call, which gives
 // it a live "stage:<name>" span, a pprof stage=<name> label and a
 // record on Options.Tracer with its domain counters.
 package core

@@ -1,16 +1,11 @@
 // Package fpgrowth implements frequent-itemset mining with the
-// FP-Growth algorithm and closed-itemset filtering, the mining engine
-// the paper uses ("We use FP-Growth trees for closed item-set and rule
-// generation", Section 5.2).
-//
-// The miner works in two layers:
-//
-//   - Mine enumerates all frequent itemsets by recursive conditional
-//     FP-tree projection.
-//   - MineClosed keeps only closed itemsets (Definition 3.4.1): sets
-//     with no proper superset of equal support. Closedness is checked
-//     against a support-keyed hash index of already-found closed sets,
-//     the standard CLOSET/FPClose subsumption check.
+// FP-Growth algorithm, the mining engine the paper names ("We use
+// FP-Growth trees for closed item-set and rule generation", Section
+// 5.2). Mine enumerates every frequent itemset by recursive
+// conditional FP-tree projection. It sizes the rule spaces of Fig 5.1
+// (core's Options.CountRules) and is the frequent-set baseline of the
+// apriori comparison and the ablations; the closed sets the pipeline
+// ranks come from package lcm.
 package fpgrowth
 
 import (
@@ -32,12 +27,11 @@ type node struct {
 
 // tree is an FP-tree plus its header table.
 type tree struct {
-	root    *node
-	heads   map[types.Item]*node // head of each item's node chain
-	counts  map[types.Item]int   // total support of each item in this tree
-	order   map[types.Item]int   // global frequency rank used to sort paths
-	minsup  int
-	nilNode *node
+	root   *node
+	heads  map[types.Item]*node // head of each item's node chain
+	counts map[types.Item]int   // total support of each item in this tree
+	order  map[types.Item]int   // global frequency rank used to sort paths
+	minsup int
 }
 
 func newTree(order map[types.Item]int, minsup int) *tree {
@@ -124,30 +118,9 @@ func (t *tree) conditional(it types.Item) *tree {
 	return cond
 }
 
-// singlePath returns the tree's unique path and true when the tree
-// has no branching, enabling the FP-Growth single-path shortcut.
-func (t *tree) singlePath() ([]types.Item, []int, bool) {
-	var items []types.Item
-	var counts []int
-	cur := t.root
-	for {
-		if len(cur.children) == 0 {
-			return items, counts, true
-		}
-		if len(cur.children) > 1 {
-			return nil, nil, false
-		}
-		for _, child := range cur.children {
-			cur = child
-		}
-		items = append(items, cur.item)
-		counts = append(counts, cur.count)
-	}
-}
-
-// buildInitial constructs the top-level FP-tree over db, returning the
-// tree and the global frequency order of frequent items.
-func buildInitial(db *txdb.DB, minsup int) (*tree, map[types.Item]int) {
+// buildInitial constructs the top-level FP-tree over db, its paths
+// sorted by the global frequency order of frequent items.
+func buildInitial(db *txdb.DB, minsup int) *tree {
 	// Global item frequencies.
 	freq := make(map[types.Item]int)
 	for _, tx := range db.Transactions() {
@@ -187,5 +160,5 @@ func buildInitial(db *txdb.DB, minsup int) (*tree, map[types.Item]int) {
 			t.insert(path, 1)
 		}
 	}
-	return t, order
+	return t
 }

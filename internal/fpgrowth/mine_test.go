@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"maras/internal/apriori"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -69,47 +70,6 @@ func bruteFrequent(db *txdb.DB, minsup, maxLen int) map[string]int {
 		}
 	}
 	return out
-}
-
-func bruteClosed(db *txdb.DB, minsup int) map[string]int {
-	freq := bruteFrequent(db, minsup, 0)
-	closed := map[string]int{}
-	for k, sup := range freq {
-		s := keyToSet(k)
-		isClosed := true
-		for k2, sup2 := range freq {
-			if k2 == k || sup2 != sup {
-				continue
-			}
-			if keyToSet(k2).ProperSupersetOf(s) {
-				isClosed = false
-				break
-			}
-		}
-		if isClosed {
-			closed[k] = sup
-		}
-	}
-	return closed
-}
-
-func keyToSet(key string) types.Itemset {
-	var s types.Itemset
-	var cur int
-	seen := false
-	for i := 0; i <= len(key); i++ {
-		if i == len(key) || key[i] == ',' {
-			if seen {
-				s = append(s, types.Item(cur))
-			}
-			cur = 0
-			seen = false
-			continue
-		}
-		cur = cur*10 + int(key[i]-'0')
-		seen = true
-	}
-	return s
 }
 
 func TestMineKnownExample(t *testing.T) {
@@ -179,42 +139,6 @@ func TestMineMatchesBruteForceRandom(t *testing.T) {
 	}
 }
 
-func TestMineClosedMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 20; trial++ {
-		nItems := 3 + rng.Intn(7)
-		nTx := 5 + rng.Intn(30)
-		txs := make([][]int, nTx)
-		for i := range txs {
-			for id := 0; id < nItems; id++ {
-				if rng.Float64() < 0.4 {
-					txs[i] = append(txs[i], id)
-				}
-			}
-			if len(txs[i]) == 0 {
-				txs[i] = []int{rng.Intn(nItems)}
-			}
-		}
-		db := buildDB(t, txs)
-		minsup := 1 + rng.Intn(3)
-
-		got := map[string]int{}
-		for _, fs := range MineClosed(db, Options{MinSupport: minsup}) {
-			got[fs.Items.Key()] = fs.Support
-		}
-		want := bruteClosed(db, minsup)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (minsup=%d): %d closed sets, want %d\n got=%v\nwant=%v",
-				trial, minsup, len(got), len(want), got, want)
-		}
-		for k, sup := range want {
-			if got[k] != sup {
-				t.Fatalf("trial %d: closed set %s support %d, want %d", trial, k, got[k], sup)
-			}
-		}
-	}
-}
-
 func TestMineMaxLen(t *testing.T) {
 	db := buildDB(t, [][]int{
 		{1, 2, 3, 4},
@@ -232,18 +156,38 @@ func TestMineMaxLen(t *testing.T) {
 	}
 }
 
-func TestMineFuncEarlyStop(t *testing.T) {
-	db := buildDB(t, [][]int{
-		{1, 2, 3},
-		{1, 2, 3},
-	})
-	n := 0
-	MineFunc(db, Options{MinSupport: 1}, func(types.FrequentSet) bool {
-		n++
-		return n < 2
-	})
-	if n != 2 {
-		t.Errorf("early stop visited %d, want 2", n)
+// A database whose FP-tree is one deep path: every transaction holds
+// the same 22 items. Each bounded level must be mined in full — all
+// C(22,k) sets of k items — and agree with Apriori set for set.
+func TestMineDeepSinglePath(t *testing.T) {
+	const n = 22
+	tx := make([]int, n)
+	for i := range tx {
+		tx[i] = i
+	}
+	db := buildDB(t, [][]int{tx, tx})
+	want := 0
+	for maxLen, level := 1, 1; maxLen <= 3; maxLen++ {
+		level = level * (n - maxLen + 1) / maxLen // C(n, maxLen)
+		want += level
+		got := Mine(db, Options{MinSupport: 1, MaxLen: maxLen})
+		if len(got) != want {
+			t.Fatalf("MaxLen=%d: mined %d sets, want %d", maxLen, len(got), want)
+		}
+		ref := apriori.Mine(db, apriori.Options{MinSupport: 1, MaxLen: maxLen})
+		if len(ref) != want {
+			t.Fatalf("MaxLen=%d: apriori mined %d sets, want %d", maxLen, len(ref), want)
+		}
+		sups := make(map[string]int, len(got))
+		for _, fs := range got {
+			sups[fs.Items.Key()] = fs.Support
+		}
+		for _, fs := range ref {
+			if sup, ok := sups[fs.Items.Key()]; !ok || sup != fs.Support {
+				t.Fatalf("MaxLen=%d: %v has support %d (mined %v), apriori %d",
+					maxLen, fs.Items, sup, ok, fs.Support)
+			}
+		}
 	}
 }
 
@@ -263,51 +207,6 @@ func TestMineMinSupportFiltering(t *testing.T) {
 	sets := Mine(db, Options{MinSupport: 2})
 	if len(sets) != 1 || sets[0].Items.Key() != "1" || sets[0].Support != 3 {
 		t.Errorf("got %v, want only {1}:3", sets)
-	}
-}
-
-func TestClosure(t *testing.T) {
-	db := buildDB(t, [][]int{
-		{1, 2, 3},
-		{1, 2, 3},
-		{1, 2, 4},
-	})
-	// Closure of {1} is {1,2}: items 1 and 2 co-occur in every tx with 1.
-	got := Closure(db, types.NewItemset(1))
-	if !got.Equal(types.NewItemset(1, 2)) {
-		t.Errorf("Closure({1}) = %v, want {1,2}", got)
-	}
-	// Closure of {1,3} is {1,2,3}.
-	got = Closure(db, types.NewItemset(1, 3))
-	if !got.Equal(types.NewItemset(1, 2, 3)) {
-		t.Errorf("Closure({1,3}) = %v, want {1,2,3}", got)
-	}
-	// Closure of an absent set returns the set.
-	got = Closure(db, types.NewItemset(9))
-	if !got.Equal(types.NewItemset(9)) {
-		t.Errorf("Closure(absent) = %v", got)
-	}
-}
-
-// Property: every closed itemset equals its own closure, and every
-// frequent itemset's support equals its closure's support.
-func TestClosureProperties(t *testing.T) {
-	db := buildDB(t, [][]int{
-		{1, 2, 5}, {2, 4}, {2, 3}, {1, 2, 4}, {1, 3},
-		{2, 3}, {1, 3}, {1, 2, 3, 5}, {1, 2, 3},
-	})
-	for _, fs := range MineClosed(db, Options{MinSupport: 1}) {
-		cl := Closure(db, fs.Items)
-		if !cl.Equal(fs.Items) {
-			t.Errorf("closed set %v has closure %v", fs.Items, cl)
-		}
-	}
-	for _, fs := range Mine(db, Options{MinSupport: 1}) {
-		cl := Closure(db, fs.Items)
-		if db.Support(cl) != fs.Support {
-			t.Errorf("set %v support %d but closure %v support %d",
-				fs.Items, fs.Support, cl, db.Support(cl))
-		}
 	}
 }
 
@@ -335,27 +234,6 @@ func TestMinedSupportsMatchQueryEngine(t *testing.T) {
 				t.Fatalf("trial %d: mined support %d for %v, query engine says %d",
 					trial, fs.Support, fs.Items, got)
 			}
-		}
-	}
-}
-
-func TestMineClosedDeterministicOrder(t *testing.T) {
-	db := buildDB(t, [][]int{
-		{1, 2, 5}, {2, 4}, {2, 3}, {1, 2, 4}, {1, 3},
-	})
-	a := MineClosed(db, Options{MinSupport: 1})
-	b := MineClosed(db, Options{MinSupport: 1})
-	if len(a) != len(b) {
-		t.Fatal("nondeterministic count")
-	}
-	for i := range a {
-		if !a[i].Items.Equal(b[i].Items) || a[i].Support != b[i].Support {
-			t.Fatalf("order differs at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i].Support > a[i-1].Support {
-			t.Fatalf("not sorted by support desc at %d", i)
 		}
 	}
 }

@@ -17,10 +17,10 @@
 // are then merged; the order is total, so the result does not depend
 // on the worker count.
 //
-// It is the production miner: the pipeline (package core) takes its
-// closed sets from MineClosed. Package fpgrowth's mine-then-filter
-// MineClosed is the reference the test suites hold LCM to, and its
-// full frequent-set Mine serves only the rule-space counts of Fig 5.1.
+// It is the only closed miner: the pipeline (package core) takes its
+// closed sets from MineClosed. The tests hold it to a by-definition
+// oracle that enumerates every itemset and keeps those equal to their
+// closure, the intersection of the transactions that contain them.
 package lcm
 
 import (
@@ -33,22 +33,20 @@ import (
 	"maras/internal/types"
 )
 
-// Options mirrors fpgrowth.Options.
+// Options tunes the miner.
 type Options struct {
 	// MinSupport is the absolute minimum support (≥ 1).
 	MinSupport int
 	// MaxLen bounds itemset length; 0 (or less) = unbounded.
-	// Closedness is relative to the bounded universe, matching
-	// fpgrowth.MineClosed: every closed set of at most MaxLen items,
-	// plus, for each longer closed set C, the MaxLen-item subsets of C
-	// with C's support (they have no equal-support superset within
-	// the bound).
+	// Closedness is relative to the bounded universe: every closed set
+	// of at most MaxLen items, plus, for each longer closed set C, the
+	// MaxLen-item subsets of C with C's support (they have no
+	// equal-support superset within the bound).
 	MaxLen int
 }
 
-// MineClosed enumerates all closed frequent itemsets of db. The
-// result order matches fpgrowth.MineClosed (support desc, then
-// length, then lexicographic) for interchangeability.
+// MineClosed enumerates all closed frequent itemsets of db, ordered
+// by support descending, then length, then lexicographically.
 func MineClosed(db *txdb.DB, opts Options) []types.FrequentSet {
 	return mineClosed(db, opts, runtime.GOMAXPROCS(0))
 }

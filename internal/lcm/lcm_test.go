@@ -2,10 +2,8 @@ package lcm
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"maras/internal/fpgrowth"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -56,47 +54,26 @@ func TestMineClosedKnownExample(t *testing.T) {
 		{1, 2, 3, 5},
 		{1, 2, 3},
 	})
-	got := asMap(MineClosed(db, Options{MinSupport: 2}))
-	want := asMap(fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: 2}))
+	// The closed sets of support ≥ 2, worked out by hand, in result
+	// order: {4} closes to {2,4} and {5} to {1,2,5}.
+	want := []types.FrequentSet{
+		{Items: types.NewItemset(2), Support: 7},
+		{Items: types.NewItemset(1), Support: 6},
+		{Items: types.NewItemset(3), Support: 6},
+		{Items: types.NewItemset(1, 2), Support: 4},
+		{Items: types.NewItemset(1, 3), Support: 4},
+		{Items: types.NewItemset(2, 3), Support: 4},
+		{Items: types.NewItemset(2, 4), Support: 2},
+		{Items: types.NewItemset(1, 2, 3), Support: 2},
+		{Items: types.NewItemset(1, 2, 5), Support: 2},
+	}
+	got := MineClosed(db, Options{MinSupport: 2})
 	if len(got) != len(want) {
-		t.Fatalf("lcm %d closed sets, fpgrowth %d\nlcm=%v\nfp=%v", len(got), len(want), got, want)
+		t.Fatalf("mined %d closed sets, want %d\ngot=%v\nwant=%v", len(got), len(want), got, want)
 	}
-	for k, sup := range want {
-		if got[k] != sup {
-			t.Errorf("set %s: lcm=%d fpgrowth=%d", k, got[k], sup)
-		}
-	}
-}
-
-// The two engines must agree exactly on random databases.
-func TestMineClosedMatchesFPGrowthRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 30; trial++ {
-		nItems := 4 + rng.Intn(9)
-		nTx := 8 + rng.Intn(60)
-		txs := make([][]int, nTx)
-		for i := range txs {
-			for id := 0; id < nItems; id++ {
-				if rng.Float64() < 0.35 {
-					txs[i] = append(txs[i], id)
-				}
-			}
-			if len(txs[i]) == 0 {
-				txs[i] = []int{rng.Intn(nItems)}
-			}
-		}
-		db := buildDB(t, txs)
-		minsup := 1 + rng.Intn(4)
-
-		got := asMap(MineClosed(db, Options{MinSupport: minsup}))
-		want := asMap(fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: minsup}))
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (minsup=%d): lcm %d sets, fpgrowth %d", trial, minsup, len(got), len(want))
-		}
-		for k, sup := range want {
-			if got[k] != sup {
-				t.Fatalf("trial %d: set %s lcm=%d fpgrowth=%d", trial, k, got[k], sup)
-			}
+	for i := range want {
+		if !got[i].Items.Equal(want[i].Items) || got[i].Support != want[i].Support {
+			t.Errorf("set %d: mined %v/%d, want %v/%d", i, got[i].Items, got[i].Support, want[i].Items, want[i].Support)
 		}
 	}
 }
@@ -131,47 +108,6 @@ func TestMineClosedEmptyAndDegenerate(t *testing.T) {
 	sets := MineClosed(one, Options{MinSupport: 1})
 	if len(sets) != 1 || sets[0].Items.Key() != "7" {
 		t.Errorf("single-item DB = %v", sets)
-	}
-}
-
-// Under a length bound LCM must reproduce fpgrowth.MineClosed's
-// bounded closedness exactly, including the MaxLen-subsets it keeps
-// for closed sets longer than the bound. Transactions here are long
-// (up to all 14 items) so most closed sets exceed MaxLen.
-func TestMineClosedBoundedMatchesFPGrowthRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 40; trial++ {
-		nItems := 6 + rng.Intn(9)
-		nTx := 6 + rng.Intn(40)
-		density := 0.5 + 0.4*rng.Float64()
-		txs := make([][]int, nTx)
-		for i := range txs {
-			for id := 0; id < nItems; id++ {
-				if rng.Float64() < density {
-					txs[i] = append(txs[i], id)
-				}
-			}
-			if len(txs[i]) == 0 {
-				txs[i] = []int{rng.Intn(nItems)}
-			}
-		}
-		db := buildDB(t, txs)
-		minsup := 1 + rng.Intn(3)
-		for maxLen := 1; maxLen <= 4; maxLen++ {
-			got := MineClosed(db, Options{MinSupport: minsup, MaxLen: maxLen})
-			want := fpgrowth.MineClosed(db, fpgrowth.Options{MinSupport: minsup, MaxLen: maxLen})
-			if len(got) != len(want) {
-				t.Fatalf("trial %d (minsup=%d maxLen=%d): lcm %d sets, fpgrowth %d",
-					trial, minsup, maxLen, len(got), len(want))
-			}
-			// Both engines sort the same way, so agreement is positional.
-			for i := range want {
-				if !got[i].Items.Equal(want[i].Items) || got[i].Support != want[i].Support {
-					t.Fatalf("trial %d (minsup=%d maxLen=%d): set %d lcm=%v/%d fpgrowth=%v/%d",
-						trial, minsup, maxLen, i, got[i].Items, got[i].Support, want[i].Items, want[i].Support)
-				}
-			}
-		}
 	}
 }
 

@@ -2,7 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -154,6 +159,72 @@ func FuzzDecodeResealed(f *testing.F) {
 			an.Demographics(&an.Signals[i])
 			glyph.Contextual(an.Signals[i].Cluster, glyph.Options{Dict: dict})
 			glyph.Zoom(an.Signals[i].Cluster, dict)
+		}
+	})
+}
+
+// FuzzReadManifest writes arbitrary bytes to a file and reads its
+// manifest, the one reader of snapshot bytes an inventory scan runs
+// over every file it lists, peer-installed ones included. The
+// contract: ReadManifest never panics; every error it returns wraps
+// ErrCorrupt, ErrBadMagic or ErrVersion, or is an I/O error; and for
+// bytes whose envelope CheckBytes accepts and that Decode accepts, the
+// manifest's label, save time, CRC and size agree with the decode.
+// Seeds are a real snapshot, truncated and bit-flipped copies of it,
+// and its v2 twin.
+func FuzzReadManifest(f *testing.F) {
+	cfg := synth.DefaultConfig("2014Q1", 7)
+	cfg.Reports = 300
+	q, _, err := synth.Generate(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	opts := core.NewOptions()
+	opts.MinSupport = 3
+	opts.TopK = 10
+	a, err := core.RunQuarter(q, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	v3 := encodeVersion(f, a, Version)
+	f.Add(v3)
+	f.Add(encodeVersion(f, a, 2))
+	for _, n := range []int{0, 4, 8, 11, 12, 20, len(v3) / 2, len(v3) - 1} {
+		f.Add(v3[:n])
+	}
+	// Flip a bit in the version, the meta section's header and label,
+	// the body and the CRC trailer.
+	for _, off := range []int{5, 8, 12, 17, len(v3) / 2, len(v3) - 2} {
+		flipped := bytes.Clone(v3)
+		flipped[off] ^= 0x10
+		f.Add(flipped)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "2014Q1.maras")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(path)
+		var pathErr *fs.PathError
+		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) &&
+			!errors.As(err, &pathErr) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+			t.Fatalf("untyped manifest error: %v", err)
+		}
+		if CheckBytes(data) != nil {
+			return
+		}
+		snap, derr := Decode(data)
+		if derr != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("Decode accepts the file, ReadManifest fails: %v", err)
+		}
+		if m.Label != snap.Label || !m.SavedAt.Equal(snap.SavedAt) || m.Size != snap.Size ||
+			m.CRC != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+			t.Fatalf("manifest %+v, decoded label %q saved %v size %d crc %08x",
+				m, snap.Label, snap.SavedAt, snap.Size, binary.LittleEndian.Uint32(data[len(data)-4:]))
 		}
 	})
 }
