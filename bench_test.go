@@ -191,8 +191,9 @@ func BenchmarkFigs4_GlyphRendering(b *testing.B) {
 
 // --- engine performance benches (P1) ---
 
-// benchClosed mines the benchmark quarter's closed itemsets the way
-// the pipeline does (LCM under the pipeline's length cap).
+// benchClosed mines the benchmark quarter's closed itemsets with LCM
+// under the pipeline's length cap, every closed set rather than only
+// the pipeline's targets, so support queries cover them all.
 func benchClosed(b *testing.B, db *txdb.DB) []types.FrequentSet {
 	b.Helper()
 	closed := lcm.MineClosed(db, lcm.Options{MinSupport: benchMinSup, MaxLen: 10})

@@ -94,6 +94,8 @@ func runAblateClosed(cfg benchConfig) error {
 		return err
 	}
 	frequent := fpgrowth.Mine(db, fpgrowth.Options{MinSupport: cfg.minsup, MaxLen: 10})
+	// Every closed set, not only targets: the comparison is against the
+	// whole frequent set.
 	closed := lcm.MineClosed(db, lcm.Options{MinSupport: cfg.minsup, MaxLen: 10})
 
 	ev := assoc.NewEvaluator(db)
@@ -183,7 +185,7 @@ func runBaselines(cfg benchConfig) error {
 	if err != nil {
 		return err
 	}
-	closed := lcm.MineClosed(db, lcm.Options{MinSupport: cfg.minsup, MaxLen: 10})
+	closed := lcm.MineClosed(db, lcm.Options{MinSupport: cfg.minsup, MaxLen: 10, MinDrugs: 2})
 	ev := assoc.NewEvaluator(db)
 	targets := assoc.FromItemsets(ev, closed, assoc.GenOptions{MinDrugs: 2, MaxDrugs: 5})
 	clusters := mcac.BuildAll(ev, targets)

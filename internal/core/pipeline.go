@@ -14,9 +14,11 @@
 // only when Options.CountRules asks for the full frequent-itemset space
 // of Fig 5.1. The tests hold Run to a by-definition oracle of the
 // whole pipeline: closure as intent(extent(S)) over every itemset,
-// every context X ⊊ A, and Formula 3.5 summed term by term. Each stage is instrumented by one obs.Do call, which gives
-// it a live "stage:<name>" span, a pprof stage=<name> label and a
-// record on Options.Tracer with its domain counters.
+// every context X ⊊ A, and Formula 3.5 summed term by term.
+//
+// Each stage is instrumented by one obs.Do call, which gives it a live
+// "stage:<name>" span, a pprof stage=<name> label and a record on
+// Options.Tracer with its domain counters.
 package core
 
 import (
@@ -49,10 +51,10 @@ import (
 const (
 	StageClean  = "clean"  // expedited/suspect filters + cleaning
 	StageEncode = "encode" // dictionary interning + transaction DB
-	StageMine   = "mine"   // LCM closed itemsets (Lemma 3.4.2)
+	StageMine   = "mine"   // LCM closed target itemsets (Lemma 3.4.2)
 	// StageClosure runs only under Options.CountRules: FP-Growth mines
-	// the full frequent set the closed sets were taken from, to size
-	// Fig 5.1's rule spaces and the frequent→closed reduction.
+	// the full frequent set and LCM every closed set, to size Fig 5.1's
+	// rule spaces and the frequent→closed reduction.
 	StageClosure = "closure_filter"
 	StageRules   = "rule_gen"      // drug→ADR target rule generation
 	StageCluster = "mcac_build"    // multi-level contextual clusters
@@ -299,23 +301,27 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 	dict := db.Dict()
 
 	// Mine the closed itemsets the rule base is built from (Lemma
-	// 3.4.2) directly, without materializing the frequent set.
+	// 3.4.2) directly, without materializing the frequent set, and only
+	// those that can become targets.
 	var closed []types.FrequentSet
 	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageMine, func(_ context.Context, st *obs.Stage) {
-		closed = lcm.MineClosed(db, lcm.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
+		closed = lcm.MineClosed(db, lcm.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems, MinDrugs: opts.MinDrugs})
 		st.Count("closed_itemsets", int64(len(closed)))
 	}, obs.LabelStage, StageMine)
 
 	// Fig 5.1 sizes the rule spaces over every frequent itemset, the
-	// only use of the full frequent set.
+	// only use of the full frequent set, and the frequent→closed
+	// reduction over every closed set, targets or not.
 	var counts Counts
 	if opts.CountRules {
 		obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageClosure, func(_ context.Context, st *obs.Stage) {
 			frequent := fpgrowth.Mine(db, fpgrowth.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
+			all := lcm.MineClosed(db, lcm.Options{MinSupport: opts.MinSupport, MaxLen: opts.MaxItems})
 			counts.TotalRules = assoc.CountTraditionalRules(frequent)
 			counts.FilteredRules = assoc.CountDrugADRRules(dict, frequent)
 			st.Count("frequent_itemsets", int64(len(frequent)))
-			st.Count("itemsets_dropped", int64(len(frequent)-len(closed)))
+			st.Count("closed_itemsets", int64(len(all)))
+			st.Count("itemsets_dropped", int64(len(frequent)-len(all)))
 		}, obs.LabelStage, StageClosure)
 	}
 

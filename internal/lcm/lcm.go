@@ -17,10 +17,28 @@
 // are then merged; the order is total, so the result does not depend
 // on the worker count.
 //
+// The miner runs in its own rank space: it copies the transactions
+// into one slab with every item renumbered drugs first, reactions
+// after, each transaction sorted, and maps each emitted set back to
+// dictionary IDs. Dictionary IDs, and so snapshots and store digests,
+// do not depend on it. The order lets the miner push the paper's
+// target constraint (Options.MinDrugs: a closed complete itemset with
+// at least two drugs and one reaction, Lemma 3.4.2 and Defs
+// 3.5.1–3.5.2) into the search, as Bonchi & Lucchese push constraints
+// into closed mining (ICDM 2004). Under prefix-preserving closure
+// extension a child keeps every item below its core item, and its
+// descendants add only items above that core. Once the core is a
+// reaction, every drug ranks below it, so the drug set is fixed for
+// the whole subtree; a subtree whose parent holds too few drugs can
+// hold no target and is skipped before its prefix check and count
+// scan. Nodes with too few drugs or no reaction are still expanded,
+// as their drug children may be targets, but not emitted.
+//
 // It is the only closed miner: the pipeline (package core) takes its
 // closed sets from MineClosed. The tests hold it to a by-definition
-// oracle that enumerates every itemset and keeps those equal to their
-// closure, the intersection of the transactions that contain them.
+// oracle that enumerates every itemset, keeps those equal to their
+// closure, the intersection of the transactions that contain them,
+// and filters the targets by counting their drugs and reactions.
 package lcm
 
 import (
@@ -43,10 +61,18 @@ type Options struct {
 	// MaxLen-item subsets of C with C's support (they have no
 	// equal-support superset within the bound).
 	MaxLen int
+	// MinDrugs > 0 keeps only rule targets: sets with at least MinDrugs
+	// drug items and at least one reaction item. Under MaxLen the
+	// filter applies to each bounded subset. 0 keeps every closed set.
+	// There is no upper bound on drugs: a bounded subset of a closed
+	// set with too many drugs can hold fewer, so no subtree could be
+	// skipped for it, and callers filter it themselves.
+	MinDrugs int
 }
 
-// MineClosed enumerates all closed frequent itemsets of db, ordered
-// by support descending, then length, then lexicographically.
+// MineClosed enumerates the closed frequent itemsets of db (the
+// targets among them under opts.MinDrugs), ordered by support
+// descending, then length, then lexicographically by dictionary ID.
 func MineClosed(db *txdb.DB, opts Options) []types.FrequentSet {
 	return mineClosed(db, opts, runtime.GOMAXPROCS(0))
 }
@@ -60,7 +86,11 @@ func mineClosed(db *txdb.DB, opts Options, workers int) []types.FrequentSet {
 	if opts.MaxLen < 0 {
 		opts.MaxLen = 0
 	}
-	w := newWorker(db, opts)
+	if opts.MinDrugs < 0 {
+		opts.MinDrugs = 0
+	}
+	sp := newSpace(db)
+	w := newWorker(sp, opts)
 	closure, buf, cands := w.root()
 	w.mark(closure, 1)
 
@@ -71,7 +101,7 @@ func mineClosed(db *txdb.DB, opts Options, workers int) []types.FrequentSet {
 	par.Do(len(cands), workers, func(k, i int) {
 		x := ws[k]
 		if x == nil {
-			x = newWorker(db, opts)
+			x = newWorker(sp, opts)
 			x.mark(closure, 1)
 			ws[k] = x
 		}
@@ -108,6 +138,67 @@ func compareSets(a, b types.FrequentSet) int {
 	return slices.Compare(a.Items, b.Items)
 }
 
+// space is the database in the miner's rank space: items renumbered
+// drugs first, then reactions, each domain in dictionary-ID order, so
+// a transaction sorted by ID stays sorted once its drugs are moved
+// ahead of its reactions. Workers share it read-only.
+type space struct {
+	db     *txdb.DB
+	items  []types.Item // every transaction's ranks, back to back
+	offs   []int32      // transaction t is items[offs[t]:offs[t+1]]
+	ids    []types.Item // rank → dictionary ID
+	nDrugs types.Item   // ranks below nDrugs are drugs
+}
+
+func newSpace(db *txdb.DB) *space {
+	dict := db.Dict()
+	n := dict.Len()
+	sp := &space{db: db, ids: make([]types.Item, n), nDrugs: types.Item(dict.DrugCount())}
+	rank := make([]types.Item, n)
+	drug, reac := types.Item(0), sp.nDrugs
+	for it := range rank {
+		if dict.IsDrug(types.Item(it)) {
+			rank[it], drug = drug, drug+1
+		} else {
+			rank[it], reac = reac, reac+1
+		}
+		sp.ids[rank[it]] = types.Item(it)
+	}
+	txs := db.Transactions()
+	total := 0
+	for _, tx := range txs {
+		total += len(tx.Items)
+	}
+	sp.items = make([]types.Item, 0, total)
+	sp.offs = make([]int32, len(txs)+1)
+	for t, tx := range txs {
+		for _, it := range tx.Items {
+			if r := rank[it]; r < sp.nDrugs {
+				sp.items = append(sp.items, r)
+			}
+		}
+		for _, it := range tx.Items {
+			if r := rank[it]; r >= sp.nDrugs {
+				sp.items = append(sp.items, r)
+			}
+		}
+		sp.offs[t+1] = int32(len(sp.items))
+	}
+	return sp
+}
+
+// tx returns transaction t in rank space.
+func (sp *space) tx(t int) []types.Item { return sp.items[sp.offs[t]:sp.offs[t+1]] }
+
+// drugs counts the drugs of the sorted rank-space set c, which lead it.
+func (sp *space) drugs(c types.Itemset) int {
+	k := 0
+	for k < len(c) && c[k] < sp.nDrugs {
+		k++
+	}
+	return k
+}
+
 // candidate is an extension item of a node with its occurrences: the
 // offsets, into the node's projected buffer, just past the item in
 // each projected transaction that contains it.
@@ -116,21 +207,23 @@ type candidate struct {
 	occ  []int32
 }
 
-// level is the scratch of one recursion depth: the projected buffer
-// and occurrence block of the node being expanded there, and its
-// candidates. Siblings run one after another, so they share it.
+// level is the scratch of one recursion depth: the closed set, the
+// projected buffer and occurrence block of the node being expanded
+// there, and its candidates. Siblings run one after another, so they
+// share it.
 type level struct {
-	buf   []types.Item
-	occ   []int32
-	cands []candidate
+	closure types.Itemset
+	buf     []types.Item
+	occ     []int32
+	cands   []candidate
 }
 
-// worker is one miner's scratch. counts and slot are indexed by item
-// and restored (to 0 and -1) after every scan; closed[it] is the depth
-// at which it joined the closure of the current node's ancestry (0 =
-// not in it).
+// worker is one miner's scratch, in rank space. counts and slot are
+// indexed by rank and restored (to 0 and -1) after every scan;
+// closed[it] is the depth at which it joined the closure of the
+// current node's ancestry (0 = not in it).
 type worker struct {
-	db      *txdb.DB
+	sp      *space
 	opts    Options
 	counts  []int32
 	slot    []int32
@@ -143,10 +236,10 @@ type worker struct {
 	out     []types.FrequentSet
 }
 
-func newWorker(db *txdb.DB, opts Options) *worker {
-	n := db.Dict().Len()
+func newWorker(sp *space, opts Options) *worker {
+	n := len(sp.ids)
 	w := &worker{
-		db:     db,
+		sp:     sp,
 		opts:   opts,
 		counts: make([]int32, n),
 		slot:   make([]int32, n),
@@ -167,15 +260,12 @@ func terminator(tid int) types.Item { return types.Item(-tid - 1) }
 // frequent items outside that closure. It returns the closure, the
 // projected buffer and the root's candidates.
 func (w *worker) root() (types.Itemset, []types.Item, []candidate) {
-	txs := w.db.Transactions()
-	n := len(txs)
+	n := len(w.sp.offs) - 1
 	if n < w.opts.MinSupport {
 		return nil, nil, nil
 	}
-	for _, tx := range txs {
-		for _, it := range tx.Items {
-			w.count(it)
-		}
+	for _, it := range w.sp.items {
+		w.count(it)
 	}
 	closure, cands, total := w.classify(nil, types.NoItem, n, 0)
 	if len(closure) > 0 {
@@ -186,9 +276,9 @@ func (w *worker) root() (types.Itemset, []types.Item, []candidate) {
 		return closure, nil, nil
 	}
 	buf := w.prepare(0, cands, total, n)
-	for tid, tx := range txs {
+	for tid := 0; tid < n; tid++ {
 		start := len(buf)
-		for _, it := range tx.Items {
+		for _, it := range w.sp.tx(tid) {
 			if k := w.slot[it]; k >= 0 {
 				buf = append(buf, it)
 				cands[k].occ = append(cands[k].occ, int32(len(buf)))
@@ -207,8 +297,13 @@ func (w *worker) root() (types.Itemset, []types.Item, []candidate) {
 // suffixes of src starting at occ, at depth d ≥ 1: it checks prefix
 // preservation, counts the suffixes to get the closure and the
 // candidates, emits the closure, projects its suffixes onto the
-// candidates, and recurses.
+// candidates, and recurses. Under MinDrugs a reaction core whose
+// parent holds too few drugs roots a subtree with the parent's drugs
+// throughout, so it returns at once.
 func (w *worker) process(parent types.Itemset, src []types.Item, occ []int32, core types.Item, d int) {
+	if core >= w.sp.nDrugs && w.sp.drugs(parent) < w.opts.MinDrugs {
+		return
+	}
 	if !w.prefixPreserved(src, occ, core) {
 		return
 	}
@@ -264,7 +359,7 @@ func (w *worker) prefixPreserved(src []types.Item, occ []int32, core types.Item)
 		for src[p] >= 0 {
 			p++
 		}
-		items := w.db.Tx(txdb.TID(-src[p] - 1)).Items
+		items := w.sp.tx(int(-src[p] - 1))
 		if i == 0 {
 			for _, it := range items {
 				if it >= core {
@@ -294,9 +389,9 @@ func (w *worker) count(it types.Item) {
 }
 
 // classify splits the items the scan touched, over n transactions:
-// those in all n join the closure, which is parent ∪ {core} ∪ them;
-// the other frequent ones become depth d's candidates, whose counts
-// sum to total.
+// those in all n join the closure, which is parent ∪ {core} ∪ them,
+// held in depth d's scratch; the other frequent ones become depth d's
+// candidates, whose counts sum to total.
 func (w *worker) classify(parent types.Itemset, core types.Item, n, d int) (types.Itemset, []candidate, int) {
 	for len(w.levels) <= d {
 		w.levels = append(w.levels, level{})
@@ -318,8 +413,10 @@ func (w *worker) classify(parent types.Itemset, core types.Item, n, d int) (type
 	}
 	slices.Sort(extra)
 	w.extra = extra
-	w.levels[d].cands = cands
-	return w.merge(parent, extra), cands, total
+	lv := &w.levels[d]
+	lv.cands = cands
+	lv.closure = merge(lv.closure[:0], parent, extra)
+	return lv.closure, cands, total
 }
 
 // prepare sizes depth d's buffer and occurrence block for a
@@ -381,41 +478,70 @@ func (w *worker) unmark(closure types.Itemset, d int32) {
 	}
 }
 
-// emit records the closed set c of support n. Under a length
-// bound L a longer c stands for its L-subsets of equal support:
-// those have no equal-support proper superset of at most L items, so
-// they are closed within the bounded universe. Each such subset has c
-// as its closure, so no subset is emitted twice.
+// emit records the closed set c (rank space) of support n, in
+// dictionary IDs, if it is a target (see target). Under a length
+// bound L a longer c stands for its L-subsets of equal support: those
+// have no equal-support proper superset of at most L items, so they
+// are closed within the bounded universe. Each such subset has c as
+// its closure, so no subset is emitted twice. A subset holds no more
+// drugs or reactions than c, so none is a target unless c is.
 func (w *worker) emit(c types.Itemset, n int) {
+	if !w.target(c) {
+		return
+	}
 	if w.opts.MaxLen == 0 || len(c) <= w.opts.MaxLen {
-		w.out = append(w.out, types.FrequentSet{Items: c, Support: n})
+		w.out = append(w.out, types.FrequentSet{Items: w.ids(c), Support: n})
 		return
 	}
 	w.boundedSubsets(c, n, make(types.Itemset, 0, w.opts.MaxLen), 0, nil)
 }
 
+// target reports whether the rank-space set c passes the MinDrugs
+// filter: at least MinDrugs drugs and at least one reaction. Without
+// the constraint every set passes.
+func (w *worker) target(c types.Itemset) bool {
+	if w.opts.MinDrugs == 0 {
+		return true
+	}
+	k := w.sp.drugs(c)
+	return k >= w.opts.MinDrugs && k < len(c)
+}
+
+// ids returns the rank-space set c in dictionary IDs, sorted, carved
+// from the worker's chunk.
+func (w *worker) ids(c types.Itemset) types.Itemset {
+	out := w.itemset(len(c))
+	for _, r := range c {
+		out = append(out, w.sp.ids[r])
+	}
+	slices.Sort(out)
+	return out
+}
+
 // boundedSubsets extends prefix (a subset of c drawn from c[from:]
 // onwards, with tidset prefixTids; nil means every transaction) to
 // MaxLen items and emits every completion whose support equals n,
-// the support of c. The prefix's tidset only shrinks as items of c
-// are added and never below c's, so once it holds n transactions it
-// is c's tidset and needs no further intersection.
+// the support of c, and that is a target. The prefix's tidset only
+// shrinks as items of c are added and never below c's, so once it
+// holds n transactions it is c's tidset and needs no further
+// intersection.
 func (w *worker) boundedSubsets(c types.Itemset, n int, prefix types.Itemset, from int, prefixTids []txdb.TID) {
 	if len(prefix) == w.opts.MaxLen {
-		if len(prefixTids) == n {
-			w.out = append(w.out, types.FrequentSet{Items: append(w.itemset(len(prefix)), prefix...), Support: n})
+		if len(prefixTids) == n && w.target(prefix) {
+			w.out = append(w.out, types.FrequentSet{Items: w.ids(prefix), Support: n})
 		}
 		return
 	}
 	// Leave room for the items the bound still needs.
 	last := len(c) - (w.opts.MaxLen - len(prefix))
 	for i := from; i <= last; i++ {
+		// Postings are by dictionary ID.
 		tids := prefixTids
 		switch {
 		case tids == nil:
-			tids = w.db.Postings(c[i])
+			tids = w.sp.db.Postings(w.sp.ids[c[i]])
 		case len(tids) > n:
-			tids = intersectTids(tids, w.db.Postings(c[i]))
+			tids = intersectTids(tids, w.sp.db.Postings(w.sp.ids[c[i]]))
 		}
 		w.boundedSubsets(c, n, append(prefix, c[i]), i+1, tids)
 	}
@@ -438,10 +564,9 @@ func (w *worker) itemset(n int) types.Itemset {
 // from.
 const chunkItems = 4096
 
-// merge returns the union of the sorted, disjoint itemsets a and b
-// as a new itemset.
-func (w *worker) merge(a, b types.Itemset) types.Itemset {
-	out := w.itemset(len(a) + len(b))
+// merge appends the union of the sorted, disjoint itemsets a and b to
+// out.
+func merge(out, a, b types.Itemset) types.Itemset {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] < b[j] {

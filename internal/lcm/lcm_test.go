@@ -10,6 +10,15 @@ import (
 
 func buildDB(t testing.TB, txs [][]int) *txdb.DB {
 	t.Helper()
+	return buildSplitDB(t, txs, 0)
+}
+
+// buildSplitDB builds a database over items 0..max(txs), interning
+// item i as a reaction when bit i of reactions is set and as a drug
+// otherwise, so the miner's drugs-first rank order differs from the
+// dictionary's ID order.
+func buildSplitDB(t testing.TB, txs [][]int, reactions uint32) *txdb.DB {
+	t.Helper()
 	dict := types.NewDictionary()
 	maxID := 0
 	for _, tx := range txs {
@@ -20,7 +29,11 @@ func buildDB(t testing.TB, txs [][]int) *txdb.DB {
 		}
 	}
 	for i := 0; i <= maxID; i++ {
-		dict.Intern(fmt.Sprintf("i%d", i), types.DomainDrug)
+		dom := types.DomainDrug
+		if i < 32 && reactions&(1<<i) != 0 {
+			dom = types.DomainReaction
+		}
+		dict.Intern(fmt.Sprintf("i%d", i), dom)
 	}
 	db := txdb.New(dict)
 	for r, tx := range txs {

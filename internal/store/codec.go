@@ -22,8 +22,11 @@
 // verify the CRC before parsing a single section, and every decode is
 // bounds-checked: corrupt input yields a typed error, never a panic.
 // The meta section comes first, directly after the header, so
-// ReadManifest finds it with one small read. The dictionary precedes
-// the signals, whose cluster rules may name only items it issued.
+// ReadManifest finds it with one small read. A file holds exactly one
+// meta section, ending within its first manifestHead bytes; Decode
+// rejects any other file, so what it accepts ReadManifest reads the
+// same. The dictionary precedes the signals, whose cluster rules may
+// name only items it issued.
 //
 // Version 2 adds the quality section (the metric half of an
 // audit.QualityReport, persisted so serving a quarter's ingest-quality
@@ -416,6 +419,10 @@ type Manifest struct {
 	Size    int64
 }
 
+// manifestHead is how many bytes at the front of a snapshot hold its
+// header and meta section, the front read of ReadManifest.
+const manifestHead = 4096
+
 // ReadManifest reads path's manifest with two small reads — the
 // header plus the meta section at the front, the CRC trailer at the
 // back — so inventory scans over large stores stay cheap.
@@ -435,9 +442,9 @@ func ReadManifest(path string) (Manifest, error) {
 		return m, fmt.Errorf("%s: %w: truncated header", path, ErrCorrupt)
 	}
 	// Header + section headers + the meta payload all sit at the front;
-	// 4 KiB covers any realistic label, and a meta section that somehow
-	// runs past it is treated as damage.
-	head := make([]byte, min(m.Size-4, 4096))
+	// manifestHead covers any realistic label, and a meta section that
+	// somehow runs past it is treated as damage.
+	head := make([]byte, min(m.Size-4, manifestHead))
 	if _, err := io.ReadFull(f, head); err != nil {
 		return m, fmt.Errorf("store: %s: %w", path, err)
 	}
@@ -490,6 +497,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		reportsPayload []byte
 		indexPayload   []byte
 		quality        *audit.QualityReport
+		meta           bool
 	)
 
 	d := &dec{b: body, off: 8}
@@ -506,6 +514,15 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		switch id {
 		case secMeta:
+			// ReadManifest reads the first meta section within the
+			// front manifestHead bytes; any other shape is damage.
+			switch {
+			case meta:
+				sd.fail("repeated meta section")
+			case d.off > manifestHead:
+				sd.fail("meta section ends at offset %d, past the first %d bytes", d.off, manifestHead)
+			}
+			meta = true
 			s.Label = sd.str()
 			s.SavedAt = time.Unix(sd.i64(), 0)
 		case secStats:
@@ -552,6 +569,9 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, d.err)
+	}
+	if !meta {
+		return nil, fmt.Errorf("%w: missing meta section", ErrCorrupt)
 	}
 	if dict == nil {
 		return nil, fmt.Errorf("%w: missing dictionary section", ErrCorrupt)

@@ -512,3 +512,73 @@ func TestDecodeRejectsSignalsBeforeDictionary(t *testing.T) {
 		t.Errorf("got %v, want ErrCorrupt", err)
 	}
 }
+
+// metaVariants derives CRC-valid files from an encoding whose meta
+// section is misplaced: missing (byte 8, the section's ID, set to an
+// unknown 0x77), repeated, and pushed past the first manifestHead
+// bytes by an unknown section ahead of it. The last entry, "padded",
+// puts a small unknown section ahead of meta and stays valid.
+func metaVariants(data []byte) map[string][]byte {
+	at := sectionAt(data, secMeta)
+	end := at + 8 + int(binary.LittleEndian.Uint32(data[at+4:]))
+	unknown := func(n int) []byte {
+		sec := binary.LittleEndian.AppendUint16(nil, 0x77)
+		sec = binary.LittleEndian.AppendUint16(sec, 0)
+		sec = binary.LittleEndian.AppendUint32(sec, uint32(n))
+		return append(sec, make([]byte, n)...)
+	}
+	insert := func(off int, b []byte) []byte {
+		out := bytes.Clone(data[:off])
+		out = append(out, b...)
+		return reseal(append(out, data[off:]...))
+	}
+	missing := bytes.Clone(data)
+	missing[8] = 0x77
+	return map[string][]byte{
+		"missing":        reseal(missing),
+		"repeated":       insert(end, data[at:end]),
+		"past the front": insert(at, unknown(manifestHead)),
+		"padded":         insert(at, unknown(64)),
+	}
+}
+
+// Decode takes a file's label from its one meta section, where
+// ReadManifest looks for it; a file with none, two, or one beyond
+// ReadManifest's front read is corrupt, even with a valid CRC.
+func TestDecodeRequiresOneMetaSection(t *testing.T) {
+	data := encode(t, "2014Q1", synthAnalysis(t))
+	if at := sectionAt(data, secMeta); at != 8 {
+		t.Fatalf("fixture's meta section at offset %d, want 8", at)
+	}
+	dir := t.TempDir()
+	for name, file := range metaVariants(data) {
+		snap, err := Decode(file)
+		path := filepath.Join(dir, "2014Q1.maras")
+		if werr := os.WriteFile(path, file, 0o644); werr != nil {
+			t.Fatal(werr)
+		}
+		m, merr := ReadManifest(path)
+		if name == "padded" {
+			if err != nil || merr != nil {
+				t.Fatalf("%s: Decode %v, ReadManifest %v; want both to accept", name, err, merr)
+			}
+			if snap.Label != "2014Q1" || m.Label != snap.Label {
+				t.Errorf("%s: Decode label %q, manifest label %q, want 2014Q1", name, snap.Label, m.Label)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode = (label %q, %v), want ErrCorrupt", name, labelOf(snap), err)
+		}
+		if name == "missing" && !errors.Is(merr, ErrCorrupt) {
+			t.Errorf("%s: ReadManifest = %v, want ErrCorrupt", name, merr)
+		}
+	}
+}
+
+func labelOf(s *Snapshot) string {
+	if s == nil {
+		return ""
+	}
+	return s.Label
+}

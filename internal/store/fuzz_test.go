@@ -170,8 +170,10 @@ func FuzzDecodeResealed(f *testing.F) {
 // ErrCorrupt, ErrBadMagic or ErrVersion, or is an I/O error; and for
 // bytes whose envelope CheckBytes accepts and that Decode accepts, the
 // manifest's label, save time, CRC and size agree with the decode.
-// Seeds are a real snapshot, truncated and bit-flipped copies of it,
-// and its v2 twin.
+// Each input is checked as given and with its CRC trailer resealed
+// over the body, so mutations also reach the section walk. Seeds are a
+// real snapshot, truncated and bit-flipped copies of it, its v2 twin,
+// and files whose meta section is missing, repeated or misplaced.
 func FuzzReadManifest(f *testing.F) {
 	cfg := synth.DefaultConfig("2014Q1", 7)
 	cfg.Reports = 300
@@ -199,32 +201,45 @@ func FuzzReadManifest(f *testing.F) {
 		flipped[off] ^= 0x10
 		f.Add(flipped)
 	}
+	for _, data := range metaVariants(v3) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "2014Q1.maras")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m, err := ReadManifest(path)
-		var pathErr *fs.PathError
-		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) &&
-			!errors.As(err, &pathErr) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-			t.Fatalf("untyped manifest error: %v", err)
-		}
-		if CheckBytes(data) != nil {
-			return
-		}
-		snap, derr := Decode(data)
-		if derr != nil {
-			return
-		}
-		if err != nil {
-			t.Fatalf("Decode accepts the file, ReadManifest fails: %v", err)
-		}
-		if m.Label != snap.Label || !m.SavedAt.Equal(snap.SavedAt) || m.Size != snap.Size ||
-			m.CRC != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-			t.Fatalf("manifest %+v, decoded label %q saved %v size %d crc %08x",
-				m, snap.Label, snap.SavedAt, snap.Size, binary.LittleEndian.Uint32(data[len(data)-4:]))
+		checkManifest(t, data)
+		if len(data) >= 12 {
+			checkManifest(t, reseal(bytes.Clone(data)))
 		}
 	})
+}
+
+// checkManifest holds ReadManifest on data to FuzzReadManifest's
+// contract.
+func checkManifest(t *testing.T, data []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "2014Q1.maras")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(path)
+	var pathErr *fs.PathError
+	if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) &&
+		!errors.As(err, &pathErr) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		t.Fatalf("untyped manifest error: %v", err)
+	}
+	if CheckBytes(data) != nil {
+		return
+	}
+	snap, derr := Decode(data)
+	if derr != nil {
+		return
+	}
+	if err != nil {
+		t.Fatalf("Decode accepts the file, ReadManifest fails: %v", err)
+	}
+	if m.Label != snap.Label || !m.SavedAt.Equal(snap.SavedAt) || m.Size != snap.Size ||
+		m.CRC != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		t.Fatalf("manifest %+v, decoded label %q saved %v size %d crc %08x",
+			m, snap.Label, snap.SavedAt, snap.Size, binary.LittleEndian.Uint32(data[len(data)-4:]))
+	}
 }
