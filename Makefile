@@ -25,12 +25,14 @@ test:
 	$(GO) test ./...
 
 ## race: the whole suite under the race detector, then the packages
-## whose stages fan out over package par again at one worker (par.Do
+## whose stages fan out over package par, and txdb, whose frozen DB
+## their workers count against together, again at one worker (par.Do
 ## runs inline) and at four (workers run concurrently even on a
 ## two-core machine).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,4 ./internal/cleaning ./internal/assoc ./internal/lcm ./internal/core
+	$(GO) test -race -cpu 1,4 ./internal/cleaning ./internal/assoc ./internal/lcm ./internal/core \
+		./internal/mcac ./internal/txdb
 
 ## bench: the paper-artifact benchmarks (one iteration each; see
 ## EXPERIMENTS.md for targeted -bench invocations).

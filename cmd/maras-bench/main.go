@@ -28,6 +28,11 @@
 //
 //	maras-bench -exp all [-seed 1] [-reports 15000] [-minsup 8]
 //	            [-paper-scale] [-svg-out figures]
+//
+// -exp takes "all" or a comma-separated list of ids; an unknown id is
+// rejected before anything runs. Every requested experiment runs, in
+// order, even after one fails its gates, and the command then exits 1
+// naming each experiment that failed.
 package main
 
 import (
@@ -180,31 +185,55 @@ func main() {
 		"wide", "replica",
 	}
 
-	var ids []string
-	if *exp == "all" {
-		ids = order
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			ids = append(ids, strings.TrimSpace(id))
-		}
+	ids, err := experimentIDs(*exp, order, runners)
+	if err != nil {
+		log.Fatal(err)
 	}
-	for _, id := range ids {
-		run, ok := runners[id]
-		if !ok {
-			log.Fatalf("unknown experiment %q (have: %s, all)", id, strings.Join(order, ", "))
-		}
-		fmt.Printf("\n================ %s ================\n\n", id)
-		if err := run(cfg); err != nil {
-			log.Fatalf("%s: %v", id, err)
-		}
-	}
+	failed := runExperiments(ids, runners, cfg)
 	if cfg.traceOut != "" {
 		if err := writeTraces(cfg.traceOut); err != nil {
-			log.Fatalf("trace-out: %v", err)
+			log.Printf("trace-out: %v", err)
+			failed = append(failed, "trace-out")
+		} else {
+			fmt.Printf("\nwrote per-stage trace for %d pipeline runs to %s\n", len(benchTraces), cfg.traceOut)
 		}
-		fmt.Printf("\nwrote per-stage trace for %d pipeline runs to %s\n", len(benchTraces), cfg.traceOut)
 	}
 	_ = os.Stdout.Sync()
+	if len(failed) > 0 {
+		log.Fatalf("failed: %s", strings.Join(failed, ", "))
+	}
+}
+
+// experimentIDs parses -exp ("all" or a comma-separated list) into the
+// experiments to run, rejecting unknown ids before any of them runs.
+func experimentIDs(exp string, order []string, runners map[string]func(benchConfig) error) ([]string, error) {
+	if exp == "all" {
+		return order, nil
+	}
+	var ids []string
+	for _, id := range strings.Split(exp, ",") {
+		id = strings.TrimSpace(id)
+		if _, ok := runners[id]; !ok {
+			return nil, fmt.Errorf("unknown experiment %q (have: %s, all)", id, strings.Join(order, ", "))
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
+}
+
+// runExperiments runs every experiment of ids in order, going on after
+// one fails so that a failing gate hides no later result, and returns
+// the ids that failed.
+func runExperiments(ids []string, runners map[string]func(benchConfig) error, cfg benchConfig) []string {
+	var failed []string
+	for _, id := range ids {
+		fmt.Printf("\n================ %s ================\n\n", id)
+		if err := runners[id](cfg); err != nil {
+			log.Printf("%s: %v", id, err)
+			failed = append(failed, id)
+		}
+	}
+	return failed
 }
 
 // quarterCache avoids regenerating the same quarters across

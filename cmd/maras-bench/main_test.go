@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"maras/internal/core"
@@ -124,5 +127,42 @@ func TestWriteTracesEmptyStillValidJSON(t *testing.T) {
 	}
 	if decoded.Runs == nil || len(decoded.Runs) != 0 {
 		t.Errorf("want empty runs array, got %v", decoded.Runs)
+	}
+}
+
+// A failing experiment must not hide the ones after it: every
+// requested experiment runs, in order, and the failures are named.
+func TestRunExperimentsKeepsGoing(t *testing.T) {
+	var ran []string
+	runner := func(id string, err error) func(benchConfig) error {
+		return func(benchConfig) error { ran = append(ran, id); return err }
+	}
+	runners := map[string]func(benchConfig) error{
+		"a": runner("a", nil),
+		"b": runner("b", errors.New("gate failed")),
+		"c": runner("c", nil),
+		"d": runner("d", errors.New("gate failed")),
+	}
+	failed := runExperiments([]string{"b", "a", "d", "c"}, runners, benchConfig{})
+	if !slices.Equal(ran, []string{"b", "a", "d", "c"}) {
+		t.Errorf("ran %v, want every experiment in order", ran)
+	}
+	if !slices.Equal(failed, []string{"b", "d"}) {
+		t.Errorf("failed = %v, want [b d]", failed)
+	}
+}
+
+// Unknown ids are rejected before anything runs; "all" is the order.
+func TestExperimentIDs(t *testing.T) {
+	runners := map[string]func(benchConfig) error{"a": nil, "b": nil}
+	order := []string{"a", "b"}
+	if ids, err := experimentIDs("all", order, runners); err != nil || !slices.Equal(ids, order) {
+		t.Errorf("all: %v, %v", ids, err)
+	}
+	if ids, err := experimentIDs("b, a", order, runners); err != nil || !slices.Equal(ids, []string{"b", "a"}) {
+		t.Errorf("b, a: %v, %v", ids, err)
+	}
+	if ids, err := experimentIDs("a,nope", order, runners); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("a,nope: %v, %v; want an error naming nope", ids, err)
 	}
 }

@@ -24,7 +24,6 @@ type Evaluator struct {
 	memo map[string]int // supports of itemsets with ≥ 2 items, by itemKey
 
 	key   []byte        // scratch itemKey
-	tids  []txdb.TID    // scratch posting-list intersection
 	union types.Itemset // scratch complete itemset
 }
 
@@ -81,8 +80,7 @@ func (e *Evaluator) Support(set types.Itemset) int {
 	if s, ok := e.memo[string(e.key)]; ok {
 		return s
 	}
-	e.tids = e.db.TIDs(set, e.tids)
-	s := len(e.tids)
+	s := e.db.Support(set)
 	e.memo[string(e.key)] = s
 	return s
 }

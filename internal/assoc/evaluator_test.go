@@ -292,3 +292,49 @@ func TestEvaluatorForkReadsBase(t *testing.T) {
 		t.Errorf("parent memo grew from %d to %d", base, len(ev.memo))
 	}
 }
+
+// TestEvaluatorSupportNoAllocs pins that the Evaluator counts through
+// txdb's Support, which builds no TID list. On 640 transactions
+// (bitmaps from 20 occurrences), on the sparse (galloping), mixed (bit
+// probe) and all-dense (popcount) paths, a memo hit allocates nothing
+// and a miss allocates only the memo's copy of the key.
+func TestEvaluatorSupportNoAllocs(t *testing.T) {
+	// item(k) occurs in every k-th transaction.
+	dict := types.NewDictionary()
+	every := []int{64, 53, 2, 3, 5} // supports 10, 13, 320, 214, 128
+	item := func(k int) types.Item { return dict.Intern(fmt.Sprintf("D%d", k), types.DomainDrug) }
+	db := txdb.New(dict)
+	for r := 0; r < 640; r++ {
+		var items types.Itemset
+		for _, k := range every {
+			if r%k == 0 {
+				items = append(items, item(k))
+			}
+		}
+		db.Add(fmt.Sprintf("t%d", r), items)
+	}
+	db.Freeze()
+	sets := map[string]types.Itemset{
+		"sparse": types.NewItemset(item(64), item(53)),
+		"mixed":  types.NewItemset(item(53), item(2), item(3)),
+		"dense":  types.NewItemset(item(2), item(3), item(5)),
+	}
+	e := NewEvaluator(db)
+	for name, set := range sets {
+		want := db.Support(set)
+		if got := e.Support(set); got != want {
+			t.Fatalf("%s: Evaluator.Support = %d, DB.Support %d", name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { e.Support(set) }); allocs != 0 {
+			t.Errorf("%s: memo hit allocated %.1f times per call, want 0", name, allocs)
+		}
+		key := string(itemKey(nil, set))
+		miss := testing.AllocsPerRun(100, func() {
+			delete(e.memo, key)
+			e.Support(set)
+		})
+		if miss != 1 {
+			t.Errorf("%s: memo miss allocated %.1f times per call, want 1 (the memo key)", name, miss)
+		}
+	}
+}

@@ -354,24 +354,52 @@ func abs(x int) int {
 // dedup run on a pool of GOMAXPROCS workers (package par); the output
 // does not depend on the worker count.
 func Clean(reports []faers.Report, opts Options) ([]faers.Report, Stats) {
-	return clean(reports, opts, runtime.GOMAXPROCS(0))
+	return CleanSelected(reports, opts, Selection{})
+}
+
+// Selection picks the raw reports cleaning takes in and the drugs it
+// takes of each. Cleaning applies it while its first pass copies the
+// reports, so no selected copy of them is made beforehand.
+type Selection struct {
+	// ExpeditedOnly takes only expedited reports (faers.FilterExpedited).
+	ExpeditedOnly bool
+	// SuspectOnly takes each report's suspect drugs
+	// (faers.Report.SuspectDrugs) and none of its drug roles.
+	SuspectOnly bool
+}
+
+// CleanSelected is Clean over the reports sel picks, each narrowed as
+// sel says. Stats.ReportsIn counts the picked reports.
+func CleanSelected(reports []faers.Report, opts Options, sel Selection) ([]faers.Report, Stats) {
+	return cleanSelected(reports, opts, sel, runtime.GOMAXPROCS(0))
 }
 
 // clean is Clean on at most workers goroutines.
 func clean(reports []faers.Report, opts Options, workers int) ([]faers.Report, Stats) {
-	opts = opts.normalized()
-	norm := make([]faers.Report, len(reports))
+	return cleanSelected(reports, opts, Selection{}, workers)
+}
 
-	// Pass 1: normalize strings, count name frequencies, in runs of
-	// reports. Names repeat across reports, so each worker normalizes
-	// and counts per distinct raw string; the counts are merged by
-	// summing.
-	tallies := make([]*tally, par.Workers(len(reports), workers))
-	par.DoRuns(len(reports), workers, func(w, lo, hi int) {
+// cleanSelected is CleanSelected on at most workers goroutines.
+func cleanSelected(reports []faers.Report, opts Options, sel Selection, workers int) ([]faers.Report, Stats) {
+	opts = opts.normalized()
+	picked := make([]int32, 0, len(reports))
+	for i := range reports {
+		if !sel.ExpeditedOnly || reports[i].Expedited() {
+			picked = append(picked, int32(i))
+		}
+	}
+	norm := make([]faers.Report, len(picked))
+
+	// Pass 1: select, normalize strings and count name frequencies, in
+	// runs of reports. Names repeat across reports, so each worker
+	// normalizes and counts per distinct raw string; the counts are
+	// merged by summing.
+	tallies := make([]*tally, par.Workers(len(norm), workers))
+	par.DoRuns(len(norm), workers, func(w, lo, hi int) {
 		if tallies[w] == nil {
 			tallies[w] = newTally()
 		}
-		tallies[w].normalize(reports[lo:hi], norm[lo:hi])
+		tallies[w].normalize(reports, picked[lo:hi], norm[lo:hi], sel.SuspectOnly)
 	})
 	drugCounts, reacCounts := mergeCounts(tallies)
 
@@ -400,7 +428,7 @@ func clean(reports []faers.Report, opts Options, workers int) ([]faers.Report, S
 		}
 		sums[w].add(st)
 	})
-	st := Stats{ReportsIn: len(reports)}
+	st := Stats{ReportsIn: len(norm)}
 	for _, s := range sums {
 		st.add(s)
 	}
@@ -489,20 +517,26 @@ func (t *nameTally) countInto(counts map[string]int) {
 	}
 }
 
-// normalize writes the normalized form of each report of in to the
-// same position of out, dropping names that normalize to nothing. The
-// run's name lists are carved, capacity capped, from one backing
-// array.
-func (t *tally) normalize(in, out []faers.Report) {
+// normalize writes the normalized form of each report of in that
+// picked names to the same position of out, dropping names that
+// normalize to nothing; with suspect it takes the report's suspect
+// drugs only and drops its drug roles. The run's name lists are carved,
+// capacity capped, from one backing array.
+func (t *tally) normalize(in []faers.Report, picked []int32, out []faers.Report, suspect bool) {
 	size := 0
-	for i := range in {
-		size += len(in[i].Drugs) + len(in[i].Reactions)
+	for _, k := range picked {
+		size += len(in[k].Drugs) + len(in[k].Reactions)
 	}
 	names := make([]string, size)
-	for i, r := range in {
-		n := r
-		n.Drugs, names = names[:0:len(r.Drugs)], names[len(r.Drugs):]
-		for _, d := range r.Drugs {
+	for i, k := range picked {
+		r := &in[k]
+		n := *r
+		drugs := r.Drugs
+		if suspect {
+			drugs, n.DrugRoles = r.SuspectDrugs(), nil
+		}
+		n.Drugs, names = names[:0:len(drugs)], names[len(drugs):]
+		for _, d := range drugs {
 			if nd := t.drugs.add(d); nd != "" {
 				n.Drugs = append(n.Drugs, nd)
 			}

@@ -2,6 +2,7 @@ package cleaning
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -354,5 +355,57 @@ func TestCleanMatchesPerOccurrenceReference(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("cleaned reports differ from the per-occurrence reference")
+	}
+}
+
+// Applying a Selection inside cleaning's first pass must return what
+// cleaning a selected copy did: the expedited reports filtered out
+// first, then each narrowed to its suspect drugs with no roles. Stats
+// count the selected reports in. One and four workers, input untouched.
+func TestCleanSelectedMatchesSelectedCopy(t *testing.T) {
+	cfg := synth.DefaultConfig("2014Q1", 29)
+	cfg.Reports = 3000
+	q, _, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := q.Reports()
+	input := cloneReports(reports)
+	expedited := faers.FilterExpedited(reports)
+	if len(expedited) == len(reports) || len(expedited) == 0 {
+		t.Fatalf("fixture: %d of %d reports expedited, want some but not all", len(expedited), len(reports))
+	}
+	narrowed := 0
+	for _, sel := range []Selection{{}, {ExpeditedOnly: true}, {SuspectOnly: true}, {ExpeditedOnly: true, SuspectOnly: true}} {
+		in := reports
+		if sel.ExpeditedOnly {
+			in = expedited
+		}
+		if sel.SuspectOnly {
+			in = slices.Clone(in)
+			for i := range in {
+				if d := in[i].SuspectDrugs(); len(d) < len(in[i].Drugs) {
+					narrowed++
+				}
+				in[i].Drugs, in[i].DrugRoles = in[i].SuspectDrugs(), nil
+			}
+		}
+		want, wantSt := clean(in, Defaults(), 1)
+		if wantSt.ReportsIn != len(in) {
+			t.Fatalf("%+v: ReportsIn = %d, want %d", sel, wantSt.ReportsIn, len(in))
+		}
+		for _, workers := range []int{1, 4} {
+			got, gotSt := cleanSelected(reports, Defaults(), sel, workers)
+			if gotSt != wantSt || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v, %d workers: stats %+v, cleaning a selected copy %+v (or the reports differ)",
+					sel, workers, gotSt, wantSt)
+			}
+		}
+	}
+	if narrowed == 0 {
+		t.Fatal("fixture: no report has a drug that is not suspect")
+	}
+	if !reflect.DeepEqual(reports, input) {
+		t.Fatal("cleaning modified its input")
 	}
 }

@@ -231,20 +231,10 @@ func encodeReports(ctx context.Context, reports []faers.Report, opts Options) (*
 		cstats  cleaning.Stats
 	)
 	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageClean, func(_ context.Context, st *obs.Stage) {
-		if opts.ExpeditedOnly {
-			reports = faers.FilterExpedited(reports)
-		}
-		if opts.SuspectOnly {
-			narrowed := make([]faers.Report, len(reports))
-			for i, r := range reports {
-				n := r
-				n.Drugs = r.SuspectDrugs()
-				n.DrugRoles = nil // alignment is gone after narrowing
-				narrowed[i] = n
-			}
-			reports = narrowed
-		}
-		cleaned, cstats = cleaning.Clean(reports, opts.Cleaning)
+		cleaned, cstats = cleaning.CleanSelected(reports, opts.Cleaning, cleaning.Selection{
+			ExpeditedOnly: opts.ExpeditedOnly,
+			SuspectOnly:   opts.SuspectOnly,
+		})
 		st.Count("reports_in", int64(cstats.ReportsIn))
 		st.Count("reports_out", int64(cstats.ReportsOut))
 		st.Count("duplicates_removed", int64(cstats.DuplicateReports))

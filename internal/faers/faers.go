@@ -98,6 +98,9 @@ func (r *Report) SuspectDrugs() []string {
 	return out
 }
 
+// Expedited reports whether the report is an expedited (EXP) one.
+func (r *Report) Expedited() bool { return r.ReportCode == "EXP" }
+
 // Serious reports whether the report carries any severe outcome code.
 func (r *Report) Serious() bool { return len(r.Outcomes) > 0 }
 
@@ -196,9 +199,9 @@ func (q *Quarter) Reports() []Report {
 // (EXP) as these reports contain at least one severe adverse event".
 func FilterExpedited(reports []Report) []Report {
 	out := make([]Report, 0, len(reports))
-	for _, r := range reports {
-		if r.ReportCode == "EXP" {
-			out = append(out, r)
+	for i := range reports {
+		if reports[i].Expedited() {
+			out = append(out, reports[i])
 		}
 	}
 	return out

@@ -39,12 +39,19 @@ const (
 const StageSpanPrefix = "stage:"
 
 // heapAllocsMetric is the cumulative heap allocation counter sampled
-// around each unit of work to attribute its allocation volume.
+// around each unit of work to attribute its allocation volume
+// (StageRecord.AllocBytes, the alloc_bytes span attribute). The
+// runtime adds a small-object span's allocations to it when a P's
+// cache swaps the span out, so a unit can be billed for spans the unit
+// before it filled: a stage's figure can move although its code did
+// not change. (runtime.ReadMemStats flushes the caches and is exact,
+// but stops the world.)
 const heapAllocsMetric = "/gc/heap/allocs:bytes"
 
 // StageRecord is one completed pipeline stage: what it was called,
-// how long it ran, how much it allocated, and its domain counters
-// (reports cleaned, itemsets mined, rules kept, ...).
+// how long it ran, how much it allocated (as heapAllocsMetric
+// attributes it), and its domain counters (reports cleaned, itemsets
+// mined, rules kept, ...).
 type StageRecord struct {
 	Name       string           `json:"name"`
 	Seq        int              `json:"seq"`

@@ -12,7 +12,10 @@ import (
 // quarter-sized DB (12,288 transactions, Zipf-skewed item
 // frequencies) for 3-item sets drawn from real transactions whose
 // items are all sparse (below denseMin), mixed (one sparse item, two
-// dense), or all dense.
+// dense), long-mixed (the sparse item's list just under denseMin, the
+// shape most linked targets of a mined quarter have), or all dense.
+// Each class runs TIDs into a reused buffer and, as <class>-support,
+// Support.
 func BenchmarkTIDs(b *testing.B) {
 	const n = 12_288
 	rng := rand.New(rand.NewSource(1))
@@ -32,16 +35,22 @@ func BenchmarkTIDs(b *testing.B) {
 	}
 	db.Freeze()
 
-	dense := func(it types.Item) bool { return db.ItemSupport(it) >= denseMin(n) }
-	classes := map[string]func(types.Itemset) bool{
-		"sparse": func(s types.Itemset) bool { return !dense(s[0]) && !dense(s[1]) && !dense(s[2]) },
-		"mixed": func(s types.Itemset) bool {
-			d := boolInt(dense(s[0])) + boolInt(dense(s[1])) + boolInt(dense(s[2]))
-			return d == 2
-		},
-		"dense": func(s types.Itemset) bool { return dense(s[0]) && dense(s[1]) && dense(s[2]) },
+	dm := denseMin(n)
+	dense := func(it types.Item) bool { return db.ItemSupport(it) >= dm }
+	denseCount := func(s types.Itemset) int {
+		return boolInt(dense(s[0])) + boolInt(dense(s[1])) + boolInt(dense(s[2]))
 	}
-	for _, name := range []string{"sparse", "mixed", "dense"} {
+	// shortest is the support of the rarest item of s.
+	shortest := func(s types.Itemset) int {
+		return min(db.ItemSupport(s[0]), db.ItemSupport(s[1]), db.ItemSupport(s[2]))
+	}
+	classes := map[string]func(types.Itemset) bool{
+		"sparse":     func(s types.Itemset) bool { return denseCount(s) == 0 },
+		"mixed":      func(s types.Itemset) bool { return denseCount(s) == 2 },
+		"long-mixed": func(s types.Itemset) bool { return denseCount(s) == 2 && shortest(s) >= dm*3/4 },
+		"dense":      func(s types.Itemset) bool { return denseCount(s) == 3 },
+	}
+	for _, name := range []string{"sparse", "mixed", "long-mixed", "dense"} {
 		var sets []types.Itemset
 		for _, tx := range db.Transactions() {
 			tx.Items.SubsetsOfSize(3, func(s types.Itemset) bool {
@@ -61,8 +70,18 @@ func BenchmarkTIDs(b *testing.B) {
 				buf = db.TIDs(sets[i%len(sets)], buf)
 			}
 		})
+		b.Run(name+"-support", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				supportSink = db.Support(sets[i%len(sets)])
+			}
+		})
 	}
 }
+
+// supportSink keeps the benchmarked Support calls from being optimized
+// away.
+var supportSink int
 
 func boolInt(b bool) int {
 	if b {

@@ -10,16 +10,26 @@
 // The postings are hybrid. Freeze builds a dense membership bitmap
 // beside the posting list of every item that occurs in at least N/32
 // of the N transactions; at that length the bitmap (N/8 bytes) is no
-// larger than the list (4 bytes per TID). TIDs filters the shortest
-// list against each further item with one bit probe per TID when the
-// item has a bitmap, and with galloping search otherwise. The rule is
-// a fixed size bound, not a tunable: the items it selects are the
-// frequent ones, whose lists are far longer than the rare itemsets
-// they are intersected down to.
+// larger than the list (4 bytes per TID). Items are taken
+// shortest-list first, so if the shortest has a bitmap, every item of
+// the set has one. Such an all-dense set is intersected word-parallel
+// (MAFIA's vertical bitmaps): TIDs ANDs the bitmaps 64 transactions
+// per word and appends the set bits in order, Support popcounts the
+// same AND. Otherwise TIDs filters the shortest list against each
+// further item, with a branch-free bit probe per TID (every TID is
+// written, the write position advances by the probed bit) when the
+// item has a bitmap and with galloping search when it has not, and
+// Support runs the same filters over stack chunks of the list and
+// counts what survives: it builds no list, and for sets of up to
+// maxStackItems items allocates nothing. The rule is a fixed size bound, not a
+// tunable: the items it selects are the frequent ones, whose lists
+// are far longer than the rare itemsets they are intersected down to.
 package txdb
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"maras/internal/types"
@@ -141,15 +151,44 @@ func (db *DB) Postings(it types.Item) []TID {
 }
 
 // Support returns |{t : set ⊆ t}|, the absolute support of set
-// (Formula 2.1), computed exactly by intersecting posting lists,
-// rarest-first. The empty set is contained in every transaction.
+// (Formula 2.1), counted exactly without building a TID list: an
+// all-dense set popcounts the AND of its bitmaps; otherwise the
+// shortest list is filtered as TIDs does, a stack-sized chunk at a
+// time, and the survivors are counted. The empty set is contained in
+// every transaction.
 func (db *DB) Support(set types.Itemset) int {
-	return len(db.TIDs(set, nil))
+	if len(set) == 0 {
+		return len(db.txs)
+	}
+	var stack [maxStackItems]*posting
+	lists := db.order(set, stack[:0])
+	switch {
+	case len(lists) == 0:
+		return 0
+	case len(lists) == 1:
+		return len(lists[0].tids)
+	case lists[0].bits != nil:
+		return countAnd(lists)
+	}
+	var chunk [supportChunk]TID
+	n := 0
+	for src := lists[0].tids; len(src) > 0; {
+		c := min(len(src), len(chunk))
+		n += len(filter(chunk[:c], src[:c], lists[1:]))
+		src = src[c:]
+	}
+	return n
 }
 
-// maxStackItems bounds the itemsets whose posting entries TIDs orders
-// in a stack array; longer sets (beyond the miners' MaxItems) fall
-// back to the heap.
+// supportChunk is how many TIDs of the shortest list Support filters
+// at a time, in a stack buffer (1 KiB) that Go zeroes on every call. A
+// longer list takes several chunks, each of which gallops the sparse
+// items again from the start of their lists, a logarithmic cost.
+const supportChunk = 256
+
+// maxStackItems bounds the itemsets whose posting entries TIDs and
+// Support order in a stack array; longer sets (beyond the miners'
+// MaxItems) fall back to the heap.
 const maxStackItems = 16
 
 // TIDs returns the sorted transaction IDs containing every item of
@@ -163,17 +202,29 @@ func (db *DB) TIDs(set types.Itemset, buf []TID) []TID {
 		}
 		return buf
 	}
-	// Order entries shortest-first: the result is bounded by the
-	// shortest list, and every further item only filters it.
 	var stack [maxStackItems]*posting
-	lists := stack[:0]
-	if len(set) > maxStackItems {
-		lists = make([]*posting, 0, len(set))
+	lists := db.order(set, stack[:0])
+	switch {
+	case len(lists) == 0:
+		return buf
+	case len(lists) == 1:
+		return append(buf, lists[0].tids...)
+	case lists[0].bits != nil:
+		return appendAnd(buf, lists)
 	}
+	src := lists[0].tids
+	return filter(slices.Grow(buf, len(src))[:len(src)], src, lists[1:])
+}
+
+// order returns the posting entries of set's items shortest-first,
+// appended to lists, or none if an item never occurs. The result is
+// bounded by the shortest list and every further item only filters
+// it; if the shortest has a bitmap, so has every other.
+func (db *DB) order(set types.Itemset, lists []*posting) []*posting {
 	for _, it := range set {
 		p := db.posting(it)
 		if p == nil || len(p.tids) == 0 {
-			return buf
+			return nil
 		}
 		j := len(lists)
 		lists = append(lists, p)
@@ -182,37 +233,94 @@ func (db *DB) TIDs(set types.Itemset, buf []TID) []TID {
 		}
 		lists[j] = p
 	}
-	buf = append(buf, lists[0].tids...)
-	for _, p := range lists[1:] {
-		if p.bits != nil {
-			buf = filterBits(buf, p.bits)
-		} else {
-			buf = intersectInto(buf, p.tids)
+	return lists
+}
+
+// countAnd returns the number of bits set in the AND of the bitmaps of
+// lists.
+func countAnd(lists []*posting) int {
+	var acc [andBlock]uint64
+	n := 0
+	for lo := 0; lo < len(lists[0].bits); lo += andBlock {
+		for _, x := range andWords(&acc, lists, lo) {
+			n += bits.OnesCount64(x)
 		}
-		if len(buf) == 0 {
-			return buf
+	}
+	return n
+}
+
+// appendAnd appends to buf, in order, the TIDs set in the AND of the
+// bitmaps of lists. Bits past the last transaction are never set.
+func appendAnd(buf []TID, lists []*posting) []TID {
+	var acc [andBlock]uint64
+	for lo := 0; lo < len(lists[0].bits); lo += andBlock {
+		for i, x := range andWords(&acc, lists, lo) {
+			for base := TID((lo + i) << 6); x != 0; x &= x - 1 {
+				buf = append(buf, base+TID(bits.TrailingZeros64(x)))
+			}
 		}
 	}
 	return buf
 }
 
-// filterBits keeps the TIDs of acc whose bit is set in bits, in place.
-func filterBits(acc []TID, bits []uint64) []TID {
-	out := acc[:0]
-	for _, v := range acc {
-		if bits[v>>6]&(1<<(uint(v)&63)) != 0 {
-			out = append(out, v)
+// andBlock is how many bitmap words andWords ANDs per pass over the
+// lists.
+const andBlock = 64
+
+// andWords writes into acc the AND of the bitmaps of lists over the
+// words from lo, up to andBlock of them, and returns the words written.
+// It ANDs one list at a time into the block, so each inner loop runs
+// over two plain slices.
+func andWords(acc *[andBlock]uint64, lists []*posting, lo int) []uint64 {
+	a := acc[:copy(acc[:], lists[0].bits[lo:])]
+	for _, p := range lists[1:] {
+		b := p.bits[lo : lo+len(a)]
+		for i := range a {
+			a[i] &= b[i]
 		}
 	}
-	return out
+	return a
 }
 
-// intersectInto intersects acc (sorted) with l (sorted) in place,
-// using galloping search over the longer list.
-func intersectInto(acc []TID, l []TID) []TID {
-	out := acc[:0]
+// filter writes into dst the TIDs of src that every entry of rest
+// holds: one bit probe per TID for a bitmapped entry, galloping search
+// otherwise. dst must have len(src) elements and may be src itself;
+// after the first entry the filtering runs in place.
+func filter(dst, src []TID, rest []*posting) []TID {
+	for _, p := range rest {
+		if p.bits != nil {
+			dst = probe(dst, src, p.bits)
+		} else {
+			dst = intersect(dst, src, p.tids)
+		}
+		if len(dst) == 0 {
+			break
+		}
+		src = dst
+	}
+	return dst
+}
+
+// probe keeps the TIDs of src whose bit is set in bitmap, written to the
+// front of dst (len(dst) >= len(src); dst may alias src). It is
+// branch-free: every TID is written, and the write position advances
+// by the probed bit.
+func probe(dst, src []TID, bitmap []uint64) []TID {
+	k := 0
+	for _, v := range src {
+		dst[k] = v
+		k += int(bitmap[v>>6] >> (uint(v) & 63) & 1)
+	}
+	return dst[:k]
+}
+
+// intersect keeps the TIDs of src (sorted) that occur in l (sorted),
+// written to the front of dst (cap(dst) >= len(src); dst may alias
+// src), using galloping search over l.
+func intersect(dst, src, l []TID) []TID {
+	out := dst[:0]
 	j := 0
-	for _, v := range acc {
+	for _, v := range src {
 		// Gallop forward in l to the first element >= v.
 		j = gallop(l, j, v)
 		if j >= len(l) {
