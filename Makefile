@@ -70,7 +70,12 @@ bench:
 ## agrees with Decode on every file CheckBytes and Decode accept.
 ## FuzzRunMatchesOracle builds small report sets (8 drugs, 6 reactions)
 ## and run options and holds core.Run, on one and four procs, to the
-## by-definition whole-pipeline oracle.
+## by-definition whole-pipeline oracle. FuzzEncodeReports builds noisy
+## report sets (case, whitespace and dose noise, misspellings, repeated
+## cases, suspect roles, every Selection, a name in both domains) and
+## holds core.EncodeReports, on one and four procs, to the string-path
+## reference: dictionary, transactions, postings and stats, or its
+## error exactly where the reference panics on the name in both domains.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
@@ -85,6 +90,7 @@ fuzz:
 	$(GO) test ./internal/cleaning -run '^$$' -fuzz '^FuzzClean$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRunMatchesOracle$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEncodeReports$$' -fuzztime $(FUZZTIME)
 
 ## vuln: known-vulnerability scan of the module graph and stdlib
 ## call sites. The binary is not installed here (CI pins its version;

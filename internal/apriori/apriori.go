@@ -31,8 +31,8 @@ func Mine(db *txdb.DB, opts Options) []types.FrequentSet {
 
 	// L1: frequent single items.
 	freq := make(map[types.Item]int)
-	for _, tx := range db.Transactions() {
-		for _, it := range tx.Items {
+	for t := range txdb.TID(db.Len()) {
+		for _, it := range db.Tx(t).Items {
 			freq[it]++
 		}
 	}
@@ -129,13 +129,14 @@ func countCandidates(db *txdb.DB, candidates []types.Itemset, k int) []int {
 	for i, c := range candidates {
 		byFirst[c[0]] = append(byFirst[c[0]], i)
 	}
-	for _, tx := range db.Transactions() {
-		if len(tx.Items) < k {
+	for t := range txdb.TID(db.Len()) {
+		tx := db.Tx(t).Items
+		if len(tx) < k {
 			continue
 		}
-		for _, it := range tx.Items {
+		for _, it := range tx {
 			for _, ci := range byFirst[it] {
-				if tx.Items.ContainsAll(candidates[ci]) {
+				if tx.ContainsAll(candidates[ci]) {
 					counts[ci]++
 				}
 			}

@@ -13,7 +13,7 @@ import (
 // Definition 3.3.2 scans every pair of transactions for one whose
 // intersection equals complete.
 func classifyByDefinition(db *txdb.DB, complete types.Itemset) SupportType {
-	txs := db.Transactions()
+	txs := transactions(db)
 	for _, tx := range txs {
 		if tx.Items.Equal(complete) {
 			return Explicit
@@ -29,6 +29,15 @@ func classifyByDefinition(db *txdb.DB, complete types.Itemset) SupportType {
 	return Unsupported
 }
 
+// transactions lists every transaction of db in TID order.
+func transactions(db *txdb.DB) []txdb.Transaction {
+	txs := make([]txdb.Transaction, db.Len())
+	for t := range txs {
+		txs[t] = db.Tx(txdb.TID(t))
+	}
+	return txs
+}
+
 // Property: on random databases, ClassifyTIDs over the set's own TIDs
 // (and Classify) agree with the by-definition oracle. Queries are
 // whole transactions, intersections of transaction pairs and random
@@ -42,7 +51,7 @@ func TestClassifyTIDsMatchesDefinition(t *testing.T) {
 	pairsChecked := 0 // unsupported queries whose pair scan decided the type
 	for trial := 0; trial < 15; trial++ {
 		db, _, _ := randomDB(rng, 5, 5, 30+rng.Intn(30), 0.35)
-		txs := db.Transactions()
+		txs := transactions(db)
 		for q := 0; q < 40; q++ {
 			a := txs[rng.Intn(len(txs))].Items
 			var c types.Itemset

@@ -136,9 +136,8 @@ func Classify(db *txdb.DB, complete types.Itemset) SupportType {
 // db.TIDs(complete, ·), the transactions containing complete. It
 // allocates nothing.
 func ClassifyTIDs(db *txdb.DB, complete types.Itemset, tids []txdb.TID) SupportType {
-	txs := db.Transactions()
 	for _, tid := range tids {
-		if txs[tid].Items.Equal(complete) {
+		if db.Tx(tid).Items.Equal(complete) {
 			return Explicit
 		}
 	}
@@ -146,9 +145,10 @@ func ClassifyTIDs(db *txdb.DB, complete types.Itemset, tids []txdb.TID) SupportT
 	// Only transactions containing the set can participate, and for
 	// two of them the intersection contains complete, so it equals
 	// complete iff they share exactly len(complete) items.
-	for i := 0; i < len(tids); i++ {
-		for j := i + 1; j < len(tids); j++ {
-			if sharesOnly(txs[tids[i]].Items, txs[tids[j]].Items, len(complete)) {
+	for i, ti := range tids {
+		a := db.Tx(ti).Items
+		for _, tj := range tids[i+1:] {
+			if sharesOnly(a, db.Tx(tj).Items, len(complete)) {
 				return Implicit
 			}
 		}

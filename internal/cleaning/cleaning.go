@@ -14,6 +14,7 @@ package cleaning
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -358,7 +359,7 @@ func Clean(reports []faers.Report, opts Options) ([]faers.Report, Stats) {
 }
 
 // Selection picks the raw reports cleaning takes in and the drugs it
-// takes of each. Cleaning applies it while its first pass copies the
+// takes of each. Cleaning applies it while its first pass reads the
 // reports, so no selected copy of them is made beforehand.
 type Selection struct {
 	// ExpeditedOnly takes only expedited reports (faers.FilterExpedited).
@@ -379,83 +380,158 @@ func clean(reports []faers.Report, opts Options, workers int) ([]faers.Report, S
 	return cleanSelected(reports, opts, Selection{}, workers)
 }
 
-// cleanSelected is CleanSelected on at most workers goroutines.
+// cleanSelected is CleanSelected on at most workers goroutines: the
+// reports of cleanIDs, named. Each keeps its raw fields (with no drug
+// roles under SuspectOnly), and its name lists are carved, capacity
+// capped, from one backing array.
 func cleanSelected(reports []faers.Report, opts Options, sel Selection, workers int) ([]faers.Report, Stats) {
+	c, st := cleanIDs(reports, opts, sel, workers)
+	out := make([]faers.Report, len(c.Kept))
+	names := make([]string, c.Items)
+	for k, src := range c.Kept {
+		r := reports[src]
+		if sel.SuspectOnly {
+			r.DrugRoles = nil
+		}
+		r.Drugs, names = nameRanks(names, c.Drugs, c.DrugRanks(k))
+		r.Reactions, names = nameRanks(names, c.Reactions, c.ReactionRanks(k))
+		out[k] = r
+	}
+	return out, st
+}
+
+// nameRanks writes the names of ranks to the front of buf and returns
+// them with the rest of buf.
+func nameRanks(buf, names []string, ranks []int32) (named, rest []string) {
+	named, rest = buf[:len(ranks):len(ranks)], buf[len(ranks):]
+	for j, r := range ranks {
+		named[j] = names[r]
+	}
+	return named, rest
+}
+
+// Cleaned is what cleaning keeps, in name-rank space: each domain's
+// cleaned names once, sorted, and every kept report as the ranks of
+// its names in that order. A report's ranks ascend, so they list its
+// names sorted, each once, as Clean does.
+type Cleaned struct {
+	// Drugs and Reactions are the cleaned names of each domain in
+	// sorted order; a name's rank is its index. They include names
+	// only dropped reports carry.
+	Drugs, Reactions []string
+	// Kept holds the input index of every kept report, in input order.
+	Kept []int32
+	// Items is the number of names the kept reports carry in all.
+	Items int
+
+	ranks []int32 // spans index it
+	spans []span  // one per kept report
+}
+
+// span is where one report's ranks lie in Cleaned.ranks: its drugs at
+// [lo, mid), its reactions at [mid, hi).
+type span struct{ lo, mid, hi int32 }
+
+// DrugRanks returns the drug ranks of kept report k, ascending.
+func (c *Cleaned) DrugRanks(k int) []int32 {
+	s := c.spans[k]
+	return c.ranks[s.lo:s.mid:s.mid]
+}
+
+// ReactionRanks returns the reaction ranks of kept report k, ascending.
+func (c *Cleaned) ReactionRanks(k int) []int32 {
+	s := c.spans[k]
+	return c.ranks[s.mid:s.hi:s.hi]
+}
+
+// CleanIDs is CleanSelected in name-rank space: the same reports kept,
+// with the same names and statistics, given by rank.
+func CleanIDs(reports []faers.Report, opts Options, sel Selection) (*Cleaned, Stats) {
+	return cleanIDs(reports, opts, sel, runtime.GOMAXPROCS(0))
+}
+
+// cleanIDs is CleanIDs on at most workers goroutines.
+func cleanIDs(reports []faers.Report, opts Options, sel Selection, workers int) (*Cleaned, Stats) {
 	opts = opts.normalized()
-	picked := make([]int32, 0, len(reports))
+	// Each picked report's span starts a region of ranks with room for
+	// all of its raw names.
+	in := input{reports: reports, suspect: sel.SuspectOnly,
+		picked: make([]int32, 0, len(reports)), spans: make([]span, 0, len(reports))}
+	size := int32(0)
 	for i := range reports {
-		if !sel.ExpeditedOnly || reports[i].Expedited() {
-			picked = append(picked, int32(i))
+		if r := &reports[i]; !sel.ExpeditedOnly || r.Expedited() {
+			in.picked = append(in.picked, int32(i))
+			in.spans = append(in.spans, span{lo: size})
+			size += int32(len(r.Drugs) + len(r.Reactions))
 		}
 	}
-	norm := make([]faers.Report, len(picked))
+	in.ranks = make([]int32, size)
+	picked := in.picked
 
-	// Pass 1: select, normalize strings and count name frequencies, in
-	// runs of reports. Names repeat across reports, so each worker
-	// normalizes and counts per distinct raw string; the counts are
+	// Pass 1: select, normalize and count name frequencies, in runs of
+	// reports. Names repeat across reports, so each worker normalizes
+	// and counts per distinct raw string, and records each occurrence
+	// as the index of its entry in the worker's tally; the counts are
 	// merged by summing.
-	tallies := make([]*tally, par.Workers(len(norm), workers))
-	par.DoRuns(len(norm), workers, func(w, lo, hi int) {
+	tallies := make([]*tally, par.Workers(len(picked), workers))
+	par.DoRuns(len(picked), workers, func(w, lo, hi int) {
 		if tallies[w] == nil {
 			tallies[w] = newTally()
 		}
-		tallies[w].normalize(reports, picked[lo:hi], norm[lo:hi], sel.SuspectOnly)
+		tallies[w].normalize(&in, lo, hi)
 	})
 	drugCounts, reacCounts := mergeCounts(tallies)
 
 	// Pass 2: spelling correction against the observed vocabulary,
-	// once per distinct name; the stats still count occurrences.
+	// once per distinct name, and each domain's surviving names sorted
+	// once.
 	var drugFixes, reacFixes map[string]string
 	if opts.SpellCorrect {
 		drugFixes = corrections(drugCounts, opts, workers)
 		reacFixes = corrections(reacCounts, opts, workers)
 	}
+	drugs, reacs := vocabularyOf(drugCounts, drugFixes), vocabularyOf(reacCounts, reacFixes)
 
-	// Pass 3: corrections and within-report dedup, report by report.
-	sums := make([]Stats, par.Workers(len(norm), workers))
-	par.DoRuns(len(norm), workers, func(w, lo, hi int) {
-		var st Stats
-		for i := lo; i < hi; i++ {
-			r := &norm[i]
-			st.DrugSpellingsFixed += applyFixes(r.Drugs, drugFixes)
-			st.ReacSpellingsFixed += applyFixes(r.Reactions, reacFixes)
-			before := len(r.Drugs)
-			r.Drugs = dedupSorted(r.Drugs)
-			st.WithinReportDupDrugs += before - len(r.Drugs)
-			before = len(r.Reactions)
-			r.Reactions = dedupSorted(r.Reactions)
-			st.WithinReportDupReacs += before - len(r.Reactions)
+	// Pass 3: entries to ranks, then within-report dedup, each worker
+	// over the runs its tally recorded. The stats count fixes per
+	// occurrence.
+	sums := make([]Stats, len(tallies))
+	par.Do(len(tallies), workers, func(_, w int) {
+		if tallies[w] != nil {
+			sums[w] = tallies[w].rank(&in, drugs, reacs)
 		}
-		sums[w].add(st)
 	})
-	st := Stats{ReportsIn: len(norm)}
+	st := Stats{ReportsIn: len(picked)}
 	for _, s := range sums {
 		st.add(s)
 	}
 
-	// Cross-report duplicate drop, in input order, compacting norm in
-	// place. Duplicates are keyed by case ID only: the same case
-	// reported through multiple channels or versions shares a caseid,
-	// while distinct patients legitimately produce identical
+	// Cross-report duplicate drop, in input order, compacting picked
+	// and spans in place. Duplicates are keyed by case ID only: the
+	// same case reported through multiple channels or versions shares
+	// a caseid, while distinct patients legitimately produce identical
 	// drug/reaction content.
-	seenCase := make(map[string]bool, len(norm))
-	out := norm[:0]
-	for _, r := range norm {
-		if len(r.Drugs) == 0 || len(r.Reactions) == 0 {
+	c := &Cleaned{Drugs: drugs.names, Reactions: reacs.names, ranks: in.ranks}
+	seenCase := make(map[string]bool, len(picked))
+	kept, spans := picked[:0], in.spans[:0]
+	for i, sp := range in.spans {
+		if sp.lo == sp.mid || sp.mid == sp.hi {
 			st.EmptyReports++
 			continue
 		}
-		if opts.DropDuplicateReports && r.CaseID != "" {
-			if seenCase[r.CaseID] {
+		if caseID := reports[picked[i]].CaseID; opts.DropDuplicateReports && caseID != "" {
+			if seenCase[caseID] {
 				st.DuplicateReports++
 				continue
 			}
-			seenCase[r.CaseID] = true
+			seenCase[caseID] = true
 		}
-		out = append(out, r)
+		kept, spans = append(kept, picked[i]), append(spans, sp)
+		c.Items += int(sp.hi - sp.lo)
 	}
-	st.ReportsOut = len(out)
-	return out, st
+	c.Kept, c.spans = kept, spans
+	st.ReportsOut = len(kept)
+	return c, st
 }
 
 // add sums the counters of o into s.
@@ -470,9 +546,23 @@ func (s *Stats) add(o Stats) {
 	s.WithinReportDupReacs += o.WithinReportDupReacs
 }
 
+// input is what the passes of cleanIDs share: the picked reports and,
+// for each, the span of ranks its names fill. Each run of reports
+// writes only its own spans.
+type input struct {
+	reports []faers.Report
+	picked  []int32
+	suspect bool
+	ranks   []int32
+	spans   []span
+}
+
 // tally is one worker's normalization pass over drug and reaction
-// names.
-type tally struct{ drugs, reacs nameTally }
+// names, with the runs of reports it took.
+type tally struct {
+	drugs, reacs nameTally
+	runs         [][2]int
+}
 
 func newTally() *tally {
 	return &tally{
@@ -495,8 +585,9 @@ type nameCount struct {
 	n    int
 }
 
-// add counts one occurrence of raw and returns its normalized form.
-func (t *nameTally) add(raw string) string {
+// add counts one occurrence of raw and returns its entry, or -1 if it
+// normalizes to nothing.
+func (t *nameTally) add(raw string) int32 {
 	i, ok := t.index[raw]
 	if !ok {
 		i = int32(len(t.entries))
@@ -504,7 +595,10 @@ func (t *nameTally) add(raw string) string {
 		t.index[raw] = i
 	}
 	t.entries[i].n++
-	return t.entries[i].norm
+	if t.entries[i].norm == "" {
+		return -1
+	}
+	return i
 }
 
 // countInto adds the occurrences of each normalized name to counts,
@@ -517,38 +611,66 @@ func (t *nameTally) countInto(counts map[string]int) {
 	}
 }
 
-// normalize writes the normalized form of each report of in that
-// picked names to the same position of out, dropping names that
-// normalize to nothing; with suspect it takes the report's suspect
-// drugs only and drops its drug roles. The run's name lists are carved,
-// capacity capped, from one backing array.
-func (t *tally) normalize(in []faers.Report, picked []int32, out []faers.Report, suspect bool) {
-	size := 0
-	for _, k := range picked {
-		size += len(in[k].Drugs) + len(in[k].Reactions)
-	}
-	names := make([]string, size)
-	for i, k := range picked {
-		r := &in[k]
-		n := *r
+// normalize records the picked reports [lo, hi) of in: each report's
+// span lists the tally entries of its drug names, then of its reaction
+// names, dropping names that normalize to nothing. With in.suspect it
+// takes the report's suspect drugs only.
+func (t *tally) normalize(in *input, lo, hi int) {
+	t.runs = append(t.runs, [2]int{lo, hi})
+	for i := lo; i < hi; i++ {
+		r := &in.reports[in.picked[i]]
 		drugs := r.Drugs
-		if suspect {
-			drugs, n.DrugRoles = r.SuspectDrugs(), nil
+		if in.suspect {
+			drugs = r.SuspectDrugs()
 		}
-		n.Drugs, names = names[:0:len(drugs)], names[len(drugs):]
+		sp := &in.spans[i]
+		k := sp.lo
 		for _, d := range drugs {
-			if nd := t.drugs.add(d); nd != "" {
-				n.Drugs = append(n.Drugs, nd)
+			if e := t.drugs.add(d); e >= 0 {
+				in.ranks[k], k = e, k+1
 			}
 		}
-		n.Reactions, names = names[:0:len(r.Reactions)], names[len(r.Reactions):]
+		sp.mid = k
 		for _, a := range r.Reactions {
-			if na := t.reacs.add(a); na != "" {
-				n.Reactions = append(n.Reactions, na)
+			if e := t.reacs.add(a); e >= 0 {
+				in.ranks[k], k = e, k+1
 			}
 		}
-		out[i] = n
+		sp.hi = k
 	}
+}
+
+// rank rewrites the spans of the runs t took from tally entries to
+// ranks in drugs and reacs, sorted and deduplicated, and returns the
+// fixes and within-report duplicates it met.
+func (t *tally) rank(in *input, drugs, reacs vocabulary) Stats {
+	var st Stats
+	drugRank, drugFixed := drugs.ranksOf(t.drugs.entries)
+	reacRank, reacFixed := reacs.ranksOf(t.reacs.entries)
+	st.DrugSpellingsFixed, st.ReacSpellingsFixed = drugFixed, reacFixed
+	for _, run := range t.runs {
+		for i := run[0]; i < run[1]; i++ {
+			sp := &in.spans[i]
+			d := rankSet(in.ranks[sp.lo:sp.mid], drugRank)
+			a := rankSet(in.ranks[sp.mid:sp.hi], reacRank)
+			st.WithinReportDupDrugs += int(sp.mid-sp.lo) - len(d)
+			st.WithinReportDupReacs += int(sp.hi-sp.mid) - len(a)
+			// The reactions move down to follow the deduplicated drugs.
+			sp.mid = sp.lo + int32(len(d))
+			sp.hi = sp.mid + int32(copy(in.ranks[sp.mid:], a))
+		}
+	}
+	return st
+}
+
+// rankSet maps the entries of s to ranks through rank, in place, and
+// returns them sorted and deduplicated.
+func rankSet(s, rank []int32) []int32 {
+	for j, e := range s {
+		s[j] = rank[e]
+	}
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // mergeCounts sums the workers' occurrences of each normalized name.
@@ -595,33 +717,46 @@ func corrections(counts map[string]int, opts Options, workers int) map[string]st
 	return fixes
 }
 
-// applyFixes replaces each name that fixes corrects, in place, and
-// returns how many it replaced.
-func applyFixes(names []string, fixes map[string]string) int {
-	if len(fixes) == 0 {
-		return 0
-	}
-	n := 0
-	for j, name := range names {
-		if fixed, ok := fixes[name]; ok {
-			names[j] = fixed
-			n++
-		}
-	}
-	return n
+// vocabulary is one domain's cleaned names, sorted, and the rank each
+// normalized name cleans to.
+type vocabulary struct {
+	names []string
+	rank  map[string]int32
+	fixes map[string]string
 }
 
-// dedupSorted sorts and deduplicates a string slice in place.
-func dedupSorted(s []string) []string {
-	if len(s) < 2 {
-		return s
-	}
-	sort.Strings(s)
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
+// vocabularyOf ranks the names of counts that no fix changes. A fix
+// always leads to such a name: the corrector snaps only to canonical
+// names, which it never changes.
+func vocabularyOf(counts map[string]int, fixes map[string]string) vocabulary {
+	v := vocabulary{names: make([]string, 0, len(counts)), rank: make(map[string]int32, len(counts)), fixes: fixes}
+	for name := range counts {
+		if _, fixed := fixes[name]; !fixed {
+			v.names = append(v.names, name)
 		}
 	}
-	return out
+	slices.Sort(v.names)
+	for r, name := range v.names {
+		v.rank[name] = int32(r)
+	}
+	return v
+}
+
+// ranksOf returns the rank each tally entry cleans to (0 for entries
+// that normalize to nothing, which no span holds) and the occurrences
+// of the entries a fix changes.
+func (v vocabulary) ranksOf(entries []nameCount) (ranks []int32, fixed int) {
+	ranks = make([]int32, len(entries))
+	for e, nc := range entries {
+		if nc.norm == "" {
+			continue
+		}
+		name := nc.norm
+		if f, ok := v.fixes[nc.norm]; ok {
+			name = f
+			fixed += nc.n
+		}
+		ranks[e] = v.rank[name]
+	}
+	return ranks, fixed
 }

@@ -334,6 +334,12 @@ func referenceClean(reports []faers.Report, opts Options) ([]faers.Report, Stats
 	return out, st
 }
 
+// dedupSorted sorts and deduplicates a string slice in place.
+func dedupSorted(s []string) []string {
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
 // Memoizing per distinct name must not change what Clean returns or
 // what its stats count, on a quarter with injected misspellings.
 func TestCleanMatchesPerOccurrenceReference(t *testing.T) {

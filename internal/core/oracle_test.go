@@ -88,8 +88,8 @@ func oracleSignals(t testing.TB, db *txdb.DB, opts Options) []oracleSignal {
 		}
 	}
 	txs := make([]uint32, db.Len())
-	for i, tx := range db.Transactions() {
-		for _, it := range tx.Items {
+	for i := range txs {
+		for _, it := range db.Tx(txdb.TID(i)).Items {
 			txs[i] |= 1 << it
 		}
 	}

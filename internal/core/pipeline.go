@@ -8,9 +8,12 @@
 // worker whose memos it merges back; cluster construction reads it,
 // through one read-only fork per worker when it runs in parallel.
 // Cleaning, mining, rule generation, cluster construction and linking
-// fan out over GOMAXPROCS workers (package par); encoding (the
-// dictionary issues IDs in first-seen order) and ranking are serial,
-// and the output does not depend on the worker count. FP-Growth runs
+// fan out over GOMAXPROCS workers (package par); encoding and ranking
+// are serial, and the output does not depend on the worker count.
+// Cleaning hands encoding each domain's names once, sorted, and the
+// kept reports as name ranks, so encoding interns each distinct name
+// once (the dictionary issues IDs in first-seen order) and fills the
+// transaction DB's one item slab. FP-Growth runs
 // only when Options.CountRules asks for the full frequent-itemset space
 // of Fig 5.1. The tests hold Run to a by-definition oracle of the
 // whole pipeline: closure as intent(extent(S)) over every itemset,
@@ -227,11 +230,11 @@ func EncodeReports(reports []faers.Report, opts Options) (*txdb.DB, cleaning.Sta
 // obs.Do unit (see run).
 func encodeReports(ctx context.Context, reports []faers.Report, opts Options) (*txdb.DB, cleaning.Stats, error) {
 	var (
-		cleaned []faers.Report
+		cleaned *cleaning.Cleaned
 		cstats  cleaning.Stats
 	)
 	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageClean, func(_ context.Context, st *obs.Stage) {
-		cleaned, cstats = cleaning.CleanSelected(reports, opts.Cleaning, cleaning.Selection{
+		cleaned, cstats = cleaning.CleanIDs(reports, opts.Cleaning, cleaning.Selection{
 			ExpeditedOnly: opts.ExpeditedOnly,
 			SuspectOnly:   opts.SuspectOnly,
 		})
@@ -240,28 +243,79 @@ func encodeReports(ctx context.Context, reports []faers.Report, opts Options) (*
 		st.Count("duplicates_removed", int64(cstats.DuplicateReports))
 		st.Count("spellings_fixed", int64(cstats.DrugSpellingsFixed+cstats.ReacSpellingsFixed))
 	}, obs.LabelStage, StageClean)
-	if len(cleaned) == 0 {
+	if len(cleaned.Kept) == 0 {
 		return nil, cstats, fmt.Errorf("core: no usable reports after cleaning (in=%d)", cstats.ReportsIn)
 	}
-	var db *txdb.DB
+	var (
+		db  *txdb.DB
+		err error
+	)
 	obs.Do(ctx, opts.Tracer, obs.StageSpanPrefix+StageEncode, func(_ context.Context, st *obs.Stage) {
-		dict := types.NewDictionary()
-		db = txdb.New(dict)
-		for _, r := range cleaned {
-			items := make(types.Itemset, 0, len(r.Drugs)+len(r.Reactions))
-			for _, d := range r.Drugs {
-				items = append(items, dict.Intern(d, types.DomainDrug))
-			}
-			for _, a := range r.Reactions {
-				items = append(items, dict.Intern(a, types.DomainReaction))
-			}
-			db.Add(r.PrimaryID, items)
+		if db, err = encode(reports, cleaned); err == nil {
+			st.Count("transactions", int64(db.Len()))
+			st.Count("dictionary_items", int64(db.Dict().Len()))
 		}
-		db.Freeze()
-		st.Count("transactions", int64(db.Len()))
-		st.Count("dictionary_items", int64(dict.Len()))
 	}, obs.LabelStage, StageEncode)
-	return db, cstats, nil
+	return db, cstats, err
+}
+
+// encode builds the frozen transaction DB of the reports cleaning kept.
+// It walks them in order and interns each name the first time it meets
+// its rank, so items are issued in first-seen order, and within a
+// report drugs before reactions, each by name: the order interning
+// every occurrence of the named reports gives. A name that cleans to
+// both a drug and a reaction is an error: the vocabularies must be
+// disjoint (types.Dictionary.Intern).
+func encode(reports []faers.Report, c *cleaning.Cleaned) (*txdb.DB, error) {
+	dict := types.NewDictionarySized(len(c.Drugs) + len(c.Reactions))
+	db := txdb.NewSized(dict, len(c.Kept), c.Items)
+	drugs := newInterner(dict, c.Drugs, types.DomainDrug)
+	reacs := newInterner(dict, c.Reactions, types.DomainReaction)
+	var items types.Itemset
+	for k, src := range c.Kept {
+		var err error
+		if items, err = drugs.append(items[:0], c.DrugRanks(k)); err != nil {
+			return nil, err
+		}
+		if items, err = reacs.append(items, c.ReactionRanks(k)); err != nil {
+			return nil, err
+		}
+		db.Add(reports[src].PrimaryID, items)
+	}
+	db.Freeze()
+	return db, nil
+}
+
+// interner issues the items of one domain's cleaned names, by rank.
+type interner struct {
+	dict  *types.Dictionary
+	names []string
+	dom   types.Domain
+	items []types.Item // by rank, NoItem until issued
+}
+
+func newInterner(dict *types.Dictionary, names []string, dom types.Domain) *interner {
+	in := &interner{dict: dict, names: names, dom: dom, items: make([]types.Item, len(names))}
+	for r := range in.items {
+		in.items[r] = types.NoItem
+	}
+	return in
+}
+
+// append appends to items the item of each rank, interning its name
+// on first sight.
+func (in *interner) append(items types.Itemset, ranks []int32) (types.Itemset, error) {
+	for _, r := range ranks {
+		if in.items[r] == types.NoItem {
+			name := in.names[r]
+			if in.dict.Lookup(name) != types.NoItem {
+				return nil, fmt.Errorf("core: %q cleans to both a drug and a reaction", name)
+			}
+			in.items[r] = in.dict.Intern(name, in.dom)
+		}
+		items = append(items, in.items[r])
+	}
+	return items, nil
 }
 
 // Run executes the full pipeline over raw reports.

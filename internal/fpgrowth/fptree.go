@@ -123,8 +123,8 @@ func (t *tree) conditional(it types.Item) *tree {
 func buildInitial(db *txdb.DB, minsup int) *tree {
 	// Global item frequencies.
 	freq := make(map[types.Item]int)
-	for _, tx := range db.Transactions() {
-		for _, it := range tx.Items {
+	for t := range txdb.TID(db.Len()) {
+		for _, it := range db.Tx(t).Items {
 			freq[it]++
 		}
 	}
@@ -148,9 +148,9 @@ func buildInitial(db *txdb.DB, minsup int) *tree {
 
 	t := newTree(order, minsup)
 	var path []types.Item
-	for _, tx := range db.Transactions() {
+	for tid := range txdb.TID(db.Len()) {
 		path = path[:0]
-		for _, it := range tx.Items {
+		for _, it := range db.Tx(tid).Items {
 			if _, ok := order[it]; ok {
 				path = append(path, it)
 			}

@@ -41,8 +41,8 @@ func buildDB(t testing.TB, txs [][]int) *txdb.DB {
 // enumeration over the item universe (exponential; tests only).
 func bruteFrequent(db *txdb.DB, minsup, maxLen int) map[string]int {
 	universe := map[types.Item]bool{}
-	for _, tx := range db.Transactions() {
-		for _, it := range tx.Items {
+	for t := range txdb.TID(db.Len()) {
+		for _, it := range db.Tx(t).Items {
 			universe[it] = true
 		}
 	}

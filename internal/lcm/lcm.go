@@ -164,20 +164,20 @@ func newSpace(db *txdb.DB) *space {
 		}
 		sp.ids[rank[it]] = types.Item(it)
 	}
-	txs := db.Transactions()
 	total := 0
-	for _, tx := range txs {
-		total += len(tx.Items)
+	for t := range txdb.TID(db.Len()) {
+		total += len(db.Tx(t).Items)
 	}
 	sp.items = make([]types.Item, 0, total)
-	sp.offs = make([]int32, len(txs)+1)
-	for t, tx := range txs {
-		for _, it := range tx.Items {
+	sp.offs = make([]int32, db.Len()+1)
+	for t := range txdb.TID(db.Len()) {
+		tx := db.Tx(t).Items
+		for _, it := range tx {
 			if r := rank[it]; r < sp.nDrugs {
 				sp.items = append(sp.items, r)
 			}
 		}
-		for _, it := range tx.Items {
+		for _, it := range tx {
 			if r := rank[it]; r >= sp.nDrugs {
 				sp.items = append(sp.items, r)
 			}

@@ -52,8 +52,8 @@ func BenchmarkTIDs(b *testing.B) {
 	}
 	for _, name := range []string{"sparse", "mixed", "long-mixed", "dense"} {
 		var sets []types.Itemset
-		for _, tx := range db.Transactions() {
-			tx.Items.SubsetsOfSize(3, func(s types.Itemset) bool {
+		for tid := range TID(db.Len()) {
+			db.Tx(tid).Items.SubsetsOfSize(3, func(s types.Itemset) bool {
 				if classes[name](s) && len(sets) < 512 {
 					sets = append(sets, s.Clone())
 				}

@@ -14,8 +14,8 @@ import (
 // transaction.
 func scanTIDs(db *DB, set types.Itemset) []TID {
 	var out []TID
-	for i, tx := range db.Transactions() {
-		if tx.Items.ContainsAll(set) {
+	for i := range db.Len() {
+		if db.Tx(TID(i)).Items.ContainsAll(set) {
 			out = append(out, TID(i))
 		}
 	}

@@ -1,8 +1,11 @@
 // Package txdb holds the transaction database the miners run against:
 // one transaction per cleaned adverse-event report, each the union of
-// the report's drug items and reaction items. Alongside the horizontal
-// layout it keeps a vertical one: per-item posting lists (sorted
-// transaction-ID lists), which give exact support counts for arbitrary
+// the report's drug items and reaction items. The horizontal layout is
+// compressed sparse rows: the items of every transaction lie in one
+// slab with offsets, so a DB holds no slice header per transaction.
+// Alongside it Freeze builds a vertical one: per-item posting lists
+// (sorted transaction-ID lists, windows of one TID slab counted to
+// size in one pass), which give exact support counts for arbitrary
 // itemsets by k-way intersection — the primitive that rule scoring,
 // contextual-rule scoring (package mcac/rank) and support-type
 // classification rely on.
@@ -49,66 +52,135 @@ type Transaction struct {
 
 // posting is one item's vertical entry: its sorted TID list and, for
 // items dense enough after Freeze, a bitmap with bit t set iff
-// transaction t contains the item.
+// transaction t contains the item. Both are capped windows of one
+// slab the DB shares among all items.
 type posting struct {
 	tids []TID
 	bits []uint64
 }
 
-// DB is an immutable-after-Freeze transaction database.
+// DB is an immutable-after-Freeze transaction database in CSR form:
+// the items of every transaction lie in one slab, transaction t at
+// items[offs[t]:offs[t+1]], and the posting lists, built by Freeze,
+// in another.
 type DB struct {
 	dict     *types.Dictionary
-	txs      []Transaction
-	postings []posting // indexed by item
+	items    []types.Item
+	offs     []int32 // len Len()+1
+	ids      []string
+	span     int       // one past the largest item any transaction holds
+	postings []posting // indexed by item, over the first indexed transactions
+	indexed  int
 	frozen   bool
 }
 
 // New returns an empty DB over dict.
-func New(dict *types.Dictionary) *DB {
-	return &DB{dict: dict, postings: make([]posting, dict.Len())}
+func New(dict *types.Dictionary) *DB { return NewSized(dict, 0, 0) }
+
+// NewSized returns an empty DB over dict with room for txs
+// transactions holding items items in all. The sizes are hints: a DB
+// outgrowing them grows as New's does.
+func NewSized(dict *types.Dictionary, txs, items int) *DB {
+	return &DB{
+		dict:  dict,
+		items: make([]types.Item, 0, items),
+		offs:  make([]int32, 1, txs+1),
+		ids:   make([]string, 0, txs),
+	}
 }
 
 // Dict returns the dictionary the DB encodes against.
 func (db *DB) Dict() *types.Dictionary { return db.dict }
 
-// Add appends a transaction. The itemset is normalized defensively.
-// Add panics after Freeze: the posting lists are shared read-only by
-// then and appending would silently corrupt support counts.
+// Add appends a transaction. The itemset is copied into the DB and
+// normalized there. Add panics after Freeze: the posting lists are
+// shared read-only by then and would no longer count the transaction.
 func (db *DB) Add(reportID string, items types.Itemset) TID {
 	if db.frozen {
 		panic("txdb: Add after Freeze")
 	}
-	items = items.Clone().Normalize()
-	tid := TID(len(db.txs))
-	db.txs = append(db.txs, Transaction{ReportID: reportID, Items: items})
-	if len(items) > 0 {
-		if top := int(items[len(items)-1]); top >= len(db.postings) {
-			db.postings = append(db.postings, make([]posting, top+1-len(db.postings))...)
-		}
+	lo := len(db.items)
+	db.items = append(db.items, items...)
+	tx := types.Itemset(db.items[lo:]).Normalize()
+	db.items = db.items[:lo+len(tx)]
+	if len(tx) > 0 {
+		db.span = max(db.span, int(tx[len(tx)-1])+1)
 	}
-	for _, it := range items {
-		p := &db.postings[it]
-		p.tids = append(p.tids, tid)
-	}
-	return tid
+	db.offs = append(db.offs, int32(len(db.items)))
+	db.ids = append(db.ids, reportID)
+	return TID(len(db.ids) - 1)
 }
 
-// Freeze marks the DB read-only and builds the bitmaps of the dense
-// items (see denseMin). Posting lists are already sorted by
-// construction (TIDs are appended in increasing order).
+// Freeze marks the DB read-only and builds its postings, bitmaps
+// included.
 func (db *DB) Freeze() {
-	if db.frozen {
+	if !db.frozen {
+		db.build(true)
+		db.frozen = true
+	}
+}
+
+// index returns the posting entries, indexed by item. A DB not yet
+// frozen builds them, without bitmaps, whenever transactions were
+// added since the last build, so it can be queried while it loads; a
+// frozen DB only reads them, so its readers may share it.
+func (db *DB) index() []posting {
+	if !db.frozen && db.indexed != db.Len() {
+		db.build(false)
+	}
+	return db.postings
+}
+
+// build makes the postings of every transaction: it counts each item's
+// occurrences in one pass over the slab and fills one exact-size TID
+// slab in a second (TIDs ascend, so every list comes out sorted). With
+// bitmaps it gives the dense items (see denseMin) bitmaps carved from
+// one word slab.
+func (db *DB) build(bitmaps bool) {
+	db.indexed = db.Len()
+	// next[i] starts as where item i's list begins in tids and advances
+	// as the list fills, so afterwards it is where the list ends.
+	next := make([]int32, max(db.dict.Len(), db.span)+1)
+	for _, it := range db.items {
+		next[it+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	tids := make([]TID, len(db.items))
+	for t := range db.ids {
+		for _, it := range db.items[db.offs[t]:db.offs[t+1]] {
+			tids[next[it]] = TID(t)
+			next[it]++
+		}
+	}
+	n := db.Len()
+	words, minLen := (n+63)/64, denseMin(n)
+	db.postings = make([]posting, len(next)-1)
+	dense := 0
+	for i := range db.postings {
+		lo, hi := int32(0), next[i]
+		if i > 0 {
+			lo = next[i-1]
+		}
+		if lo == hi {
+			continue
+		}
+		db.postings[i].tids = tids[lo:hi:hi]
+		if int(hi-lo) >= minLen {
+			dense++
+		}
+	}
+	if !bitmaps {
 		return
 	}
-	db.frozen = true
-	n := len(db.txs)
-	words, minLen := (n+63)/64, denseMin(n)
+	slab := make([]uint64, dense*words)
 	for i := range db.postings {
 		p := &db.postings[i]
 		if len(p.tids) == 0 || len(p.tids) < minLen {
 			continue
 		}
-		p.bits = make([]uint64, words)
+		p.bits, slab = slab[:words:words], slab[words:]
 		for _, t := range p.tids {
 			p.bits[t>>6] |= 1 << (uint(t) & 63)
 		}
@@ -121,21 +193,23 @@ func (db *DB) Freeze() {
 func denseMin(n int) int { return (n + 31) / 32 }
 
 // Len returns the number of transactions.
-func (db *DB) Len() int { return len(db.txs) }
+func (db *DB) Len() int { return len(db.ids) }
 
-// Tx returns the transaction with the given ID.
-func (db *DB) Tx(tid TID) Transaction { return db.txs[tid] }
-
-// Transactions returns the backing slice; callers must not mutate it.
-func (db *DB) Transactions() []Transaction { return db.txs }
+// Tx returns the transaction with the given ID. Its Items are a window
+// of the DB's slab: callers must not mutate them.
+func (db *DB) Tx(tid TID) Transaction {
+	lo, hi := db.offs[tid], db.offs[tid+1]
+	return Transaction{ReportID: db.ids[tid], Items: db.items[lo:hi:hi]}
+}
 
 // posting returns the vertical entry of it, nil if it is beyond every
 // item the DB has seen.
 func (db *DB) posting(it types.Item) *posting {
-	if uint(it) >= uint(len(db.postings)) {
+	ps := db.index()
+	if uint(it) >= uint(len(ps)) {
 		return nil
 	}
-	return &db.postings[it]
+	return &ps[it]
 }
 
 // ItemSupport returns the number of transactions containing it.
@@ -158,7 +232,7 @@ func (db *DB) Postings(it types.Item) []TID {
 // every transaction.
 func (db *DB) Support(set types.Itemset) int {
 	if len(set) == 0 {
-		return len(db.txs)
+		return db.Len()
 	}
 	var stack [maxStackItems]*posting
 	lists := db.order(set, stack[:0])
@@ -197,7 +271,7 @@ const maxStackItems = 16
 func (db *DB) TIDs(set types.Itemset, buf []TID) []TID {
 	buf = buf[:0]
 	if len(set) == 0 {
-		for i := range db.txs {
+		for i := range db.ids {
 			buf = append(buf, TID(i))
 		}
 		return buf
@@ -367,10 +441,10 @@ type Stats struct {
 // Stats scans the DB and reports Table 5.1-style dataset statistics.
 func (db *DB) Stats() Stats {
 	var s Stats
-	s.Reports = len(db.txs)
+	s.Reports = db.Len()
 	var totDrug, totReac int
-	for i := range db.postings {
-		n := len(db.postings[i].tids)
+	for i, p := range db.index() {
+		n := len(p.tids)
 		if n == 0 {
 			continue
 		}

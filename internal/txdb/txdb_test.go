@@ -3,6 +3,7 @@ package txdb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"maras/internal/types"
@@ -94,6 +95,60 @@ func TestAddAfterFreezePanics(t *testing.T) {
 	db.Add("late", types.NewItemset(items["d1"]))
 }
 
+// Freeze counts and fills every item's postings from the slab: each
+// list must equal a scan over Tx, for items that occur, items interned
+// but never added, and items beyond the dictionary, on an empty DB
+// and whether NewSized's hints were too small, exact or too large
+// (they set capacity only).
+func TestFreezeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for trial := range 40 {
+		dict := types.NewDictionary()
+		nItems := 1 + rng.Intn(40)
+		for i := range nItems {
+			dict.Intern(fmt.Sprint("i", i), types.Domain(i%2))
+		}
+		n := []int{0, 1, 7, 64, 65, 300}[trial%6]
+		txs := make([]types.Itemset, n)
+		total := 0
+		for t := range txs {
+			for range rng.Intn(8) {
+				// Skewed, so some items are dense, and now and then an
+				// item the dictionary never issued.
+				txs[t] = append(txs[t], types.Item(rng.Intn(1+rng.Intn(nItems+2))))
+			}
+			total += len(txs[t])
+		}
+		hint := []int{0, 1, 2, 4}[trial%4] // ×½: too small ... ×2: too large
+		db := NewSized(dict, n*hint/2, total*hint/2)
+		for i, tx := range txs {
+			db.Add(fmt.Sprint("r", i), tx)
+		}
+		db.Freeze()
+		if db.Len() != n {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, db.Len(), n)
+		}
+		for it := range types.Item(nItems + 3) {
+			var want []TID
+			for tid := range TID(db.Len()) {
+				if db.Tx(tid).Items.Contains(it) {
+					want = append(want, tid)
+				}
+			}
+			got := db.Postings(it)
+			if !slices.Equal(got, want) || (got == nil) != (want == nil) || db.ItemSupport(it) != len(want) {
+				t.Fatalf("trial %d: item %d postings %v, scan %v", trial, it, got, want)
+			}
+		}
+		for tid, tx := range txs {
+			got := db.Tx(TID(tid))
+			if got.ReportID != fmt.Sprint("r", tid) || !got.Items.Equal(tx.Clone().Normalize()) {
+				t.Fatalf("trial %d: Tx(%d) = %v, added %v", trial, tid, got, tx)
+			}
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	db, _ := buildTiny(t)
 	s := db.Stats()
@@ -162,8 +217,8 @@ func TestSupportMatchesBruteForce(t *testing.T) {
 			}
 			query = query.Normalize()
 			want := 0
-			for _, tx := range db.Transactions() {
-				if tx.Items.ContainsAll(query) {
+			for tid := range TID(db.Len()) {
+				if db.Tx(tid).Items.ContainsAll(query) {
 					want++
 				}
 			}

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,7 +35,7 @@ func (s Itemset) Normalize() Itemset {
 	if len(s) < 2 {
 		return s
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	out := s[:1]
 	for _, it := range s[1:] {
 		if it != out[len(out)-1] {

@@ -32,6 +32,23 @@ func TestNewItemsetNormalizes(t *testing.T) {
 	}
 }
 
+// Normalize sorts in place: it allocates nothing, whatever the order
+// and repeats of its input.
+func TestNormalizeNoAllocs(t *testing.T) {
+	in := Itemset{9, 1, 9, 1, 5, 30, 2, 2, 17, 4}
+	buf := make(Itemset, len(in))
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(buf, in)
+		buf.Normalize()
+	})
+	if allocs != 0 {
+		t.Fatalf("Normalize allocates %v times per call", allocs)
+	}
+	if got := in.Clone().Normalize(); !got.Equal(Itemset{1, 2, 4, 5, 9, 17, 30}) {
+		t.Fatalf("Normalize = %v", got)
+	}
+}
+
 func TestContains(t *testing.T) {
 	s := set(2, 4, 6, 8)
 	for _, it := range []Item{2, 4, 6, 8} {
