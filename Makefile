@@ -42,14 +42,17 @@ bench:
 ## fuzz: mutate the snapshot decoder (as is, then with the CRC resealed
 ## after each mutation so it reaches the section parsers), the txdb
 ## support counter, the closed-set miner, the watchlist snapshot reader,
-## the FAERS table readers, the failpoint spec grammar, the
+## the support-type classifier, the FAERS table readers, the failpoint spec grammar, the
 ## /debug/events query parser, the replica inventory decoder, report
 ## cleaning, the snapshot manifest reader, then the whole pipeline, each for
 ## FUZZTIME (default 30s). The decoder's seeds cover valid v1/v2/v3 snapshots, truncations,
 ## CRC-breaking bit flips and crafted resealed files; any input outside
 ## the three typed errors fails. FuzzTIDs builds a DB and a query from the bytes and checks
 ## TIDs against a linear scan. FuzzMineClosed builds a small DB, support
-## and length bound and checks lcm against a by-definition oracle.
+## and length bound and checks lcm, occurrences and closed bits
+## included, against a by-definition oracle. FuzzClassify builds a
+## small DB and a query and checks the support classifier against
+## Definitions 3.3.1-3.3.2 over every subset of containing reports.
 ## FuzzWatchlistDecode accepts only typed errors or files that
 ## round-trip through the watchlist encoder. FuzzReadTables feeds the
 ## FAERS DEMO/DRUG/REAC/OUTC readers and accepts an error or rows that
@@ -82,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeResealed$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/txdb -run '^$$' -fuzz '^FuzzTIDs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lcm -run '^$$' -fuzz '^FuzzMineClosed$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/assoc -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/watch -run '^$$' -fuzz '^FuzzWatchlistDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faers -run '^$$' -fuzz '^FuzzReadTables$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzFailpointSpec$$' -fuzztime $(FUZZTIME)

@@ -99,6 +99,18 @@ func (r *Rule) setRatios(n int) {
 
 // SupportType classifies how a drug-ADR association is supported by
 // the reports (Section 3.3).
+//
+// Definition 3.3.2 asks for the exact intersection of "at least two"
+// reports, not of a pair: three reports can meet in a set that no two
+// of them meet in ({a,b,c,x,y}, {a,b,c,x,z} and {a,b,c,y,z} meet in
+// {a,b,c}; each pair shares four items). If some reports meet exactly
+// in S, so do all the reports containing S, since their intersection
+// lies between S and that of the few. So S is implicitly supported
+// exactly when it is the intersection of every report containing it,
+// intent(extent(S)) in formal-concept terms, and at least two reports
+// contain it. A closed itemset is that intersection by definition,
+// which is Lemma 3.4.2: a closed complete itemset is explicitly or
+// implicitly supported.
 type SupportType uint8
 
 const (
@@ -133,48 +145,84 @@ func Classify(db *txdb.DB, complete types.Itemset) SupportType {
 }
 
 // ClassifyTIDs is Classify for a caller that already holds tids =
-// db.TIDs(complete, ·), the transactions containing complete. It
-// allocates nothing.
+// db.TIDs(complete, ·), the transactions containing complete. It is
+// the general classifier, for any set: a pass over the transactions'
+// lengths, then one over their items, repeated only for each further
+// 64 items of the shortest, with an early exit; it allocates nothing.
+// A caller that mined complete as a closed set knows more and needs
+// only ClassifyClosed.
 func ClassifyTIDs(db *txdb.DB, complete types.Itemset, tids []txdb.TID) SupportType {
-	for _, tid := range tids {
-		if db.Tx(tid).Items.Equal(complete) {
+	// Explicit: a containing transaction holds nothing else. The
+	// shortest one seeds the intersection.
+	seed := -1
+	for i, tid := range tids {
+		n := len(db.Tx(tid).Items)
+		if n == len(complete) {
+			return Explicit
+		}
+		if seed < 0 || n < len(db.Tx(tids[seed]).Items) {
+			seed = i
+		}
+	}
+	if len(tids) < 2 {
+		return Unsupported
+	}
+	// Implicit: no item of the seed outside complete lies in every
+	// containing transaction. The seed is checked in windows of 64
+	// items, one bit each, and a window is done once every bit of an
+	// item outside complete is cleared.
+	items := db.Tx(tids[seed]).Items
+	for lo := 0; lo < len(items); lo += 64 {
+		window := items[lo:min(lo+64, len(items))]
+		live := ^present(window, complete) & (^uint64(0) >> (64 - len(window)))
+		for i := 0; i < len(tids) && live != 0; i++ {
+			if i != seed {
+				live &= present(window, db.Tx(tids[i]).Items)
+			}
+		}
+		if live != 0 {
+			return Unsupported
+		}
+	}
+	return Implicit
+}
+
+// present returns a bitmask of the items of window (sorted, at most
+// 64) that the sorted set s holds: bit k for window[k].
+func present(window, s types.Itemset) uint64 {
+	var bits uint64
+	j := 0
+	for k, it := range window {
+		for j < len(s) && s[j] < it {
+			j++
+		}
+		if j == len(s) {
+			break
+		}
+		if s[j] == it {
+			bits |= 1 << k
+		}
+	}
+	return bits
+}
+
+// ClassifyClosed types a set of k items from what a closed miner
+// delivers with it: its occurrence, the ascending TIDs of the
+// transactions containing it, and whether it is closed, that is equal
+// to the intersection of those transactions. It is Explicit when some
+// transaction of the occurrence holds exactly k items, Implicit when
+// it is not but is closed and occurs at least twice, and Unsupported
+// otherwise; for the sets and occurrences a closed miner emits, that
+// is ClassifyTIDs' answer, with a length check per TID. It allocates
+// nothing.
+func ClassifyClosed(db *txdb.DB, k int, occ []txdb.TID, closed bool) SupportType {
+	for _, tid := range occ {
+		if len(db.Tx(tid).Items) == k {
 			return Explicit
 		}
 	}
-	// Implicit: complete == (t1.D ∪ t1.A) ∩ (t2.D ∪ t2.A) for some pair.
-	// Only transactions containing the set can participate, and for
-	// two of them the intersection contains complete, so it equals
-	// complete iff they share exactly len(complete) items.
-	for i, ti := range tids {
-		a := db.Tx(ti).Items
-		for _, tj := range tids[i+1:] {
-			if sharesOnly(a, db.Tx(tj).Items, len(complete)) {
-				return Implicit
-			}
-		}
+	if closed && len(occ) >= 2 {
+		return Implicit
 	}
 	return Unsupported
-}
-
-// sharesOnly reports whether the normalized itemsets a and b have
-// exactly k items in common, stopping as soon as they share more.
-func sharesOnly(a, b types.Itemset, k int) bool {
-	shared := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			shared++
-			if shared > k {
-				return false
-			}
-			i++
-			j++
-		}
-	}
-	return shared == k
 }

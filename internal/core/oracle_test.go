@@ -12,6 +12,7 @@ import (
 	"maras/internal/assoc"
 	"maras/internal/faers"
 	"maras/internal/rank"
+	"maras/internal/synth"
 	"maras/internal/txdb"
 	"maras/internal/types"
 )
@@ -205,10 +206,72 @@ func setMask(s types.Itemset) uint32 {
 	return x
 }
 
+// oracleLink computes by definition how Run links the target x (an
+// item bitmask) to the reports of db (the output of EncodeReports) and
+// of raw, the reports it was encoded from:
+//
+//   - its support type: Explicit when some transaction equals x
+//     (Def 3.3.1); Implicit when the transactions of some subset of at
+//     least two that contain x intersect exactly in x (Def 3.3.2). The
+//     intersections of every such subset are enumerated as a set of
+//     distinct masks, one containing transaction at a time: each joins
+//     every subset so far, and starts one of its own;
+//   - its report IDs: the primary IDs of the transactions containing
+//     x, from a scan, sorted;
+//   - its serious share: the fraction of those IDs that some raw
+//     report with a severe outcome carries.
+func oracleLink(db *txdb.DB, raw []faers.Report, x uint32) (assoc.SupportType, []string, float64) {
+	serious := map[string]bool{}
+	for i := range raw {
+		if len(raw[i].Outcomes) > 0 {
+			serious[raw[i].PrimaryID] = true
+		}
+	}
+	st := assoc.Unsupported
+	single := map[uint32]bool{} // intersections of one transaction
+	multi := map[uint32]bool{}  // of at least two
+	var ids []string
+	nSerious := 0
+	for tid := range db.Len() {
+		tx := db.Tx(txdb.TID(tid))
+		m := setMask(tx.Items)
+		if m&x != x {
+			continue
+		}
+		ids = append(ids, tx.ReportID)
+		if serious[tx.ReportID] {
+			nSerious++
+		}
+		if m == x {
+			st = assoc.Explicit
+		}
+		var joined []uint32
+		for _, sets := range []map[uint32]bool{single, multi} {
+			for in := range sets {
+				joined = append(joined, in&m)
+			}
+		}
+		for _, in := range joined {
+			multi[in] = true
+		}
+		single[m] = true
+	}
+	if st != assoc.Explicit && multi[x] {
+		st = assoc.Implicit
+	}
+	slices.Sort(ids)
+	share := 0.0
+	if len(ids) > 0 {
+		share = float64(nSerious) / float64(len(ids))
+	}
+	return st, ids, share
+}
+
 // checkAgainstOracle runs the pipeline at GOMAXPROCS 1 and 4 and
 // compares it signal for signal with oracleSignals: names, supports,
 // target measures and every level's rules exactly, scores within
-// oracleTol. Signals whose oracle scores lie within oracleTol of their
+// oracleTol, and with oracleLink: support type, report IDs and serious
+// share. Signals whose oracle scores lie within oracleTol of their
 // neighbours form a tie group, and the pipeline may order a tie group
 // any way. It returns the number of signals compared.
 func checkAgainstOracle(t *testing.T, label string, reports []faers.Report, opts Options) int {
@@ -266,6 +329,11 @@ func checkAgainstOracle(t *testing.T, label string, reports []faers.Report, opts
 			if err := matchRule(tgt, w.target); err != nil {
 				t.Fatalf("%s: target %v", where, err)
 			}
+			st, ids, share := oracleLink(db, reports, w.target.ant|w.target.con)
+			if s.SupportType != st || !slices.Equal(s.ReportIDs, ids) || s.SeriousShare != share {
+				t.Fatalf("%s: %s, reports %v, serious share %v; oracle %s, %v, %v",
+					where, s.SupportType, s.ReportIDs, s.SeriousShare, st, ids, share)
+			}
 			if len(s.Cluster.Levels) != len(w.levels) {
 				t.Fatalf("%s: %d levels, oracle %d", where, len(s.Cluster.Levels), len(w.levels))
 			}
@@ -308,6 +376,41 @@ func matchRule(got assoc.Rule, want oracleRule) error {
 	return nil
 }
 
+// TestClosedTargetsAreSupported checks Lemma 3.4.2 through the whole
+// pipeline on a synthetic quarter too large for the oracle: without a
+// length cap every target is a closed set, so no signal is
+// unsupported, and each signal's type is the one the general
+// classifier gives its complete itemset from the database.
+func TestClosedTargetsAreSupported(t *testing.T) {
+	cfg := synth.DefaultConfig("2014Q1", 3)
+	cfg.Reports = 2500
+	cfg.ExposureRate = 0.05
+	q, _, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := NewOptions()
+	opts.MinSupport = 4
+	opts.MaxItems = 0
+	opts.TopK = 0
+	a, err := RunQuarter(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[assoc.SupportType]int{}
+	for i := range a.Signals {
+		s := &a.Signals[i]
+		complete := s.Cluster.Target.Complete()
+		if want := assoc.Classify(a.DB(), complete); s.SupportType != want || want == assoc.Unsupported {
+			t.Fatalf("signal %d (%s => %s): %s, by definition %s", s.Rank, s.Drugs, s.Reactions, s.SupportType, want)
+		}
+		seen[s.SupportType]++
+	}
+	if seen[assoc.Explicit] == 0 || seen[assoc.Implicit] == 0 {
+		t.Errorf("types %v, want explicit and implicit signals", seen)
+	}
+}
+
 // oracleDrugs and oracleReactions are the vocabulary of the random
 // corpora held to the oracle: 10 drugs and 6 reactions fill the
 // oracle's 16 items.
@@ -320,13 +423,16 @@ var (
 // FuzzRunMatchesOracle decodes the input into the options of a run
 // (minimum support, MaxItems, MaxDrugs, θ and the measure) and up to 32
 // expedited reports over 8 drugs and 6 reactions, two bytes each: a
-// drug bitmask, then a reaction bitmask. It holds Run to the oracle at
-// GOMAXPROCS 1 and 4.
+// drug bitmask, then a reaction bitmask whose top bit gives the report
+// a severe outcome. It holds Run to the oracle at GOMAXPROCS 1 and 4.
 func FuzzRunMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 0x03, 0x01, 0x03, 0x01, 0x01, 0x02, 0x02, 0x02})
 	f.Add([]byte{1, 4, 3, 2, 0x07, 0x11, 0x07, 0x11, 0x03, 0x01, 0x05, 0x10, 0x06, 0x01})
 	f.Add([]byte{0, 0, 0, 3, 0xff, 0x3f, 0xff, 0x3f, 0x0f, 0x07, 0xf0, 0x38, 0x3c, 0x0c})
 	f.Add([]byte{2, 2, 2, 5, 0x1b, 0x2d, 0x1b, 0x2d, 0x1b, 0x2d, 0x0b, 0x05, 0x19, 0x28})
+	// Three reports meeting in a target no two of them meet in, two of
+	// them serious.
+	f.Add([]byte{0, 0, 0, 0, 0x0f, 0x81, 0x17, 0x81, 0x1b, 0x01, 0x03, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -354,6 +460,9 @@ func FuzzRunMatchesOracle(f *testing.F) {
 				if data[1]&(1<<i) != 0 {
 					r.Reactions = append(r.Reactions, x)
 				}
+			}
+			if data[1]&0x80 != 0 {
+				r.Outcomes = []string{"HO"}
 			}
 			reports = append(reports, r)
 		}

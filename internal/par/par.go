@@ -112,6 +112,25 @@ func SortFunc[E any](s []E, cmp func(a, b E) int, workers int) []E {
 	return src
 }
 
+// Permute reorders aligned slices in place by order, a permutation
+// of [0, len(order)) such as sorting an index slice leaves: afterwards
+// position j holds the element that was at order[j]. swap(i, j) must
+// swap positions i and j of every aligned slice. order is left as the
+// identity.
+func Permute(order []int32, swap func(i, j int)) {
+	for i := range order {
+		// Follow i's cycle: each step puts one element in place.
+		j := i
+		for int(order[j]) != i {
+			k := int(order[j])
+			swap(j, k)
+			order[j] = int32(j)
+			j = k
+		}
+		order[j] = int32(j)
+	}
+}
+
 // merge merges the sorted runs a and b into dst, which holds exactly
 // len(a)+len(b) elements.
 func merge[E any](dst, a, b []E, cmp func(a, b E) int) {

@@ -145,3 +145,32 @@ func TestSortFuncAnyWorkerCount(t *testing.T) {
 		}
 	}
 }
+
+// TestPermute applies random permutations to a slice and an aligned
+// copy and expects each position j to hold the element at order[j].
+func TestPermute(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 2, 3, 10, 257} {
+		order := make([]int32, n)
+		for j, k := range rng.Perm(n) {
+			order[j] = int32(k)
+		}
+		want := make([]int, n)
+		for j, k := range order {
+			want[j] = 10 * int(k)
+		}
+		a, b := make([]int, n), make([]string, n)
+		for i := range a {
+			a[i], b[i] = 10*i, strconv.Itoa(10*i)
+		}
+		Permute(order, func(i, j int) {
+			a[i], a[j] = a[j], a[i]
+			b[i], b[j] = b[j], b[i]
+		})
+		for j := range a {
+			if a[j] != want[j] || b[j] != strconv.Itoa(want[j]) || order[j] != int32(j) {
+				t.Fatalf("n=%d: position %d holds %d/%s (order %d), want %d", n, j, a[j], b[j], order[j], want[j])
+			}
+		}
+	}
+}

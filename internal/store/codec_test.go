@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"maras/internal/assoc"
 	"maras/internal/audit"
 	"maras/internal/core"
 	"maras/internal/faers"
@@ -114,6 +115,30 @@ func TestRoundTripFullAnalysis(t *testing.T) {
 	prof := rt.Demographics(&s0)
 	if len(prof.SexSignal) == 0 && len(prof.AgeSignal) == 0 {
 		t.Error("demographics empty on rehydrated analysis")
+	}
+}
+
+// TestSupportTypesRoundTrip pins the byte each support type is
+// persisted as, unsupported included, which no mined signal carries
+// any more, and round-trips a signal of each type.
+func TestSupportTypesRoundTrip(t *testing.T) {
+	a := synthAnalysis(t)
+	s := &a.Signals[0]
+	for _, c := range []struct {
+		st   assoc.SupportType
+		code byte
+	}{{assoc.Unsupported, 0}, {assoc.Explicit, 1}, {assoc.Implicit, 2}} {
+		if byte(c.st) != c.code {
+			t.Fatalf("%s encodes as %d, want %d", c.st, byte(c.st), c.code)
+		}
+		s.SupportType = c.st
+		snap, err := Decode(encode(t, "2014Q1", a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.Analysis.Signals[0].SupportType; got != c.st {
+			t.Errorf("%s round-trips as %s", c.st, got)
+		}
 	}
 }
 
